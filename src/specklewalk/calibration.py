@@ -6,6 +6,7 @@ r_m at every output. Stepping the probe phase through K >= 3 equally
 spaced values theta_j = 2*pi*j/K records
 
     I_mn(theta_j) = |r_m + exp(i theta_j) S_mn|^2
+                  = |r_m|^2 + |S_mn|^2 + 2 Re(conj(r_m) S_mn exp(i theta_j))
 
 and the first discrete Fourier coefficient of that intensity sequence,
 
@@ -18,21 +19,37 @@ place: phase-only conjugation masks depend only on arg of the row, where
 it contributes a global per-target offset, so focusing through the
 estimate matches focusing through the true matrix.
 
+Without shot noise the estimate is computed from that closed form,
+conj(r_m) * S_mn, with no phase steps at all.
+
 Shot noise is modeled as Poisson photon counting on every intensity
-sample, with photons_per_measurement photons per unit intensity.
+sample, with photons_per_measurement photons per unit intensity. The
+noisy measurement runs in blocks of ROW_BLOCK output rows. Block b draws
+its counts from its own stream, (CALIBRATION_NOISE, b) in ``rng``, so
+the estimate's bytes do not depend on how many worker threads run the
+blocks. The intensities use real arithmetic, and for the standard K = 4
+sequence the phase factors exp(i theta_j) are the exact (1, i, -1, -i).
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
-from .medium import ScatteringMatrix, propagate
+from .errors import ConfigError, DimensionError, require_finite
+from .medium import ScatteringMatrix
 from .slm import apply_mask, random_mask
 from . import rng
+
+# output rows per noise stream; fixes the output bytes, so it is not a knob
+ROW_BLOCK = 64
+
+# largest Poisson mean numpy's sampler accepts (it raises ValueError above it)
+_POISSON_LAM_MAX = np.iinfo("l").max - 10.0 * np.sqrt(np.iinfo("l").max)
 
 
 @dataclass(frozen=True)
@@ -45,8 +62,10 @@ class CalibrationConfig:
     def __post_init__(self):
         if self.phase_steps < 3:
             raise ConfigError(f"phase_steps must be >= 3 to separate amplitude, phase and offset, got {self.phase_steps}")
-        if self.photons_per_measurement is not None and not (self.photons_per_measurement > 0):
-            raise ConfigError("photons_per_measurement must be positive or None for noiseless")
+        if self.photons_per_measurement is not None:
+            require_finite(photons_per_measurement=self.photons_per_measurement)
+            if not self.photons_per_measurement > 0:
+                raise ConfigError("photons_per_measurement must be positive or None for noiseless")
 
     @property
     def noiseless(self) -> bool:
@@ -69,20 +88,13 @@ def reference_field(n_in: int, cfg: CalibrationConfig) -> np.ndarray:
 
 def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig) -> SmEstimate:
     """Phase-step every input mode against the static reference speckle."""
-    steps = cfg.phase_steps
-    thetas = 2.0 * np.pi * np.arange(steps) / steps
-    reference = propagate(s_true, reference_field(s_true.n_in, cfg))  # r_m per output
-
-    gen = None if cfg.noiseless else rng.generator(cfg.noise_seed, rng.CALIBRATION_NOISE)
-    estimate = np.zeros_like(s_true.matrix)
-    for j, theta in enumerate(thetas):
-        interfered = reference[:, None] + np.exp(1j * theta) * s_true.matrix
-        intensity = np.abs(interfered) ** 2
-        if gen is not None:
-            ppm = cfg.photons_per_measurement
-            intensity = gen.poisson(intensity * ppm) / ppm
-        estimate += intensity * np.exp(-1j * theta)
-    estimate /= steps
+    # r_m per output; einsum rather than BLAS, whose threads keep spinning after a call
+    # and would take a core from the worker pool of the noisy path
+    reference = np.einsum("mn,n->m", s_true.matrix, reference_field(s_true.n_in, cfg))
+    if cfg.noiseless:
+        estimate = np.conj(reference)[:, None] * s_true.matrix
+    else:
+        estimate = _measure_noisy(s_true, reference, cfg)
 
     flagged = np.nonzero(np.abs(reference) == 0.0)[0]
     if flagged.size:
@@ -95,6 +107,78 @@ def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig) -> SmEstimate:
         row_reference_note=note,
         flagged_rows=tuple(int(i) for i in flagged),
     )
+
+
+def _phase_factors(steps: int):
+    """(cos theta_j, sin theta_j) per step; exact zeros and ones for K = 4."""
+    if steps == 4:
+        return ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+    thetas = 2.0 * np.pi * np.arange(steps) / steps
+    return tuple(zip(np.cos(thetas).tolist(), np.sin(thetas).tolist()))
+
+
+def _measure_noisy(s_true: ScatteringMatrix, reference: np.ndarray, cfg: CalibrationConfig) -> np.ndarray:
+    """Poisson-sampled phase stepping, one thread-pool task per block of ROW_BLOCK rows."""
+    matrix = s_true.matrix
+    blocks = range(-(-s_true.m_out // ROW_BLOCK))
+    estimate = np.empty_like(matrix)
+    with ThreadPoolExecutor(max_workers=min(len(blocks), _cpu_count())) as pool:
+        # (max|r| + max|S|)^2 bounds every intensity sample, so an oversized budget fails before any draw
+        max_s2 = max(pool.map(lambda block: float(np.max(_abs2(_rows(matrix, block)))), blocks))
+        bound = cfg.photons_per_measurement * (float(np.max(np.abs(reference))) + np.sqrt(max_s2)) ** 2
+        if bound > _POISSON_LAM_MAX:
+            raise ConfigError(f"photons_per_measurement={cfg.photons_per_measurement!r} allows up to {bound:.3g} "
+                              f"photons in one sample, above the Poisson sampler's limit {_POISSON_LAM_MAX:.3g}")
+        factors = _phase_factors(cfg.phase_steps)
+        list(pool.map(lambda block: _measure_block(matrix, reference, cfg, factors, block, estimate), blocks))
+    return estimate
+
+
+def _measure_block(matrix: np.ndarray, reference: np.ndarray, cfg: CalibrationConfig, factors,
+                   block: int, estimate: np.ndarray) -> None:
+    """Write one block's Fourier estimate into its rows of ``estimate``."""
+    rows = _rows(matrix, block)
+    r = _rows(reference, block)[:, None]
+    s_re, s_im, r_re, r_im = rows.real, rows.imag, r.real, r.imag
+    # mean photon numbers: ppm * (|r|^2 + |S|^2) and ppm * 2 conj(r) S
+    ppm = cfg.photons_per_measurement
+    dc = ppm * (_abs2(r) + _abs2(rows))
+    cross_re = (2.0 * ppm) * (r_re * s_re + r_im * s_im)
+    cross_im = (2.0 * ppm) * (r_re * s_im - r_im * s_re)
+    gen = rng.generator(cfg.noise_seed, rng.CALIBRATION_NOISE, block)
+    acc_re = np.zeros(rows.shape)
+    acc_im = np.zeros(rows.shape)
+    mean = np.empty(rows.shape)
+    for cos, sin in factors:  # zero factors are skipped: exact K = 4 needs half the work
+        np.copyto(mean, dc)
+        if cos:
+            mean += cos * cross_re
+        if sin:
+            mean -= sin * cross_im
+        np.maximum(mean, 0.0, out=mean)  # rounding can dip just below 0
+        counts = gen.poisson(mean)
+        if cos:
+            acc_re += cos * counts
+        if sin:
+            acc_im -= sin * counts
+    out = _rows(estimate, block)
+    np.divide(acc_re, len(factors) * ppm, out=out.real)
+    np.divide(acc_im, len(factors) * ppm, out=out.imag)
+
+
+def _rows(array: np.ndarray, block: int) -> np.ndarray:
+    return array[block * ROW_BLOCK:(block + 1) * ROW_BLOCK]
+
+
+def _abs2(values: np.ndarray) -> np.ndarray:
+    return values.real * values.real + values.imag * values.imag
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def sm_fidelity(s_true: ScatteringMatrix, estimate: SmEstimate) -> np.ndarray:

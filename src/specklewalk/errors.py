@@ -1,5 +1,7 @@
 """Exception types shared across the simulator."""
 
+import math
+
 
 class ConfigError(ValueError):
     """A configuration value or file violates its contract."""
@@ -23,3 +25,10 @@ class StatisticsError(ValueError):
 
 class FormatError(ValueError):
     """A persisted file does not match its declared binary/text format."""
+
+
+def require_finite(**knobs: float) -> None:
+    """Raise ConfigError naming the first knob that is NaN or infinite."""
+    for name, value in knobs.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from . import rng
-from .errors import ConfigError, StatisticsError
+from .errors import ConfigError, StatisticsError, require_finite
 from .medium import MediumConfig, generate_medium, save_smx
 from .slm import TargetSpec, conjugate_mask, dual_target_spec, random_mask, save_mask_csv
 from .calibration import CalibrationConfig, measure_sm, sm_fidelity, fidelity_csv
@@ -59,6 +59,7 @@ class NoiseConfig:
     background_fraction: float = 0.0
 
     def __post_init__(self):
+        require_finite(sigma_phi=self.sigma_phi, background_fraction=self.background_fraction)
         if self.sigma_phi < 0 or self.background_fraction < 0:
             raise ConfigError("noise knobs must be nonnegative")
 
@@ -87,6 +88,7 @@ class ExperimentConfig:
             raise ConfigError("target_a and target_b must differ")
         if self.n_steps < 5:
             raise ConfigError(f"n_steps must be >= 5, got {self.n_steps}")
+        require_finite(counts_per_step=self.counts_per_step)
         if self.counts_per_step < 0:
             raise ConfigError("counts_per_step must be nonnegative")
         if self.counts_sampling not in ("poisson", "expected"):

@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, StatisticsError
+from .errors import ConfigError, DimensionError, FormatError, StatisticsError, require_finite
 from . import rng
 
 SMX_MAGIC = b"SMX1"
@@ -61,6 +61,7 @@ class MediumConfig:
     def __post_init__(self):
         if self.n_in < 1 or self.m_out < 1:
             raise ConfigError(f"mode counts must be >= 1, got n_in={self.n_in}, m_out={self.m_out}")
+        require_finite(transmission=self.transmission)
         if not (0.0 < self.transmission <= 1.0):
             raise ConfigError(f"transmission must lie in (0, 1], got {self.transmission}")
         if self.seed < 0:

@@ -31,7 +31,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFieldError, StatisticsError
+from .errors import ConfigError, DegenerateFieldError, StatisticsError, require_finite
 from .medium import ScatteringMatrix, propagate
 from .slm import apply_mask
 from . import rng
@@ -58,6 +58,10 @@ class SourceConfig:
     dark_rate: float = 0.0
 
     def __post_init__(self):
+        require_finite(trigger_rate=self.trigger_rate, heralding_efficiency=self.heralding_efficiency,
+                       collection_efficiency=self.collection_efficiency, coincidence_window=self.coincidence_window,
+                       acquisition_time=self.acquisition_time, double_pair_mean=self.double_pair_mean,
+                       dark_rate=self.dark_rate)
         if self.trigger_rate < 0 or self.dark_rate < 0 or self.double_pair_mean < 0:
             raise ConfigError("rates and double_pair_mean must be nonnegative")
         if not (0.0 <= self.heralding_efficiency <= 1.0):

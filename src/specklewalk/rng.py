@@ -5,14 +5,15 @@ numpy's PCG64 bit generator. Independent sub-streams are derived with
 ``SeedSequence(seed, spawn_key=path)``, so a (seed, stream-path) pair
 always names the same stream, on every platform, in every process.
 
-Stream indices used by the experiment harness (path element 0):
+Stream paths used by the experiment harness (element 0 is the index):
 
 ==========  =============================================
-index       consumer
+path        consumer
 ==========  =============================================
 0           medium generation (when no explicit seed set)
 1           calibration reference input (when not set)
-2           calibration shot noise
+(2, block)  calibration shot noise, one stream per block of
+            ``calibration.ROW_BLOCK`` (64) output rows
 3           random baseline mask
 4           heralded-count simulation
 5           fringe scan sampling

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import pdtr
 
-from .errors import ConfigError, DegenerateFieldError, StatisticsError
-from .medium import ScatteringMatrix, propagate
+from .errors import ConfigError, DegenerateFieldError, DimensionError, StatisticsError
+from .medium import ScatteringMatrix
 from .slm import apply_mask, conjugate_mask, dual_target_spec
 from .quantum import TwoModeState
 from . import rng
@@ -78,7 +78,8 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
 
     For each of n_steps phases phi_j = 2*pi*j/(n_steps-1) a dual-target
     mask is computed from ``s_masks`` (normally the calibration
-    estimate), propagated through ``s_true``, and the two target
+    estimate), propagated through the two target rows of ``s_true``
+    (the only output amplitudes the scan reads), and the two target
     amplitudes are combined on a balanced splitter. Phase jitter of
     width sigma_phi (radians) is averaged within each step, multiplying
     the interference cross term by exp(-sigma_phi^2 / 2); an unmodulated
@@ -100,16 +101,20 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
         raise ConfigError(f"sampling must be 'poisson' or 'expected', got {sampling!r}")
     if duration_per_step <= 0:
         raise ConfigError("duration_per_step must be positive")
+    if s_true.matrix.shape != s_masks.matrix.shape:
+        raise DimensionError(f"mask matrix shape {s_masks.matrix.shape} does not match true shape {s_true.matrix.shape}")
+    for target in (target_a, target_b):
+        if not 0 <= target < s_true.m_out:
+            raise DimensionError(f"target index {target} outside output range [0, {s_true.m_out})")
 
+    rows = s_true.matrix[[target_a, target_b]]
     phis = TWO_PI * np.arange(n_steps) / (n_steps - 1)
     dephasing = math.exp(-0.5 * sigma_phi ** 2)
     port = np.empty(n_steps)
     total = np.empty(n_steps)
     for j, phi in enumerate(phis):
         spec = dual_target_spec(s_masks, target_a, target_b, phi)
-        out = propagate(s_true, apply_mask(conjugate_mask(s_masks, spec), 1.0))
-        a_a = out[target_a]
-        a_b = out[target_b]
+        a_a, a_b = rows @ apply_mask(conjugate_mask(s_masks, spec), 1.0)
         cross = float(np.real(np.conj(a_a) * a_b))
         total[j] = abs(a_a) ** 2 + abs(a_b) ** 2
         port[j] = total[j] / 2.0 + dephasing * cross

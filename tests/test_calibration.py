@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from specklewalk import rng
 from specklewalk import (
     CalibrationConfig,
     ConfigError,
@@ -15,7 +18,7 @@ from specklewalk import (
     propagate,
     sm_fidelity,
 )
-from specklewalk.calibration import fidelity_csv, reference_field
+from specklewalk.calibration import ROW_BLOCK, fidelity_csv, reference_field
 
 
 def test_config_requires_three_steps():
@@ -148,3 +151,78 @@ def test_fidelity_csv(tmp_path):
     path = tmp_path / "fid.csv"
     fidelity_csv(path, np.array([1.0, 0.25]))
     assert path.read_text() == "row,fidelity\n0,1.0\n1,0.25\n"
+
+
+def dft_reference(sm, cfg, draw=None):
+    """Loop reference of the K-step estimator; ``draw(block, intensity)`` adds shot noise."""
+    steps = cfg.phase_steps
+    reference = propagate(sm, reference_field(sm.n_in, cfg))
+    estimate = np.zeros_like(sm.matrix)
+    for block in range(0, sm.m_out, ROW_BLOCK):
+        rows = slice(block, block + ROW_BLOCK)
+        for j in range(steps):
+            phasor = np.exp(2j * np.pi * j / steps)
+            intensity = np.abs(reference[rows, None] + phasor * sm.matrix[rows]) ** 2
+            if draw is not None:
+                intensity = draw(block // ROW_BLOCK, intensity)
+            estimate[rows] += intensity * np.conj(phasor)
+    return estimate / steps
+
+
+@pytest.mark.parametrize("steps", [3, 4, 5, 7])
+def test_noiseless_closed_form_matches_k_step_dft(steps):
+    cfg = CalibrationConfig(phase_steps=steps, reference_seed=31)
+    sm = generate_medium(MediumConfig(n_in=40, m_out=150, seed=30))
+    expected = dft_reference(sm, cfg)
+    got = measure_sm(sm, cfg).matrix.matrix
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_noisy_blocks_draw_from_their_own_streams():
+    # a count off by one in a single step moves an entry by 1 / (K * ppm); a wrong stream moves it by ~sqrt(ppm)
+    ppm = 1e4
+    cfg = CalibrationConfig(photons_per_measurement=ppm, reference_seed=33, noise_seed=34)
+    sm = generate_medium(MediumConfig(n_in=40, m_out=150, seed=32))
+    gens = {}
+
+    def draw(block, intensity):
+        gen = gens.setdefault(block, rng.generator(cfg.noise_seed, rng.CALIBRATION_NOISE, block))
+        return gen.poisson(intensity * ppm) / ppm
+
+    expected = dft_reference(sm, cfg, draw)
+    got = measure_sm(sm, cfg).matrix.matrix
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1.01 / (cfg.phase_steps * ppm))
+    assert len(gens) == 3
+
+
+def test_noisy_estimate_independent_of_worker_count(monkeypatch):
+    cfg = CalibrationConfig(photons_per_measurement=1e3, reference_seed=36, noise_seed=37)
+    sm = generate_medium(MediumConfig(n_in=24, m_out=5 * ROW_BLOCK + 7, seed=35))
+    estimates = []
+    for cpus in ({0}, {0, 1, 2, 3}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        estimates.append(measure_sm(sm, cfg).matrix.matrix.tobytes())
+    assert estimates[0] == estimates[1]
+
+
+def test_oversized_photon_budget_rejected_before_sampling(monkeypatch):
+    real_generator = rng.generator
+
+    def generator(seed, *path):
+        assert path[0] != rng.CALIBRATION_NOISE, "a noise stream was opened"
+        return real_generator(seed, *path)
+
+    monkeypatch.setattr(rng, "generator", generator)
+    sm = generate_medium(MediumConfig(n_in=8, m_out=8, seed=38))
+    with pytest.raises(ConfigError, match="Poisson"):
+        measure_sm(sm, CalibrationConfig(photons_per_measurement=1e30, reference_seed=39))
+
+
+def test_dark_fringe_rounding_never_reaches_the_sampler():
+    # column 0 interferes to exactly zero at theta = 0, where rounding can leave a tiny negative mean
+    cfg = CalibrationConfig(photons_per_measurement=1e4, reference_seed=41, noise_seed=42)
+    field = reference_field(2, cfg)
+    for k in range(40):
+        a = np.exp(0.37j * k) * (0.5 + 0.01 * k)
+        sm = ScatteringMatrix(np.array([[a, -a * (1 + field[0]) / field[1]]]))
+        assert np.all(np.isfinite(measure_sm(sm, cfg).matrix.matrix))

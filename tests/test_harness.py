@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -59,6 +61,33 @@ def test_config_validation():
         small_config("out", target_b=96)  # same as target_a
     with pytest.raises(ConfigError):
         small_config("out", n_steps=3)
+
+
+FLOAT_KNOBS = [
+    ("medium", "transmission"),
+    ("calibration", "photons_per_measurement"),
+    ("source", "trigger_rate"),
+    ("source", "heralding_efficiency"),
+    ("source", "collection_efficiency"),
+    ("source", "coincidence_window"),
+    ("source", "acquisition_time"),
+    ("source", "double_pair_mean"),
+    ("source", "dark_rate"),
+    ("noise", "sigma_phi"),
+    ("noise", "background_fraction"),
+    ("run", "counts_per_step"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("section,key", FLOAT_KNOBS)
+def test_config_rejects_nonfinite_float_knobs(section, key, value):
+    defaults = ExperimentConfig()
+    owner = defaults if section == "run" else getattr(defaults, section)
+    with pytest.raises(ConfigError, match=key):
+        dataclasses.replace(owner, **{key: value})
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text(f"[{section}]\n{key} = {value}\n")
 
 
 def test_parse_rejects_unknown_sections_and_keys():

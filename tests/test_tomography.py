@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from specklewalk import (
     CalibrationConfig,
     ConfigError,
+    DimensionError,
     FringeScan,
     MediumConfig,
     StatisticsError,
@@ -20,8 +21,10 @@ from specklewalk import (
     measure_sm,
     poisson_upper_limit,
     positivity_confidence,
+    propagate,
     scan_fringes,
 )
+from specklewalk.slm import apply_mask, conjugate_mask, dual_target_spec
 from specklewalk.tomography import fringe_csv
 
 
@@ -79,6 +82,41 @@ def test_scan_fringes_ideal_shape():
     template = 1 + fit.visibility * np.cos(scan.phi - fit.phase0)
     correlation = np.corrcoef(scan.counts, template)[0, 1]
     assert correlation > 0.999
+
+
+def scan_fields(s_masks, target_a, target_b, n_steps):
+    for phi in 2 * np.pi * np.arange(n_steps) / (n_steps - 1):
+        yield apply_mask(conjugate_mask(s_masks, dual_target_spec(s_masks, target_a, target_b, phi)), 1.0)
+
+
+def test_scan_fringes_two_rows_match_full_propagation():
+    sm = generate_medium(MediumConfig(n_in=64, m_out=48, seed=1004))
+    estimate = measure_sm(sm, CalibrationConfig(photons_per_measurement=1e4, reference_seed=1005, noise_seed=1006))
+    a, b = 7, 30
+    for field in scan_fields(estimate.matrix, a, b, 21):
+        assert np.array_equal(sm.matrix[[a, b]] @ field, propagate(sm, field)[[a, b]])
+
+    # reference scan through the full field, as the expected counts see it
+    ports, totals = [], []
+    for field in scan_fields(estimate.matrix, a, b, 21):
+        out = propagate(sm, field)
+        totals.append(abs(out[a]) ** 2 + abs(out[b]) ** 2)
+        ports.append(totals[-1] / 2.0 + math.exp(-0.5 * 0.7 ** 2) * float(np.real(np.conj(out[a]) * out[b])))
+    means = 1e15 * np.array(ports) / np.mean(totals)
+    scan = scan_fringes(sm, estimate.matrix, a, b, counts_per_step=1e15, sigma_phi=0.7, sampling="expected")
+    assert np.array_equal(scan.counts, np.rint(means).astype(np.int64))
+
+
+def test_scan_fringes_rejects_bad_targets_and_shapes():
+    sm = generate_medium(MediumConfig(n_in=32, m_out=16, seed=1007))
+    for a, b in ((3, 16), (-1, 3)):
+        with pytest.raises(DimensionError):
+            scan_fringes(sm, sm, a, b)
+    taller = generate_medium(MediumConfig(n_in=32, m_out=40, seed=1008))
+    wider = generate_medium(MediumConfig(n_in=48, m_out=16, seed=1009))
+    for s_true, s_masks, a, b in ((sm, taller, 3, 20), (taller, sm, 3, 5), (sm, wider, 3, 5)):
+        with pytest.raises(DimensionError):
+            scan_fringes(s_true, s_masks, a, b)
 
 
 def test_scan_fringes_zero_budget_then_fit_error():
