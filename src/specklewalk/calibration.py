@@ -33,20 +33,17 @@ sequence the phase factors exp(i theta_j) are the exact (1, i, -1, -i).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, require_finite
-from .medium import ScatteringMatrix
-from .slm import apply_mask, random_mask
-from . import rng
-
-# output rows per noise stream; fixes the output bytes, so it is not a knob
-ROW_BLOCK = 64
+from .medium import ROW_BLOCK, ScatteringMatrix, propagate
+from .slm import TWO_PI, apply_mask, random_mask
+# block helpers are called through their module: perfbench/tracing.py wraps the names
+# imported here, and its span stack must not be touched from worker threads
+from . import medium, rng
 
 # largest Poisson mean numpy's sampler accepts (it raises ValueError above it)
 _POISSON_LAM_MAX = np.iinfo("l").max - 10.0 * np.sqrt(np.iinfo("l").max)
@@ -88,9 +85,7 @@ def reference_field(n_in: int, cfg: CalibrationConfig) -> np.ndarray:
 
 def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig) -> SmEstimate:
     """Phase-step every input mode against the static reference speckle."""
-    # r_m per output; einsum rather than BLAS, whose threads keep spinning after a call
-    # and would take a core from the worker pool of the noisy path
-    reference = np.einsum("mn,n->m", s_true.matrix, reference_field(s_true.n_in, cfg))
+    reference = propagate(s_true, reference_field(s_true.n_in, cfg))  # r_m per output
     if cfg.noiseless:
         estimate = np.conj(reference)[:, None] * s_true.matrix
     else:
@@ -113,32 +108,32 @@ def _phase_factors(steps: int):
     """(cos theta_j, sin theta_j) per step; exact zeros and ones for K = 4."""
     if steps == 4:
         return ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
-    thetas = 2.0 * np.pi * np.arange(steps) / steps
+    thetas = TWO_PI * np.arange(steps) / steps
     return tuple(zip(np.cos(thetas).tolist(), np.sin(thetas).tolist()))
 
 
 def _measure_noisy(s_true: ScatteringMatrix, reference: np.ndarray, cfg: CalibrationConfig) -> np.ndarray:
     """Poisson-sampled phase stepping, one thread-pool task per block of ROW_BLOCK rows."""
     matrix = s_true.matrix
-    blocks = range(-(-s_true.m_out // ROW_BLOCK))
+    # (max|r| + max|S|)^2 bounds every intensity sample, so an oversized budget fails before any draw
+    max_s2 = max(medium.map_row_blocks(lambda block: float(np.max(_abs2(medium.row_block(matrix, block)))),
+                                       s_true.m_out))
+    bound = cfg.photons_per_measurement * (float(np.max(np.abs(reference))) + np.sqrt(max_s2)) ** 2
+    if bound > _POISSON_LAM_MAX:
+        raise ConfigError(f"photons_per_measurement={cfg.photons_per_measurement!r} allows up to {bound:.3g} "
+                          f"photons in one sample, above the Poisson sampler's limit {_POISSON_LAM_MAX:.3g}")
+    factors = _phase_factors(cfg.phase_steps)
     estimate = np.empty_like(matrix)
-    with ThreadPoolExecutor(max_workers=min(len(blocks), _cpu_count())) as pool:
-        # (max|r| + max|S|)^2 bounds every intensity sample, so an oversized budget fails before any draw
-        max_s2 = max(pool.map(lambda block: float(np.max(_abs2(_rows(matrix, block)))), blocks))
-        bound = cfg.photons_per_measurement * (float(np.max(np.abs(reference))) + np.sqrt(max_s2)) ** 2
-        if bound > _POISSON_LAM_MAX:
-            raise ConfigError(f"photons_per_measurement={cfg.photons_per_measurement!r} allows up to {bound:.3g} "
-                              f"photons in one sample, above the Poisson sampler's limit {_POISSON_LAM_MAX:.3g}")
-        factors = _phase_factors(cfg.phase_steps)
-        list(pool.map(lambda block: _measure_block(matrix, reference, cfg, factors, block, estimate), blocks))
+    medium.map_row_blocks(lambda block: _measure_block(matrix, reference, cfg, factors, block, estimate),
+                          s_true.m_out)
     return estimate
 
 
 def _measure_block(matrix: np.ndarray, reference: np.ndarray, cfg: CalibrationConfig, factors,
                    block: int, estimate: np.ndarray) -> None:
     """Write one block's Fourier estimate into its rows of ``estimate``."""
-    rows = _rows(matrix, block)
-    r = _rows(reference, block)[:, None]
+    rows = medium.row_block(matrix, block)
+    r = medium.row_block(reference, block)[:, None]
     s_re, s_im, r_re, r_im = rows.real, rows.imag, r.real, r.imag
     # mean photon numbers: ppm * (|r|^2 + |S|^2) and ppm * 2 conj(r) S
     ppm = cfg.photons_per_measurement
@@ -161,24 +156,13 @@ def _measure_block(matrix: np.ndarray, reference: np.ndarray, cfg: CalibrationCo
             acc_re += cos * counts
         if sin:
             acc_im -= sin * counts
-    out = _rows(estimate, block)
+    out = medium.row_block(estimate, block)
     np.divide(acc_re, len(factors) * ppm, out=out.real)
     np.divide(acc_im, len(factors) * ppm, out=out.imag)
 
 
-def _rows(array: np.ndarray, block: int) -> np.ndarray:
-    return array[block * ROW_BLOCK:(block + 1) * ROW_BLOCK]
-
-
 def _abs2(values: np.ndarray) -> np.ndarray:
     return values.real * values.real + values.imag * values.imag
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
 
 
 def sm_fidelity(s_true: ScatteringMatrix, estimate: SmEstimate) -> np.ndarray:
@@ -190,8 +174,9 @@ def sm_fidelity(s_true: ScatteringMatrix, estimate: SmEstimate) -> np.ndarray:
     est = estimate.matrix.matrix
     if est.shape != s_true.matrix.shape:
         raise DimensionError(f"estimate shape {est.shape} does not match true shape {s_true.matrix.shape}")
-    inner = np.abs(np.sum(est * np.conj(s_true.matrix), axis=1))
-    norms = np.linalg.norm(est, axis=1) * np.linalg.norm(s_true.matrix, axis=1)
+    # row-wise dot products: no temporary the size of the matrix
+    inner = np.abs(np.vecdot(s_true.matrix, est))
+    norms = np.sqrt(np.vecdot(est, est).real) * np.sqrt(np.vecdot(s_true.matrix, s_true.matrix).real)
     fidelity = np.zeros(s_true.m_out)
     good = norms > 0.0
     fidelity[good] = inner[good] / norms[good]

@@ -32,8 +32,8 @@ import numpy as np
 from . import __version__
 from . import rng
 from .errors import ConfigError, StatisticsError, require_finite
-from .medium import MediumConfig, generate_medium, save_smx
-from .slm import TargetSpec, conjugate_mask, dual_target_spec, random_mask, save_mask_csv
+from .medium import MediumConfig, generate_medium, propagate, save_smx
+from .slm import TargetSpec, apply_mask, conjugate_mask, dual_target_spec, random_mask, save_mask_csv
 from .calibration import CalibrationConfig, measure_sm, sm_fidelity, fidelity_csv
 from .quantum import SourceConfig, mode_probabilities, simulate_counts, estimate_state, probabilities_csv
 from .tomography import (
@@ -114,13 +114,18 @@ def _parse_photons(text: str):
     return value
 
 
+def _parse_text(text: str) -> str:
+    """A plain value, or a JSON string literal (how ``config_to_ini`` writes text INI cannot hold)."""
+    return json.loads(text) if text.startswith('"') else text
+
+
 _SCHEMA = {
     "medium": {
         "n_in": int,
         "m_out": int,
         "transmission": float,
         "seed": int,
-        "mean_free_path_note": str,
+        "mean_free_path_note": _parse_text,
     },
     "calibration": {
         "phase_steps": int,
@@ -146,11 +151,11 @@ _SCHEMA = {
         "background_fraction": float,
     },
     "run": {
-        "scenario": str,
+        "scenario": _parse_text,
         "n_steps": int,
         "counts_per_step": float,
-        "counts_sampling": str,
-        "output_dir": str,
+        "counts_sampling": _parse_text,
+        "output_dir": _parse_text,
         "seed": int,
     },
 }
@@ -281,11 +286,18 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
     for section in ("medium", "calibration", "source", "targets", "noise", "run"):
         buf.write(f"[{section}]\n")
         for key, value in doc[section].items():
-            if value is None:
-                value = "noiseless"
-            buf.write(f"{key} = {value}\n")
+            buf.write(f"{key} = {_ini_value(value)}\n")
         buf.write("\n")
     return buf.getvalue()
+
+
+def _ini_value(value) -> str:
+    if value is None:
+        return "noiseless"
+    # INI strips surrounding whitespace and splits lines, so such text is written as a JSON literal
+    if isinstance(value, str) and (value != value.strip() or not value.isprintable() or value.startswith('"')):
+        return json.dumps(value)
+    return str(value)
 
 
 def _require_output_dir(cfg: ExperimentConfig) -> str:
@@ -332,7 +344,7 @@ def _focus_stage(cfg: ExperimentConfig, out: str, sm_true, estimate) -> dict:
     fractions = {}
     focused_intensities = None
     for name, mask in (("focused", focused_mask), ("random", baseline_mask)):
-        intensities = np.abs(sm_true.matrix @ np.exp(1j * mask)) ** 2
+        intensities = np.abs(propagate(sm_true, apply_mask(mask, 1.0))) ** 2
         if name == "focused":
             focused_intensities = intensities
         share = intensities / intensities.sum()

@@ -7,13 +7,22 @@ transmission / n_in, so a unit-amplitude input of n_in modes carries an
 expected total output power of m_out * transmission / n_in and every
 output mode shows fully developed speckle (exponential intensity
 statistics, unit contrast).
+
+Matrix-sized work runs in blocks of ROW_BLOCK output rows on a thread
+pool (``map_row_blocks``). The draw gives block b its own stream,
+(MEDIUM, b) in ``rng``, so the matrix bytes do not depend on how many
+workers run the blocks. ``propagate`` takes one dot product per output
+row rather than a threaded BLAS mat-vec, whose worker threads keep
+spinning after the call and would take cores from the pool.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -22,6 +31,36 @@ from . import rng
 
 SMX_MAGIC = b"SMX1"
 _SMX_HEADER = struct.Struct("<QQ")
+
+# output rows per random stream; fixes the output bytes, so it is not a knob
+ROW_BLOCK = 64
+
+
+def map_row_blocks(fn: Callable[[int], object], n_rows: int) -> list:
+    """Return [fn(block) for every block of ROW_BLOCK rows], run on a thread pool.
+
+    The pool has one worker per usable core, and no more than there are
+    blocks; the results keep block order. With one worker the blocks run
+    in the calling thread.
+    """
+    blocks = range(-(-n_rows // ROW_BLOCK))
+    workers = min(len(blocks), _cpu_count())
+    if workers == 1:
+        return [fn(block) for block in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, blocks))
+
+
+def row_block(array: np.ndarray, block: int) -> np.ndarray:
+    """The rows of ``array`` that belong to ``block``."""
+    return array[block * ROW_BLOCK:(block + 1) * ROW_BLOCK]
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,11 +112,19 @@ def generate_medium(config: MediumConfig) -> ScatteringMatrix:
 
     Real and imaginary parts of each entry are independent N(0,
     transmission / (2 n_in)), giving E|S_mn|^2 = transmission / n_in.
+    Block b of ROW_BLOCK rows draws its real parts, then its imaginary
+    parts, from stream (MEDIUM, b) of the seed.
     """
-    gen = rng.generator(config.seed, rng.MEDIUM)
     scale = np.sqrt(config.transmission / (2.0 * config.n_in))
-    shape = (config.m_out, config.n_in)
-    entries = scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+    entries = np.empty((config.m_out, config.n_in), dtype=np.complex128)
+
+    def draw(block: int) -> None:
+        gen = rng.generator(config.seed, rng.MEDIUM, block)
+        rows = row_block(entries, block)
+        np.multiply(gen.standard_normal(rows.shape), scale, out=rows.real)
+        np.multiply(gen.standard_normal(rows.shape), scale, out=rows.imag)
+
+    map_row_blocks(draw, config.m_out)
     meta = {
         "ensemble": "iid circular complex Gaussian",
         "seed": str(config.seed),
@@ -89,13 +136,13 @@ def generate_medium(config: MediumConfig) -> ScatteringMatrix:
 
 
 def propagate(sm: ScatteringMatrix, e_in: np.ndarray) -> np.ndarray:
-    """Apply E_out = S @ E_in for a single input field."""
+    """Apply E_out = S @ E_in for a single input field, one dot product per row."""
     vec = np.asarray(e_in, dtype=np.complex128)
     if vec.ndim != 1 or vec.shape[0] != sm.n_in:
         raise DimensionError(f"input field length {vec.shape} does not match n_in={sm.n_in}")
     if not np.all(np.isfinite(vec)):
         raise ConfigError("input field amplitudes must be finite")
-    return sm.matrix @ vec
+    return np.vecdot(np.conj(vec), sm.matrix)
 
 
 def speckle_contrast(intensities: np.ndarray) -> float:
@@ -121,7 +168,7 @@ def save_smx(path, sm: ScatteringMatrix) -> None:
     Layout: magic b"SMX1", m_out and n_in as little-endian uint64, then
     row-major entries as (real, imag) little-endian float64 pairs.
     """
-    payload = np.ascontiguousarray(sm.matrix, dtype="<c16").tobytes(order="C")
+    payload = memoryview(np.ascontiguousarray(sm.matrix, dtype="<c16")).cast("B")
     with open(path, "wb") as fh:
         fh.write(SMX_MAGIC)
         fh.write(_SMX_HEADER.pack(sm.m_out, sm.n_in))

@@ -10,10 +10,12 @@ Stream paths used by the experiment harness (element 0 is the index):
 ==========  =============================================
 path        consumer
 ==========  =============================================
-0           medium generation (when no explicit seed set)
+0           medium seed (when no explicit seed set)
+(0, block)  medium generation, one stream per block of
+            ``medium.ROW_BLOCK`` (64) output rows
 1           calibration reference input (when not set)
 (2, block)  calibration shot noise, one stream per block of
-            ``calibration.ROW_BLOCK`` (64) output rows
+            ``medium.ROW_BLOCK`` output rows
 3           random baseline mask
 4           heralded-count simulation
 5           fringe scan sampling

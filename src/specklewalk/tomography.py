@@ -23,11 +23,9 @@ from scipy.special import pdtr
 
 from .errors import ConfigError, DegenerateFieldError, DimensionError, StatisticsError
 from .medium import ScatteringMatrix
-from .slm import apply_mask, conjugate_mask, dual_target_spec
+from .slm import TWO_PI, apply_mask, conjugate_mask, dual_target_spec
 from .quantum import TwoModeState
 from . import rng
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -114,7 +112,8 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     total = np.empty(n_steps)
     for j, phi in enumerate(phis):
         spec = dual_target_spec(s_masks, target_a, target_b, phi)
-        a_a, a_b = rows @ apply_mask(conjugate_mask(s_masks, spec), 1.0)
+        # the kernel of propagate, so the amplitudes equal propagate(...)[[a, b]] bit for bit
+        a_a, a_b = np.vecdot(np.conj(apply_mask(conjugate_mask(s_masks, spec), 1.0)), rows)
         cross = float(np.real(np.conj(a_a) * a_b))
         total[j] = abs(a_a) ** 2 + abs(a_b) ** 2
         port[j] = total[j] / 2.0 + dephasing * cross

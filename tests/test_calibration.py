@@ -147,6 +147,15 @@ def test_focusing_through_estimate_matches_truth():
         assert abs(i_true - i_est) / i_true < 1e-9
 
 
+def test_fidelity_matches_sum_and_norm_formula():
+    sm = generate_medium(MediumConfig(n_in=96, m_out=130, seed=43))
+    estimate = measure_sm(sm, CalibrationConfig(photons_per_measurement=30.0, reference_seed=44, noise_seed=45))
+    est = estimate.matrix.matrix
+    inner = np.abs(np.sum(est * np.conj(sm.matrix), axis=1))
+    expected = np.clip(inner / (np.linalg.norm(est, axis=1) * np.linalg.norm(sm.matrix, axis=1)), 0.0, 1.0)
+    np.testing.assert_allclose(sm_fidelity(sm, estimate), expected, rtol=0, atol=1e-12)
+
+
 def test_fidelity_csv(tmp_path):
     path = tmp_path / "fid.csv"
     fidelity_csv(path, np.array([1.0, 0.25]))

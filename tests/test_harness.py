@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specklewalk import (
     CalibrationConfig,
@@ -27,6 +28,7 @@ from specklewalk import (
     run_tomo,
 )
 from specklewalk.cli import main
+from specklewalk.harness import SCENARIOS
 
 
 def small_config(out_dir, scenario="full", seed=42, **overrides):
@@ -109,6 +111,54 @@ def test_parse_round_trip_with_noiseless_calibration():
     cfg = small_config("somewhere", calibration=CalibrationConfig(photons_per_measurement=None,
                                                                   reference_seed=3, noise_seed=4))
     assert parse_config_text(config_to_ini(cfg)) == cfg
+
+
+seeds = st.integers(min_value=0, max_value=2**64 - 1)
+unit = st.floats(min_value=0.0, max_value=1.0)
+nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def experiment_configs(draw):
+    m_out = draw(st.integers(min_value=2, max_value=10**6))
+    target_a, target_b = draw(st.lists(st.integers(0, m_out - 1), min_size=2, max_size=2, unique=True))
+    return ExperimentConfig(
+        scenario=draw(st.sampled_from(SCENARIOS)),
+        medium=MediumConfig(n_in=draw(st.integers(min_value=1, max_value=10**6)), m_out=m_out,
+                            transmission=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+                            seed=draw(seeds), mean_free_path_note=draw(st.none() | st.text())),
+        calibration=CalibrationConfig(phase_steps=draw(st.integers(min_value=3, max_value=64)),
+                                      photons_per_measurement=draw(st.none() | positive),
+                                      reference_seed=draw(seeds), noise_seed=draw(seeds)),
+        source=SourceConfig(trigger_rate=draw(nonnegative), heralding_efficiency=draw(unit),
+                            collection_efficiency=draw(unit), coincidence_window=draw(positive),
+                            acquisition_time=draw(positive), double_pair_mean=draw(nonnegative),
+                            dark_rate=draw(nonnegative)),
+        noise=NoiseConfig(sigma_phi=draw(nonnegative), background_fraction=draw(nonnegative)),
+        target_a=target_a,
+        target_b=target_b,
+        n_steps=draw(st.integers(min_value=5, max_value=10**6)),
+        counts_per_step=draw(nonnegative),
+        counts_sampling=draw(st.sampled_from(("poisson", "expected"))),
+        output_dir=draw(st.text()),
+        seed=draw(seeds),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(experiment_configs())
+def test_every_valid_config_survives_ini_round_trip(cfg):
+    assert parse_config_text(config_to_ini(cfg)) == cfg
+
+
+def test_ini_writes_text_it_cannot_hold_as_json_literal():
+    cfg = small_config(" out\n2 ", medium=MediumConfig(n_in=128, m_out=512, seed=1, mean_free_path_note='"l*"'))
+    text = config_to_ini(cfg)
+    assert 'output_dir = " out\\n2 "\n' in text and 'mean_free_path_note = "\\"l*\\""\n' in text
+    assert parse_config_text(text) == cfg
+    with pytest.raises(ConfigError):
+        parse_config_text('[run]\noutput_dir = "unterminated\n')
 
 
 def test_parse_derives_subseeds_from_master():

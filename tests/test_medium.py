@@ -1,7 +1,12 @@
+import hashlib
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specklewalk import rng
 from specklewalk import (
     ConfigError,
     DimensionError,
@@ -17,6 +22,7 @@ from specklewalk import (
     save_smx,
     speckle_contrast,
 )
+from specklewalk.medium import ROW_BLOCK, SMX_MAGIC, map_row_blocks
 
 
 def test_config_validation():
@@ -56,6 +62,42 @@ def test_determinism_same_config_bit_identical(tmp_path):
     save_smx(tmp_path / "b.smx", b)
     assert (tmp_path / "a.smx").read_bytes() == (tmp_path / "b.smx").read_bytes()
     assert generate_medium(MediumConfig(n_in=16, m_out=32, transmission=0.7, seed=100)).matrix[0, 0] != a.matrix[0, 0]
+
+
+def test_row_blocks_keep_order_and_use_at_most_one_worker_per_core(monkeypatch):
+    assert map_row_blocks(lambda block: block, 3 * ROW_BLOCK + 1) == [0, 1, 2, 3]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert set(map_row_blocks(lambda block: threading.get_ident(), 8 * ROW_BLOCK)) == {threading.get_ident()}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    workers = set(map_row_blocks(lambda block: threading.get_ident(), 8 * ROW_BLOCK))
+    assert threading.get_ident() not in workers and len(workers) <= 3
+
+
+def test_medium_independent_of_worker_count(monkeypatch):
+    cfg = MediumConfig(n_in=24, m_out=5 * ROW_BLOCK + 7, seed=101)
+    draws = []
+    for cpus in ({0}, {0, 1, 2, 3}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        draws.append(generate_medium(cfg).matrix.tobytes())
+    assert draws[0] == draws[1]
+
+
+def test_medium_blocks_draw_from_their_own_streams():
+    cfg = MediumConfig(n_in=10, m_out=2 * ROW_BLOCK + 3, transmission=0.6, seed=102)
+    scale = np.sqrt(cfg.transmission / (2.0 * cfg.n_in))
+    expected = []
+    for block, rows in enumerate((ROW_BLOCK, ROW_BLOCK, 3)):
+        gen = rng.generator(cfg.seed, rng.MEDIUM, block)
+        real = gen.standard_normal((rows, cfg.n_in))
+        expected.append(scale * real + 1j * (scale * gen.standard_normal((rows, cfg.n_in))))
+    assert np.array_equal(generate_medium(cfg).matrix, np.concatenate(expected))
+
+
+def test_propagate_matches_matrix_product():
+    sm = generate_medium(MediumConfig(n_in=300, m_out=200, seed=103))
+    field = apply_mask(random_mask(300, seed=104), 1.0)
+    expected = sm.matrix @ field
+    assert np.max(np.abs(propagate(sm, field) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_propagate_identity_and_permutation():
@@ -131,6 +173,16 @@ def test_smx_round_trip(tmp_path):
     loaded = load_smx(path)
     assert loaded.m_out == 7 and loaded.n_in == 5
     assert np.array_equal(loaded.matrix, sm.matrix)
+
+
+def test_smx_bytes_match_copying_writer(tmp_path):
+    sm = generate_medium(MediumConfig(n_in=33, m_out=70, seed=105))
+    path = tmp_path / "m.smx"
+    save_smx(path, sm)
+    assert np.array_equal(load_smx(path).matrix, sm.matrix)
+    reference = SMX_MAGIC + (70).to_bytes(8, "little") + (33).to_bytes(8, "little") \
+        + np.ascontiguousarray(sm.matrix, dtype="<c16").tobytes(order="C")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == hashlib.sha256(reference).hexdigest()
 
 
 def test_smx_rejects_bad_magic_and_truncation(tmp_path):
