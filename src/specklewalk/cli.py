@@ -6,7 +6,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .harness import SCENARIOS, RUNNERS, load_config
+from .harness import SCENARIOS, load_config, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,7 +27,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, scenario=args.scenario, seed=args.seed, output_dir=args.out)
-        report = RUNNERS[cfg.scenario](cfg)
+        report = run(cfg)
     except Exception as exc:  # single machine-parsable failure line
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,7 @@
 """Named, reproducible experiment scenarios and their file outputs.
 
-Scenarios (selected on the command line or in [run] scenario):
+A scenario (selected on the command line or in [run] scenario) runs its
+stages (``PIPELINES``) on one medium and one calibration estimate:
 
   focus    calibrate, then compare a conjugate focusing mask against a
            random baseline on a 1-D window of output modes around the
@@ -20,42 +21,41 @@ on the RunReport but never written to disk.
 from __future__ import annotations
 
 import configparser
-import io
+import dataclasses
 import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from functools import cached_property
+from operator import attrgetter
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from . import rng
 from .errors import ConfigError, StatisticsError, require_finite
-from .medium import MediumConfig, generate_medium, propagate, save_smx
+from .medium import MediumConfig, ScatteringMatrix, generate_medium, propagate, save_smx
 from .slm import TargetSpec, apply_mask, conjugate_mask, dual_target_spec, random_mask, save_mask_csv
-from .calibration import CalibrationConfig, measure_sm, sm_fidelity, fidelity_csv
+from .calibration import CalibrationConfig, SmEstimate, measure_sm, sm_fidelity, fidelity_csv
 from .quantum import SourceConfig, mode_probabilities, simulate_counts, estimate_state, probabilities_csv
-from .tomography import (
-    concurrence,
-    concurrence_threshold,
-    coherence_from_visibility,
-    build_density_matrix,
-    fit_visibility,
-    fringe_csv,
-    positivity_confidence,
-    scan_fringes,
-)
+from .tomography import (build_density_matrix, coherence_from_visibility, concurrence, concurrence_threshold,
+                         fit_visibility, fringe_csv, positivity_confidence, scan_fringes)
 
-SCENARIOS = ("focus", "scan", "fringes", "tomo", "full")
-
-# tuned once so the default pipeline lands at the reference visibility 0.78
-DEFAULT_SIGMA_PHI = 0.700
+# scenario -> the stages it runs, in order, on one medium and one estimate
+PIPELINES = {
+    "focus": ("focus",),
+    "scan": ("scan",),
+    "fringes": ("fringes",),
+    "tomo": ("tomo",),
+    "full": ("focus", "fringes", "tomo"),
+}
+SCENARIOS = tuple(PIPELINES)
 
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    sigma_phi: float = DEFAULT_SIGMA_PHI
+    sigma_phi: float = 0.700  # tuned once so the default pipeline lands at the reference visibility 0.78
     background_fraction: float = 0.0
 
     def __post_init__(self):
@@ -106,12 +106,10 @@ class RunReport:
     software_version: str
 
 
-# configuration file schema: section -> key -> parser; unknown entries are hard errors
 def _parse_photons(text: str):
     if text.strip().lower() in ("noiseless", "none"):
         return None
-    value = float(text)
-    return value
+    return float(text)
 
 
 def _parse_text(text: str) -> str:
@@ -119,45 +117,36 @@ def _parse_text(text: str) -> str:
     return json.loads(text) if text.startswith('"') else text
 
 
-_SCHEMA = {
-    "medium": {
-        "n_in": int,
-        "m_out": int,
-        "transmission": float,
-        "seed": int,
-        "mean_free_path_note": _parse_text,
-    },
-    "calibration": {
-        "phase_steps": int,
-        "photons_per_measurement": _parse_photons,
-        "reference_seed": int,
-        "noise_seed": int,
-    },
-    "source": {
-        "trigger_rate": float,
-        "heralding_efficiency": float,
-        "collection_efficiency": float,
-        "coincidence_window": float,
-        "acquisition_time": float,
-        "double_pair_mean": float,
-        "dark_rate": float,
-    },
-    "targets": {
-        "index_a": int,
-        "index_b": int,
-    },
-    "noise": {
-        "sigma_phi": float,
-        "background_fraction": float,
-    },
-    "run": {
-        "scenario": _parse_text,
-        "n_steps": int,
-        "counts_per_step": float,
-        "counts_sampling": _parse_text,
-        "output_dir": _parse_text,
-        "seed": int,
-    },
+# The INI schema, one row per key: (section, key, ExperimentConfig attribute path, parser).
+# Keys a file leaves out take their value from ExperimentConfig(); unknown entries are hard errors.
+_FIELDS = (
+    ("medium", "n_in", "medium.n_in", int),
+    ("medium", "m_out", "medium.m_out", int),
+    ("medium", "transmission", "medium.transmission", float),
+    ("medium", "seed", "medium.seed", int),
+    ("medium", "mean_free_path_note", "medium.mean_free_path_note", _parse_text),
+    ("calibration", "phase_steps", "calibration.phase_steps", int),
+    ("calibration", "photons_per_measurement", "calibration.photons_per_measurement", _parse_photons),
+    ("calibration", "reference_seed", "calibration.reference_seed", int),
+    ("calibration", "noise_seed", "calibration.noise_seed", int),
+    *(("source", field.name, f"source.{field.name}", float) for field in dataclasses.fields(SourceConfig)),
+    ("targets", "index_a", "target_a", int),
+    ("targets", "index_b", "target_b", int),
+    *(("noise", field.name, f"noise.{field.name}", float) for field in dataclasses.fields(NoiseConfig)),
+    ("run", "scenario", "scenario", _parse_text),
+    ("run", "n_steps", "n_steps", int),
+    ("run", "counts_per_step", "counts_per_step", float),
+    ("run", "counts_sampling", "counts_sampling", _parse_text),
+    ("run", "output_dir", "output_dir", _parse_text),
+    ("run", "seed", "seed", int),
+)
+_SECTIONS = tuple(dict.fromkeys(section for section, *_ in _FIELDS))
+_KEYS = {(section, key): (path, parse) for section, key, path, parse in _FIELDS}
+# sub-seeds a file leaves out are derived from the master seed, one stream each
+_DERIVED_SEEDS = {
+    "medium.seed": rng.MEDIUM,
+    "calibration.reference_seed": rng.REFERENCE,
+    "calibration.noise_seed": rng.CALIBRATION_NOISE,
 }
 
 
@@ -170,66 +159,35 @@ def parse_config_text(text: str, *, scenario: Optional[str] = None, seed: Option
     except configparser.Error as exc:
         raise ConfigError(f"config file is not valid INI: {exc}") from exc
 
-    values: Dict[str, Dict[str, object]] = {}
+    given = {}  # attribute path -> value
     for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]; known sections: {sorted(_SCHEMA)}")
-        values[section] = {}
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown config section [{section}]; known sections: {sorted(_SECTIONS)}")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]; known keys: {sorted(_SCHEMA[section])}")
+            if (section, key) not in _KEYS:
+                known = sorted(k for s, k in _KEYS if s == section)
+                raise ConfigError(f"unknown key {key!r} in section [{section}]; known keys: {known}")
+            path, parse = _KEYS[section, key]
             try:
-                values[section][key] = _SCHEMA[section][key](raw)
+                given[path] = parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
-    def get(section: str, key: str, default):
-        return values.get(section, {}).get(key, default)
-
-    master_seed = seed if seed is not None else get("run", "seed", 0)
+    overrides = {"scenario": scenario, "seed": seed, "output_dir": output_dir}
+    given.update((path, value) for path, value in overrides.items() if value is not None)
     defaults = ExperimentConfig()
+    master_seed = given.get("seed", defaults.seed)
+    for path, stream in _DERIVED_SEEDS.items():
+        given.setdefault(path, rng.child_seed(master_seed, stream))
 
-    medium = MediumConfig(
-        n_in=get("medium", "n_in", defaults.medium.n_in),
-        m_out=get("medium", "m_out", defaults.medium.m_out),
-        transmission=get("medium", "transmission", defaults.medium.transmission),
-        seed=get("medium", "seed", rng.child_seed(master_seed, rng.MEDIUM)),
-        mean_free_path_note=get("medium", "mean_free_path_note", None),
-    )
-    calibration = CalibrationConfig(
-        phase_steps=get("calibration", "phase_steps", defaults.calibration.phase_steps),
-        photons_per_measurement=get("calibration", "photons_per_measurement",
-                                    defaults.calibration.photons_per_measurement),
-        reference_seed=get("calibration", "reference_seed", rng.child_seed(master_seed, rng.REFERENCE)),
-        noise_seed=get("calibration", "noise_seed", rng.child_seed(master_seed, rng.CALIBRATION_NOISE)),
-    )
-    source = SourceConfig(
-        trigger_rate=get("source", "trigger_rate", defaults.source.trigger_rate),
-        heralding_efficiency=get("source", "heralding_efficiency", defaults.source.heralding_efficiency),
-        collection_efficiency=get("source", "collection_efficiency", defaults.source.collection_efficiency),
-        coincidence_window=get("source", "coincidence_window", defaults.source.coincidence_window),
-        acquisition_time=get("source", "acquisition_time", defaults.source.acquisition_time),
-        double_pair_mean=get("source", "double_pair_mean", defaults.source.double_pair_mean),
-        dark_rate=get("source", "dark_rate", defaults.source.dark_rate),
-    )
-    noise = NoiseConfig(
-        sigma_phi=get("noise", "sigma_phi", defaults.noise.sigma_phi),
-        background_fraction=get("noise", "background_fraction", defaults.noise.background_fraction),
-    )
-    return ExperimentConfig(
-        scenario=scenario if scenario is not None else get("run", "scenario", defaults.scenario),
-        medium=medium,
-        calibration=calibration,
-        source=source,
-        noise=noise,
-        target_a=get("targets", "index_a", defaults.target_a),
-        target_b=get("targets", "index_b", defaults.target_b),
-        n_steps=get("run", "n_steps", defaults.n_steps),
-        counts_per_step=get("run", "counts_per_step", defaults.counts_per_step),
-        counts_sampling=get("run", "counts_sampling", defaults.counts_sampling),
-        output_dir=output_dir if output_dir is not None else get("run", "output_dir", defaults.output_dir),
-        seed=master_seed,
-    )
+    # every field, grouped under the sub-config that owns it; sub-configs are built, and so checked, in table order
+    owners = {}
+    for _, _, path, _ in _FIELDS:
+        owner, _, name = path.rpartition(".")
+        owners.setdefault(owner, {})[name] = given.get(path, attrgetter(path)(defaults))
+    top = owners.pop("")
+    return ExperimentConfig(**top, **{owner: dataclasses.replace(getattr(defaults, owner), **fields)
+                                      for owner, fields in owners.items()})
 
 
 def load_config(path, *, scenario: Optional[str] = None, seed: Optional[int] = None,
@@ -239,56 +197,21 @@ def load_config(path, *, scenario: Optional[str] = None, seed: Optional[int] = N
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    doc = {
-        "medium": {
-            "n_in": cfg.medium.n_in,
-            "m_out": cfg.medium.m_out,
-            "transmission": cfg.medium.transmission,
-            "seed": cfg.medium.seed,
-        },
-        "calibration": {
-            "phase_steps": cfg.calibration.phase_steps,
-            "photons_per_measurement": cfg.calibration.photons_per_measurement,
-            "reference_seed": cfg.calibration.reference_seed,
-            "noise_seed": cfg.calibration.noise_seed,
-        },
-        "source": {
-            "trigger_rate": cfg.source.trigger_rate,
-            "heralding_efficiency": cfg.source.heralding_efficiency,
-            "collection_efficiency": cfg.source.collection_efficiency,
-            "coincidence_window": cfg.source.coincidence_window,
-            "acquisition_time": cfg.source.acquisition_time,
-            "double_pair_mean": cfg.source.double_pair_mean,
-            "dark_rate": cfg.source.dark_rate,
-        },
-        "targets": {"index_a": cfg.target_a, "index_b": cfg.target_b},
-        "noise": {
-            "sigma_phi": cfg.noise.sigma_phi,
-            "background_fraction": cfg.noise.background_fraction,
-        },
-        "run": {
-            "scenario": cfg.scenario,
-            "n_steps": cfg.n_steps,
-            "counts_per_step": cfg.counts_per_step,
-            "counts_sampling": cfg.counts_sampling,
-            "output_dir": cfg.output_dir,
-            "seed": cfg.seed,
-        },
-    }
-    if cfg.medium.mean_free_path_note is not None:
-        doc["medium"]["mean_free_path_note"] = cfg.medium.mean_free_path_note
+    doc = {section: {} for section in _SECTIONS}
+    for section, key, path, _ in _FIELDS:
+        doc[section][key] = attrgetter(path)(cfg)
+    if cfg.medium.mean_free_path_note is None:
+        del doc["medium"]["mean_free_path_note"]
     return doc
 
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
-    doc = config_to_dict(cfg)
-    buf = io.StringIO()
-    for section in ("medium", "calibration", "source", "targets", "noise", "run"):
-        buf.write(f"[{section}]\n")
-        for key, value in doc[section].items():
-            buf.write(f"{key} = {_ini_value(value)}\n")
-        buf.write("\n")
-    return buf.getvalue()
+    lines = []
+    for section, entries in config_to_dict(cfg).items():
+        lines.append(f"[{section}]\n")
+        lines.extend(f"{key} = {_ini_value(value)}\n" for key, value in entries.items())
+        lines.append("\n")
+    return "".join(lines)
 
 
 def _ini_value(value) -> str:
@@ -315,24 +238,42 @@ def _write_json(path, document: dict) -> None:
         fh.write("\n")
 
 
-def _prepare(cfg: ExperimentConfig, out: str):
-    sm_true = generate_medium(cfg.medium)
-    estimate = measure_sm(sm_true, cfg.calibration)
-    fidelities = sm_fidelity(sm_true, estimate)
-    save_smx(os.path.join(out, "medium.smx"), sm_true)
-    save_smx(os.path.join(out, "sm_estimate.smx"), estimate.matrix)
-    fidelity_csv(os.path.join(out, "sm_fidelity.csv"), fidelities)
-    return sm_true, estimate, fidelities
+@dataclass(frozen=True)
+class _Shared:
+    """What the stages of one run share; the fringe scan and its fit are made once, when first used."""
+
+    cfg: ExperimentConfig
+    out: str
+    sm_true: ScatteringMatrix
+    estimate: SmEstimate
+    fidelities: np.ndarray
+
+    @cached_property
+    def scan(self):
+        cfg = self.cfg
+        scan = scan_fringes(
+            self.sm_true, self.estimate.matrix, cfg.target_a, cfg.target_b,
+            n_steps=cfg.n_steps,
+            counts_per_step=cfg.counts_per_step,
+            seed=cfg.seed,
+            sigma_phi=cfg.noise.sigma_phi,
+            background_fraction=cfg.noise.background_fraction,
+            sampling=cfg.counts_sampling,
+        )
+        fringe_csv(os.path.join(self.out, "fringes.csv"), scan)
+        return scan
+
+    @cached_property
+    def fit(self):
+        return fit_visibility(self.scan)
 
 
-def _focus_stage(cfg: ExperimentConfig, out: str, sm_true, estimate) -> dict:
-    n_in = cfg.medium.n_in
+def _focus_stage(shared: _Shared) -> dict:
+    cfg, out = shared.cfg, shared.out
     m_out = cfg.medium.m_out
     src = cfg.source
-    focused_mask = conjugate_mask(estimate.matrix, TargetSpec.single(cfg.target_a))
-    baseline_mask = random_mask(n_in, cfg.seed)
-    save_mask_csv(os.path.join(out, "mask_focused.csv"), focused_mask)
-    save_mask_csv(os.path.join(out, "mask_random.csv"), baseline_mask)
+    focused_mask = conjugate_mask(shared.estimate.matrix, TargetSpec.single(cfg.target_a))
+    baseline_mask = random_mask(cfg.medium.n_in, cfg.seed)
 
     half = cfg.n_steps // 2
     lo = max(0, cfg.target_a - half)
@@ -342,11 +283,12 @@ def _focus_stage(cfg: ExperimentConfig, out: str, sm_true, estimate) -> dict:
 
     gen = rng.generator(cfg.seed, rng.FOCUS_SCAN)
     fractions = {}
-    focused_intensities = None
     for name, mask in (("focused", focused_mask), ("random", baseline_mask)):
-        intensities = np.abs(propagate(sm_true, apply_mask(mask, 1.0))) ** 2
-        if name == "focused":
-            focused_intensities = intensities
+        save_mask_csv(os.path.join(out, f"mask_{name}.csv"), mask)
+        intensities = np.abs(propagate(shared.sm_true, apply_mask(mask, 1.0))) ** 2
+        if name == "focused":  # from these intensities: slm.enhancement would propagate a second time
+            target_power = float(intensities[cfg.target_a])
+            enh = target_power / ((intensities.sum() - target_power) / (m_out - 1))
         share = intensities / intensities.sum()
         mean_counts = src.trigger_rate * src.acquisition_time * src.heralding_efficiency \
             * src.collection_efficiency * share[window]
@@ -356,35 +298,20 @@ def _focus_stage(cfg: ExperimentConfig, out: str, sm_true, estimate) -> dict:
             for index, count in zip(window, counts):
                 fh.write(f"{int(index)},{int(count)}\n")
         fractions[name] = src.collection_efficiency * float(share[cfg.target_a])
-
-    target_power = float(focused_intensities[cfg.target_a])
-    enh = target_power / ((focused_intensities.sum() - target_power) / (m_out - 1))
     return {
         "focused_fraction": fractions["focused"],
         "random_fraction": fractions["random"],
         "enhancement": enh,
         "scan_window": [int(lo), int(hi)],
+        "mean_row_fidelity": float(np.mean(shared.fidelities)),
     }
 
 
-def _fringe_stage(cfg: ExperimentConfig, out: str, sm_true, estimate):
-    scan = scan_fringes(
-        sm_true, estimate.matrix, cfg.target_a, cfg.target_b,
-        n_steps=cfg.n_steps,
-        counts_per_step=cfg.counts_per_step,
-        seed=cfg.seed,
-        sigma_phi=cfg.noise.sigma_phi,
-        background_fraction=cfg.noise.background_fraction,
-        sampling=cfg.counts_sampling,
-    )
-    fringe_csv(os.path.join(out, "fringes.csv"), scan)
-    return scan
-
-
-def _tomo_stage(cfg: ExperimentConfig, out: str, sm_true, estimate, vis) -> dict:
+def _tomo_stage(shared: _Shared) -> dict:
+    cfg, out, estimate, vis = shared.cfg, shared.out, shared.estimate, shared.fit
     split_spec = dual_target_spec(estimate.matrix, cfg.target_a, cfg.target_b, 0.0)
     mask = conjugate_mask(estimate.matrix, split_spec)
-    q_a, q_b = mode_probabilities(sm_true, mask, (cfg.target_a, cfg.target_b),
+    q_a, q_b = mode_probabilities(shared.sm_true, mask, (cfg.target_a, cfg.target_b),
                                   cfg.source.collection_efficiency)
     counts = simulate_counts(q_a, q_b, cfg.source, cfg.seed)
     _write_json(os.path.join(out, "counts.json"),
@@ -407,12 +334,8 @@ def _tomo_stage(cfg: ExperimentConfig, out: str, sm_true, estimate, vis) -> dict
         "q_a": q_a,
         "q_b": q_b,
         "counts": counts.to_json_dict(),
-        "probabilities": {
-            "p00": state.p00, "p00_err": state.p00_err,
-            "p01": state.p01, "p01_err": state.p01_err,
-            "p10": state.p10, "p10_err": state.p10_err,
-            "p11": state.p11, "p11_err": state.p11_err,
-        },
+        "probabilities": {name: getattr(state, name)
+                          for p in ("p00", "p01", "p10", "p11") for name in (p, f"{p}_err")},
         "visibility": vis.visibility,
         "visibility_err": vis.visibility_err,
         "d_mag": state.d_mag,
@@ -441,102 +364,47 @@ def _concurrence_error(state, visibility: float, visibility_err: float, n_t: int
     return float(np.sqrt(sum(terms)))
 
 
-def _report(cfg: ExperimentConfig, result: dict, started: float) -> RunReport:
-    return RunReport(
-        scenario=cfg.scenario,
-        config=cfg,
-        result=result,
-        wall_time=time.perf_counter() - started,
-        software_version=__version__,
-    )
+# stage name -> the function that runs it and returns its result
+_STAGES = {
+    "focus": _focus_stage,
+    "scan": lambda shared: {"n_steps": shared.cfg.n_steps, "total_counts": int(shared.scan.counts.sum())},
+    "fringes": lambda shared: dataclasses.asdict(shared.fit),
+    "tomo": _tomo_stage,
+}
 
 
-def _emit_report(cfg: ExperimentConfig, out: str, result: dict) -> None:
+def run(cfg: ExperimentConfig) -> RunReport:
+    """Run ``cfg.scenario``: one medium and estimate, its stages in order, then report.json.
+
+    A scenario of one stage reports that stage's result; ``full`` reports
+    one result per stage, keyed by stage name.
+    """
+    started = time.perf_counter()
+    out = _require_output_dir(cfg)
+    sm_true = generate_medium(cfg.medium)
+    estimate = measure_sm(sm_true, cfg.calibration)
+    fidelities = sm_fidelity(sm_true, estimate)
+    save_smx(os.path.join(out, "medium.smx"), sm_true)
+    save_smx(os.path.join(out, "sm_estimate.smx"), estimate.matrix)
+    fidelity_csv(os.path.join(out, "sm_fidelity.csv"), fidelities)
+
+    shared = _Shared(cfg, out, sm_true, estimate, fidelities)
+    stages = PIPELINES[cfg.scenario]
+    results = {stage: _STAGES[stage](shared) for stage in stages}
+    result = results[stages[0]] if len(stages) == 1 else results
     _write_json(os.path.join(out, "report.json"), {
         "scenario": cfg.scenario,
         "software_version": __version__,
         "config": config_to_dict(cfg),
         "result": result,
     })
+    return RunReport(scenario=cfg.scenario, config=cfg, result=result,
+                     wall_time=time.perf_counter() - started, software_version=__version__)
 
 
-def run_focus(cfg: ExperimentConfig) -> RunReport:
-    started = time.perf_counter()
-    out = _require_output_dir(cfg)
-    sm_true, estimate, fidelities = _prepare(cfg, out)
-    result = _focus_stage(cfg, out, sm_true, estimate)
-    result["mean_row_fidelity"] = float(np.mean(fidelities))
-    _emit_report(cfg, out, result)
-    return _report(cfg, result, started)
-
-
-def run_scan(cfg: ExperimentConfig) -> RunReport:
-    started = time.perf_counter()
-    out = _require_output_dir(cfg)
-    sm_true, estimate, _ = _prepare(cfg, out)
-    scan = _fringe_stage(cfg, out, sm_true, estimate)
-    result = {"n_steps": cfg.n_steps, "total_counts": int(scan.counts.sum())}
-    _emit_report(cfg, out, result)
-    return _report(cfg, result, started)
-
-
-def run_fringes(cfg: ExperimentConfig) -> RunReport:
-    started = time.perf_counter()
-    out = _require_output_dir(cfg)
-    sm_true, estimate, _ = _prepare(cfg, out)
-    scan = _fringe_stage(cfg, out, sm_true, estimate)
-    vis = fit_visibility(scan)
-    result = {
-        "visibility": vis.visibility,
-        "visibility_err": vis.visibility_err,
-        "offset": vis.offset,
-        "phase0": vis.phase0,
-        "residual_rms": vis.residual_rms,
-    }
-    _emit_report(cfg, out, result)
-    return _report(cfg, result, started)
-
-
-def run_tomo(cfg: ExperimentConfig) -> RunReport:
-    started = time.perf_counter()
-    out = _require_output_dir(cfg)
-    sm_true, estimate, _ = _prepare(cfg, out)
-    scan = _fringe_stage(cfg, out, sm_true, estimate)
-    vis = fit_visibility(scan)
-    result = _tomo_stage(cfg, out, sm_true, estimate, vis)
-    _emit_report(cfg, out, result)
-    return _report(cfg, result, started)
-
-
-def run_full(cfg: ExperimentConfig) -> RunReport:
-    started = time.perf_counter()
-    out = _require_output_dir(cfg)
-    sm_true, estimate, fidelities = _prepare(cfg, out)
-    focus_result = _focus_stage(cfg, out, sm_true, estimate)
-    focus_result["mean_row_fidelity"] = float(np.mean(fidelities))
-    scan = _fringe_stage(cfg, out, sm_true, estimate)
-    vis = fit_visibility(scan)
-    fringe_result = {
-        "visibility": vis.visibility,
-        "visibility_err": vis.visibility_err,
-        "offset": vis.offset,
-        "phase0": vis.phase0,
-        "residual_rms": vis.residual_rms,
-    }
-    tomo_result = _tomo_stage(cfg, out, sm_true, estimate, vis)
-    result = {"focus": focus_result, "fringes": fringe_result, "tomo": tomo_result}
-    _emit_report(cfg, out, result)
-    return _report(cfg, result, started)
-
-
-RUNNERS: Dict[str, Callable[[ExperimentConfig], RunReport]] = {
-    "focus": run_focus,
-    "scan": run_scan,
-    "fringes": run_fringes,
-    "tomo": run_tomo,
-    "full": run_full,
-}
-
-
-def run(cfg: ExperimentConfig) -> RunReport:
-    return RUNNERS[cfg.scenario](cfg)
+# Each runner runs its own scenario, whatever ``cfg.scenario`` says, and reports under that name.
+def run_focus(cfg: ExperimentConfig) -> RunReport: return run(dataclasses.replace(cfg, scenario="focus"))
+def run_scan(cfg: ExperimentConfig) -> RunReport: return run(dataclasses.replace(cfg, scenario="scan"))
+def run_fringes(cfg: ExperimentConfig) -> RunReport: return run(dataclasses.replace(cfg, scenario="fringes"))
+def run_tomo(cfg: ExperimentConfig) -> RunReport: return run(dataclasses.replace(cfg, scenario="tomo"))
+def run_full(cfg: ExperimentConfig) -> RunReport: return run(dataclasses.replace(cfg, scenario="full"))

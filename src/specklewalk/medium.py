@@ -88,6 +88,11 @@ class ScatteringMatrix:
     def n_in(self) -> int:
         return self.matrix.shape[1]
 
+    def check_output_index(self, index: int) -> None:
+        """Raise DimensionError unless ``index`` names an output mode (row)."""
+        if not 0 <= index < self.m_out:
+            raise DimensionError(f"target index {index} outside output range [0, {self.m_out})")
+
 
 @dataclass(frozen=True)
 class MediumConfig:

@@ -136,9 +136,8 @@ def mode_probabilities(sm: ScatteringMatrix, mask: np.ndarray, targets: Tuple[in
                        collection_efficiency: float) -> Tuple[float, float]:
     """Collected single-photon probabilities at the two target modes."""
     target_a, target_b = targets
-    for index in (target_a, target_b):
-        if not (0 <= index < sm.m_out):
-            raise ConfigError(f"target index {index} outside output range [0, {sm.m_out})")
+    sm.check_output_index(target_a)
+    sm.check_output_index(target_b)
     if not (0.0 <= collection_efficiency <= 1.0):
         raise ConfigError(f"collection_efficiency must lie in [0, 1], got {collection_efficiency}")
     out = propagate(sm, apply_mask(mask, 1.0))

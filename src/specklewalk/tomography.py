@@ -101,9 +101,8 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
         raise ConfigError("duration_per_step must be positive")
     if s_true.matrix.shape != s_masks.matrix.shape:
         raise DimensionError(f"mask matrix shape {s_masks.matrix.shape} does not match true shape {s_true.matrix.shape}")
-    for target in (target_a, target_b):
-        if not 0 <= target < s_true.m_out:
-            raise DimensionError(f"target index {target} outside output range [0, {s_true.m_out})")
+    s_true.check_output_index(target_a)
+    s_true.check_output_index(target_b)
 
     rows = s_true.matrix[[target_a, target_b]]
     phis = TWO_PI * np.arange(n_steps) / (n_steps - 1)

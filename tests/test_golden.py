@@ -1,8 +1,10 @@
-"""Pins the sha256 of every output file of ``full`` on configs/small.ini.
+"""Pins the sha256 of every output file of each scenario on configs/small.ini.
 
-Any change of output bytes fails here. A deliberate change regenerates
-tests/golden/full_small.json from the JSON this test prints on failure,
-bumps the version, and says why in CHANGES.md.
+``full`` is pinned at seeds 1 and 2 and at seed 1 noiseless
+(tests/golden/full_small.json); ``focus``, ``scan``, ``fringes`` and ``tomo``
+at seed 1 (tests/golden/scenarios_small.json). Any change of output bytes
+fails here. A deliberate change regenerates the golden file from the JSON
+this test prints on failure, bumps the version, and says why in CHANGES.md.
 """
 
 import dataclasses
@@ -10,17 +12,17 @@ import hashlib
 import json
 import os
 
-from specklewalk import load_config, run_full
+from specklewalk import load_config, run, run_full
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "full_small.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "small.ini")
 # report.json echoes output_dir, so every case runs into the same relative directory
 OUT = "golden_out"
 
 
-def output_digests(cfg) -> dict:
+def output_digests(runner, cfg) -> dict:
     os.mkdir(OUT)
-    run_full(cfg)
+    runner(cfg)
     digests = {}
     for name in sorted(os.listdir(OUT)):
         with open(os.path.join(OUT, name), "rb") as fh:
@@ -38,9 +40,20 @@ def golden_cases():
     return cases
 
 
-def test_full_small_output_bytes_match_golden_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    actual = {name: output_digests(cfg) for name, cfg in golden_cases().items()}
-    with open(GOLDEN, encoding="utf-8") as fh:
+def assert_golden(filename, runner, cases):
+    actual = {name: output_digests(runner, cfg) for name, cfg in cases.items()}
+    with open(os.path.join(GOLDEN_DIR, filename), encoding="utf-8") as fh:
         golden = json.load(fh)
     assert actual == golden, "output bytes changed; actual digests:\n" + json.dumps(actual, indent=2, sort_keys=True)
+
+
+def test_full_small_output_bytes_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert_golden("full_small.json", run_full, golden_cases())
+
+
+def test_scenario_output_bytes_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cases = {f"{scenario}-seed1": load_config(CONFIG, scenario=scenario, seed=1, output_dir=OUT)
+             for scenario in ("focus", "scan", "fringes", "tomo")}
+    assert_golden("scenarios_small.json", run, cases)

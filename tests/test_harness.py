@@ -286,31 +286,36 @@ def test_different_seed_changes_outputs(tmp_path):
 
 
 def test_report_round_trip_reproduces_run(tmp_path):
-    out_a = tmp_path / "a"
-    out_a.mkdir()
-    cfg = small_config(out_a, scenario="tomo")
-    run(cfg)
-    doc = json.loads((out_a / "report.json").read_text())
+    # run_tomo on a config that says "full" must report, and so replay, "tomo"
+    for name, runner, scenario in (("a", run, "tomo"), ("b", run_tomo, "full")):
+        out = tmp_path / name
+        out.mkdir()
+        report = runner(small_config(out, scenario=scenario))
+        cfg = small_config(out, scenario="tomo")
+        doc = json.loads((out / "report.json").read_text())
+        assert report.scenario == doc["scenario"] == "tomo" and report.config == cfg
+        written = digest_dir(out)
 
-    # rebuild the config from the echoed dict and replay
-    echo = doc["config"]
-    rebuilt = ExperimentConfig(
-        scenario=echo["run"]["scenario"],
-        medium=MediumConfig(**echo["medium"]),
-        calibration=CalibrationConfig(**echo["calibration"]),
-        source=SourceConfig(**echo["source"]),
-        noise=NoiseConfig(**echo["noise"]),
-        target_a=echo["targets"]["index_a"],
-        target_b=echo["targets"]["index_b"],
-        n_steps=echo["run"]["n_steps"],
-        counts_per_step=echo["run"]["counts_per_step"],
-        counts_sampling=echo["run"]["counts_sampling"],
-        output_dir=echo["run"]["output_dir"],
-        seed=echo["run"]["seed"],
-    )
-    assert rebuilt == cfg
-    replay = run(rebuilt)
-    assert replay.result == doc["result"]
+        # rebuild the config from the echoed dict and replay
+        echo = doc["config"]
+        rebuilt = ExperimentConfig(
+            scenario=echo["run"]["scenario"],
+            medium=MediumConfig(**echo["medium"]),
+            calibration=CalibrationConfig(**echo["calibration"]),
+            source=SourceConfig(**echo["source"]),
+            noise=NoiseConfig(**echo["noise"]),
+            target_a=echo["targets"]["index_a"],
+            target_b=echo["targets"]["index_b"],
+            n_steps=echo["run"]["n_steps"],
+            counts_per_step=echo["run"]["counts_per_step"],
+            counts_sampling=echo["run"]["counts_sampling"],
+            output_dir=echo["run"]["output_dir"],
+            seed=echo["run"]["seed"],
+        )
+        assert rebuilt == cfg
+        replay = run(rebuilt)
+        assert replay.result == doc["result"]
+        assert digest_dir(out) == written
 
 
 def test_emitted_medium_matches_generator(tmp_path):

@@ -14,12 +14,17 @@ from specklewalk import (
     MediumConfig,
     ScatteringMatrix,
     StatisticsError,
+    TargetSpec,
+    conjugate_mask,
+    dual_target_spec,
     generate_medium,
     load_smx,
+    mode_probabilities,
     propagate,
     random_mask,
     apply_mask,
     save_smx,
+    scan_fringes,
     speckle_contrast,
 )
 from specklewalk.medium import ROW_BLOCK, SMX_MAGIC, map_row_blocks
@@ -119,6 +124,22 @@ def test_propagate_dimension_mismatch():
         propagate(sm, np.ones(2, dtype=complex))
     with pytest.raises(ConfigError):
         propagate(sm, np.array([1.0, np.nan, 0.0], dtype=complex))
+
+
+OUTPUT_INDEX_CALLERS = {
+    "conjugate_mask": lambda sm, index: conjugate_mask(sm, TargetSpec.single(index)),
+    "dual_target_spec": lambda sm, index: dual_target_spec(sm, 0, index, 0.0),
+    "mode_probabilities": lambda sm, index: mode_probabilities(sm, np.zeros(sm.n_in), (0, index), 1.0),
+    "scan_fringes": lambda sm, index: scan_fringes(sm, sm, 0, index),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(OUTPUT_INDEX_CALLERS))
+@pytest.mark.parametrize("index", [-1, 8])
+def test_output_index_outside_range_raises_dimension_error(caller, index):
+    sm = generate_medium(MediumConfig(n_in=4, m_out=8, seed=5))
+    with pytest.raises(DimensionError, match=f"target index {index} outside output range"):
+        OUTPUT_INDEX_CALLERS[caller](sm, index)
 
 
 def test_mean_free_path_note_is_metadata_only():
