@@ -80,7 +80,7 @@ class SmEstimate:
 
 def reference_field(n_in: int, cfg: CalibrationConfig) -> np.ndarray:
     """The fixed unit-amplitude reference input held during probing."""
-    return apply_mask(random_mask(n_in, cfg.reference_seed), 1.0)
+    return apply_mask(random_mask(n_in, cfg.reference_seed))
 
 
 def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig) -> SmEstimate:
@@ -98,7 +98,7 @@ def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig) -> SmEstimate:
     if flagged.size:
         note += f"; zero-reference rows zeroed: {flagged.tolist()}"
     return SmEstimate(
-        matrix=ScatteringMatrix(estimate, dict(s_true.meta)),
+        matrix=ScatteringMatrix(estimate),
         row_reference_note=note,
         flagged_rows=tuple(int(i) for i in flagged),
     )
@@ -181,11 +181,3 @@ def sm_fidelity(s_true: ScatteringMatrix, estimate: SmEstimate) -> np.ndarray:
     good = norms > 0.0
     fidelity[good] = inner[good] / norms[good]
     return np.clip(fidelity, 0.0, 1.0)
-
-
-def fidelity_csv(path, fidelities: np.ndarray) -> None:
-    """Row-index / correlation table for quality inspection."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("row,fidelity\n")
-        for i, value in enumerate(np.asarray(fidelities, dtype=np.float64)):
-            fh.write(f"{i},{float(value)!r}\n")

@@ -16,6 +16,11 @@ Every run is a pure function of (config, seed, software version): all
 randomness is derived from the master seed through the stream table in
 ``rng``, and every emitted byte is reproducible. Wall time is returned
 on the RunReport but never written to disk.
+
+Every run table (``sm_fidelity.csv``, ``scan_*.csv``, ``fringes.csv``,
+``probabilities.csv``) goes through ``_write_csv`` and every JSON file
+through ``_write_json``. Only the two formats with a loader live with
+their types: ``medium.save_smx`` and ``slm.save_mask_csv``.
 """
 
 from __future__ import annotations
@@ -37,10 +42,10 @@ from . import rng
 from .errors import ConfigError, StatisticsError, require_finite
 from .medium import MediumConfig, ScatteringMatrix, generate_medium, propagate, save_smx
 from .slm import TargetSpec, apply_mask, conjugate_mask, dual_target_spec, random_mask, save_mask_csv
-from .calibration import CalibrationConfig, SmEstimate, measure_sm, sm_fidelity, fidelity_csv
-from .quantum import SourceConfig, mode_probabilities, simulate_counts, estimate_state, probabilities_csv
+from .calibration import CalibrationConfig, SmEstimate, measure_sm, sm_fidelity
+from .quantum import SourceConfig, mode_probabilities, simulate_counts, estimate_state
 from .tomography import (build_density_matrix, coherence_from_visibility, concurrence, concurrence_threshold,
-                         fit_visibility, fringe_csv, positivity_confidence, scan_fringes)
+                         fit_visibility, positivity_confidence, scan_fringes)
 
 # scenario -> the stages it runs, in order, on one medium and one estimate
 PIPELINES = {
@@ -238,6 +243,14 @@ def _write_json(path, document: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path, header, rows) -> None:
+    """One run table: the header line, then one line per tuple of Python scalars (``%s`` is the shortest repr)."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write("".join([line % row for row in rows]))
+
+
 @dataclass(frozen=True)
 class _Shared:
     """What the stages of one run share; the fringe scan and its fit are made once, when first used."""
@@ -260,7 +273,8 @@ class _Shared:
             background_fraction=cfg.noise.background_fraction,
             sampling=cfg.counts_sampling,
         )
-        fringe_csv(os.path.join(self.out, "fringes.csv"), scan)
+        _write_csv(os.path.join(self.out, "fringes.csv"), ("phi", "counts", "duration"),
+                   zip(scan.phi.tolist(), scan.counts.tolist(), scan.duration.tolist()))
         return scan
 
     @cached_property
@@ -285,7 +299,7 @@ def _focus_stage(shared: _Shared) -> dict:
     fractions = {}
     for name, mask in (("focused", focused_mask), ("random", baseline_mask)):
         save_mask_csv(os.path.join(out, f"mask_{name}.csv"), mask)
-        intensities = np.abs(propagate(shared.sm_true, apply_mask(mask, 1.0))) ** 2
+        intensities = np.abs(propagate(shared.sm_true, apply_mask(mask))) ** 2
         if name == "focused":  # from these intensities: slm.enhancement would propagate a second time
             target_power = float(intensities[cfg.target_a])
             enh = target_power / ((intensities.sum() - target_power) / (m_out - 1))
@@ -293,10 +307,8 @@ def _focus_stage(shared: _Shared) -> dict:
         mean_counts = src.trigger_rate * src.acquisition_time * src.heralding_efficiency \
             * src.collection_efficiency * share[window]
         counts = gen.poisson(mean_counts)
-        with open(os.path.join(out, f"scan_{name}.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("mode_index,counts\n")
-            for index, count in zip(window, counts):
-                fh.write(f"{int(index)},{int(count)}\n")
+        _write_csv(os.path.join(out, f"scan_{name}.csv"), ("mode_index", "counts"),
+                   zip(window.tolist(), counts.tolist()))
         fractions[name] = src.collection_efficiency * float(share[cfg.target_a])
     return {
         "focused_fraction": fractions["focused"],
@@ -307,6 +319,9 @@ def _focus_stage(shared: _Shared) -> dict:
     }
 
 
+_PROBABILITIES = ("p00", "p01", "p10", "p11")
+
+
 def _tomo_stage(shared: _Shared) -> dict:
     cfg, out, estimate, vis = shared.cfg, shared.out, shared.estimate, shared.fit
     split_spec = dual_target_spec(estimate.matrix, cfg.target_a, cfg.target_b, 0.0)
@@ -315,7 +330,7 @@ def _tomo_stage(shared: _Shared) -> dict:
                                   cfg.source.collection_efficiency)
     counts = simulate_counts(q_a, q_b, cfg.source, cfg.seed)
     _write_json(os.path.join(out, "counts.json"),
-                {**counts.to_json_dict(), "config": config_to_dict(cfg)["source"]})
+                {**dataclasses.asdict(counts), "config": config_to_dict(cfg)["source"]})
 
     if counts.n_T <= 0:
         raise StatisticsError("acquisition produced no trigger counts; cannot estimate the state")
@@ -323,7 +338,8 @@ def _tomo_stage(shared: _Shared) -> dict:
     raw_p01 = counts.n_BT / counts.n_T
     d_raw = coherence_from_visibility(vis.visibility, raw_p01, raw_p10)
     state = estimate_state(counts, d_raw)
-    probabilities_csv(os.path.join(out, "probabilities.csv"), state)
+    _write_csv(os.path.join(out, "probabilities.csv"), ("quantity", "value", "std_error"),
+               ((p, getattr(state, p), getattr(state, f"{p}_err")) for p in _PROBABILITIES))
 
     rho = build_density_matrix(state)
     c_value = concurrence(state.p00, state.p11, state.d_mag)
@@ -333,9 +349,8 @@ def _tomo_stage(shared: _Shared) -> dict:
     return {
         "q_a": q_a,
         "q_b": q_b,
-        "counts": counts.to_json_dict(),
-        "probabilities": {name: getattr(state, name)
-                          for p in ("p00", "p01", "p10", "p11") for name in (p, f"{p}_err")},
+        "counts": dataclasses.asdict(counts),
+        "probabilities": {name: getattr(state, name) for p in _PROBABILITIES for name in (p, f"{p}_err")},
         "visibility": vis.visibility,
         "visibility_err": vis.visibility_err,
         "d_mag": state.d_mag,
@@ -386,7 +401,7 @@ def run(cfg: ExperimentConfig) -> RunReport:
     fidelities = sm_fidelity(sm_true, estimate)
     save_smx(os.path.join(out, "medium.smx"), sm_true)
     save_smx(os.path.join(out, "sm_estimate.smx"), estimate.matrix)
-    fidelity_csv(os.path.join(out, "sm_fidelity.csv"), fidelities)
+    _write_csv(os.path.join(out, "sm_fidelity.csv"), ("row", "fidelity"), enumerate(fidelities.tolist()))
 
     shared = _Shared(cfg, out, sm_true, estimate, fidelities)
     stages = PIPELINES[cfg.scenario]

@@ -21,8 +21,8 @@ from __future__ import annotations
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class ScatteringMatrix:
     """Dense (m_out, n_in) complex transfer matrix, immutable once built."""
 
     matrix: np.ndarray
-    meta: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
@@ -78,7 +77,6 @@ class ScatteringMatrix:
             raise ConfigError("scattering matrix entries must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "meta", dict(self.meta))
 
     @property
     def m_out(self) -> int:
@@ -130,14 +128,7 @@ def generate_medium(config: MediumConfig) -> ScatteringMatrix:
         np.multiply(gen.standard_normal(rows.shape), scale, out=rows.imag)
 
     map_row_blocks(draw, config.m_out)
-    meta = {
-        "ensemble": "iid circular complex Gaussian",
-        "seed": str(config.seed),
-        "transmission": repr(config.transmission),
-    }
-    if config.mean_free_path_note is not None:
-        meta["mean_free_path_note"] = config.mean_free_path_note
-    return ScatteringMatrix(entries, meta)
+    return ScatteringMatrix(entries)
 
 
 def propagate(sm: ScatteringMatrix, e_in: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ trigger rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -94,10 +94,6 @@ class CountRecord:
         if self.n_AT > min(self.n_A, self.n_T) or self.n_BT > min(self.n_B, self.n_T):
             raise ConfigError("twofold counts cannot exceed their singles")
 
-    def to_json_dict(self) -> Dict[str, int]:
-        return {"n_T": self.n_T, "n_A": self.n_A, "n_B": self.n_B,
-                "n_AT": self.n_AT, "n_BT": self.n_BT, "n_ABT": self.n_ABT}
-
 
 @dataclass(frozen=True)
 class TwoModeState:
@@ -140,7 +136,7 @@ def mode_probabilities(sm: ScatteringMatrix, mask: np.ndarray, targets: Tuple[in
     sm.check_output_index(target_b)
     if not (0.0 <= collection_efficiency <= 1.0):
         raise ConfigError(f"collection_efficiency must lie in [0, 1], got {collection_efficiency}")
-    out = propagate(sm, apply_mask(mask, 1.0))
+    out = propagate(sm, apply_mask(mask))
     intensities = np.abs(out) ** 2
     total = float(intensities.sum())
     if total <= 0.0:
@@ -222,17 +218,3 @@ def estimate_state(counts: CountRecord, d_mag: float) -> TwoModeState:
         p10_err=binom_err(p10), p11_err=binom_err(p11),
         d_clamped=clamped,
     )
-
-
-def probabilities_csv(path, state: TwoModeState) -> None:
-    """Probability / standard-error table for the estimated two-mode state."""
-    rows = [
-        ("p00", state.p00, state.p00_err),
-        ("p01", state.p01, state.p01_err),
-        ("p10", state.p10, state.p10_err),
-        ("p11", state.p11, state.p11_err),
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("quantity,value,std_error\n")
-        for name, value, err in rows:
-            fh.write(f"{name},{value!r},{err!r}\n")

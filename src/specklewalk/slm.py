@@ -109,16 +109,14 @@ def conjugate_mask(sm: ScatteringMatrix, spec: TargetSpec) -> np.ndarray:
     return canonicalize_phases(np.angle(superposition))
 
 
-def apply_mask(mask: np.ndarray, amplitude: float) -> np.ndarray:
-    """Uniform-amplitude field amplitude * exp(i * mask); power = n * amplitude^2."""
+def apply_mask(mask: np.ndarray) -> np.ndarray:
+    """Unit-amplitude field exp(i * mask) of a phase-only modulator; power = n."""
     phases = np.asarray(mask, dtype=np.float64)
     if phases.ndim != 1 or phases.size == 0:
         raise ConfigError("mask must be a nonempty 1-D phase sequence")
     if not np.all(np.isfinite(phases)):
         raise ConfigError("mask phases must be finite")
-    if not (amplitude > 0 and np.isfinite(amplitude)):
-        raise ConfigError(f"amplitude must be a positive finite real, got {amplitude}")
-    return amplitude * np.exp(1j * phases)
+    return np.exp(1j * phases)
 
 
 def enhancement(sm: ScatteringMatrix, mask: np.ndarray, target: int) -> float:
@@ -130,7 +128,7 @@ def enhancement(sm: ScatteringMatrix, mask: np.ndarray, target: int) -> float:
     sm.check_output_index(target)
     if sm.m_out < 2:
         raise DimensionError("enhancement needs at least two output modes for a background")
-    out = propagate(sm, apply_mask(mask, 1.0))
+    out = propagate(sm, apply_mask(mask))
     intensities = np.abs(out) ** 2
     background = (float(intensities.sum()) - float(intensities[target])) / (sm.m_out - 1)
     if background == 0.0:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import pdtr
 
-from .errors import ConfigError, DegenerateFieldError, DimensionError, StatisticsError
-from .medium import ScatteringMatrix
+from .errors import ConfigError, DegenerateFieldError, DimensionError, StatisticsError, require_finite
+from .medium import ScatteringMatrix, propagate
 from .slm import TWO_PI, apply_mask, conjugate_mask, dual_target_spec
 from .quantum import TwoModeState
 from . import rng
@@ -44,12 +44,12 @@ class FringeScan:
             raise ConfigError(f"a fringe scan needs at least 5 points, got {phi.size}")
         if counts.shape != phi.shape or duration.shape != phi.shape:
             raise ConfigError("phi, counts and duration must have identical shapes")
-        if np.any(phi < 0.0) or np.any(phi > TWO_PI):
+        if not np.all((phi >= 0.0) & (phi <= TWO_PI)):  # written so that NaN fails it
             raise ConfigError("phases must lie within [0, 2*pi]")
         if np.any(counts < 0) or not np.issubdtype(counts.dtype, np.integer):
             raise ConfigError("counts must be nonnegative integers")
-        if np.any(duration <= 0.0):
-            raise ConfigError("durations must be positive")
+        if not np.all((duration > 0.0) & np.isfinite(duration)):
+            raise ConfigError("durations must be positive and finite")
         phi.setflags(write=False)
         duration.setflags(write=False)
         counts = counts.astype(np.int64)
@@ -69,8 +69,8 @@ class VisibilityFit:
 
 
 def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: int, target_b: int,
-                 *, n_steps: int = 21, counts_per_step: float = 4000.0, duration_per_step: float = 1.0,
-                 seed: int = 0, sigma_phi: float = 0.0, background_fraction: float = 0.0,
+                 *, n_steps: int = 21, counts_per_step: float = 4000.0, seed: int = 0,
+                 sigma_phi: float = 0.0, background_fraction: float = 0.0,
                  sampling: str = "poisson") -> FringeScan:
     """Scan the dual-target relative phase over [0, 2*pi] and count one port.
 
@@ -85,34 +85,33 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     to the port. Expected counts are scaled so a step at the scan-mean
     total rate yields counts_per_step / 2, then Poisson sampled
     (``sampling="expected"`` keeps the rounded means, the infinite-budget
-    limit).
+    limit). Every step lasts unit duration. sigma_phi and
+    background_fraction must be finite and nonnegative.
     """
     if n_steps < 5:
         raise ConfigError(f"n_steps must be >= 5, got {n_steps}")
     if counts_per_step < 0 or not np.isfinite(counts_per_step):
         raise ConfigError("counts_per_step must be a finite nonnegative number")
+    require_finite(sigma_phi=sigma_phi, background_fraction=background_fraction)
     if sigma_phi < 0:
         raise ConfigError("sigma_phi must be nonnegative")
     if background_fraction < 0:
         raise ConfigError("background_fraction must be nonnegative")
     if sampling not in ("poisson", "expected"):
         raise ConfigError(f"sampling must be 'poisson' or 'expected', got {sampling!r}")
-    if duration_per_step <= 0:
-        raise ConfigError("duration_per_step must be positive")
     if s_true.matrix.shape != s_masks.matrix.shape:
         raise DimensionError(f"mask matrix shape {s_masks.matrix.shape} does not match true shape {s_true.matrix.shape}")
     s_true.check_output_index(target_a)
     s_true.check_output_index(target_b)
 
-    rows = s_true.matrix[[target_a, target_b]]
+    targets = ScatteringMatrix(s_true.matrix[[target_a, target_b]])
     phis = TWO_PI * np.arange(n_steps) / (n_steps - 1)
     dephasing = math.exp(-0.5 * sigma_phi ** 2)
     port = np.empty(n_steps)
     total = np.empty(n_steps)
     for j, phi in enumerate(phis):
         spec = dual_target_spec(s_masks, target_a, target_b, phi)
-        # the kernel of propagate, so the amplitudes equal propagate(...)[[a, b]] bit for bit
-        a_a, a_b = np.vecdot(np.conj(apply_mask(conjugate_mask(s_masks, spec), 1.0)), rows)
+        a_a, a_b = propagate(targets, apply_mask(conjugate_mask(s_masks, spec)))
         cross = float(np.real(np.conj(a_a) * a_b))
         total[j] = abs(a_a) ** 2 + abs(a_b) ** 2
         port[j] = total[j] / 2.0 + dephasing * cross
@@ -128,8 +127,7 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
         counts = rng.generator(seed, rng.FRINGES).poisson(means)
     else:
         counts = np.rint(means).astype(np.int64)
-    durations = np.full(n_steps, float(duration_per_step))
-    return FringeScan(phi=phis, counts=counts.astype(np.int64), duration=durations)
+    return FringeScan(phi=phis, counts=counts.astype(np.int64), duration=np.ones(n_steps))
 
 
 def fit_visibility(scan: FringeScan) -> VisibilityFit:
@@ -281,11 +279,3 @@ def positivity_confidence(n_obs_triples: int, threshold: int) -> float:
     if n_obs_triples < 0:
         raise ConfigError(f"n_obs_triples must be nonnegative, got {n_obs_triples}")
     return float(1.0 - pdtr(int(n_obs_triples), float(threshold)))
-
-
-def fringe_csv(path, scan: FringeScan) -> None:
-    """(phi, counts, duration) table suitable for external plotting."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("phi,counts,duration\n")
-        for phi, count, duration in zip(scan.phi, scan.counts, scan.duration):
-            fh.write(f"{float(phi)!r},{int(count)},{float(duration)!r}\n")

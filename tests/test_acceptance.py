@@ -110,8 +110,8 @@ def test_criterion_06_calibration_correctness():
         estimate = measure_sm(sm, CalibrationConfig(reference_seed=4100 + trial))
         worst_fidelity = min(worst_fidelity, float(sm_fidelity(sm, estimate).min()))
         spec = TargetSpec.single(17)
-        i_true = abs(propagate(sm, apply_mask(conjugate_mask(sm, spec), 1.0))[17]) ** 2
-        i_est = abs(propagate(sm, apply_mask(conjugate_mask(estimate.matrix, spec), 1.0))[17]) ** 2
+        i_true = abs(propagate(sm, apply_mask(conjugate_mask(sm, spec)))[17]) ** 2
+        i_est = abs(propagate(sm, apply_mask(conjugate_mask(estimate.matrix, spec)))[17]) ** 2
         worst_intensity_gap = max(worst_intensity_gap, abs(i_true - i_est) / i_true)
     ok = worst_fidelity >= 1 - 1e-9 and worst_intensity_gap <= 1e-9
     check(6, ok, f"20 noiseless 64x64 calibrations: min row fidelity {worst_fidelity:.12f}, "
@@ -145,7 +145,7 @@ def test_criterion_07_focusing_enhancement_and_seven_percent(tmp_path):
 
 def test_criterion_08_speckle_statistics():
     sm = generate_medium(MediumConfig(n_in=1024, m_out=4096, seed=4400))
-    out = propagate(sm, apply_mask(random_mask(1024, seed=4401), 1.0))
+    out = propagate(sm, apply_mask(random_mask(1024, seed=4401)))
     intensities = np.abs(out) ** 2
     contrast = speckle_contrast(intensities)
     ks = scipy.stats.kstest(intensities / intensities.mean(), "expon").statistic

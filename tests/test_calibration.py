@@ -18,7 +18,7 @@ from specklewalk import (
     propagate,
     sm_fidelity,
 )
-from specklewalk.calibration import ROW_BLOCK, fidelity_csv, reference_field
+from specklewalk.calibration import ROW_BLOCK, reference_field
 
 
 def test_config_requires_three_steps():
@@ -142,8 +142,8 @@ def test_focusing_through_estimate_matches_truth():
         offset_coherence = abs(np.mean(np.exp(1j * (mask_est - mask_true))))
         assert offset_coherence > 1 - 1e-12
 
-        i_true = abs(propagate(sm, apply_mask(mask_true, 1.0))[13]) ** 2
-        i_est = abs(propagate(sm, apply_mask(mask_est, 1.0))[13]) ** 2
+        i_true = abs(propagate(sm, apply_mask(mask_true))[13]) ** 2
+        i_est = abs(propagate(sm, apply_mask(mask_est))[13]) ** 2
         assert abs(i_true - i_est) / i_true < 1e-9
 
 
@@ -154,12 +154,6 @@ def test_fidelity_matches_sum_and_norm_formula():
     inner = np.abs(np.sum(est * np.conj(sm.matrix), axis=1))
     expected = np.clip(inner / (np.linalg.norm(est, axis=1) * np.linalg.norm(sm.matrix, axis=1)), 0.0, 1.0)
     np.testing.assert_allclose(sm_fidelity(sm, estimate), expected, rtol=0, atol=1e-12)
-
-
-def test_fidelity_csv(tmp_path):
-    path = tmp_path / "fid.csv"
-    fidelity_csv(path, np.array([1.0, 0.25]))
-    assert path.read_text() == "row,fidelity\n0,1.0\n1,0.25\n"
 
 
 def dft_reference(sm, cfg, draw=None):

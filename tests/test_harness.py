@@ -20,12 +20,15 @@ from specklewalk import (
     generate_medium,
     load_config,
     load_smx,
+    measure_sm,
     parse_config_text,
     run,
     run_focus,
     run_fringes,
     run_scan,
     run_tomo,
+    scan_fringes,
+    sm_fidelity,
 )
 from specklewalk.cli import main
 from specklewalk.harness import SCENARIOS
@@ -260,6 +263,49 @@ def test_run_tomo_payload_and_files(tmp_path):
     prob_lines = (tmp_path / "probabilities.csv").read_text().splitlines()
     assert prob_lines[0] == "quantity,value,std_error"
     assert len(prob_lines) == 5
+
+
+def test_run_tables_hold_the_library_values(tmp_path):
+    cfg = small_config(tmp_path)
+    result = run(cfg).result
+
+    def table(name):
+        header, *rows = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        return header, [row.split(",") for row in rows]
+
+    sm = generate_medium(cfg.medium)
+    estimate = measure_sm(sm, cfg.calibration)
+    header, rows = table("sm_fidelity.csv")
+    assert header == "row,fidelity"
+    assert [(int(i), float(v)) for i, v in rows] == list(enumerate(sm_fidelity(sm, estimate).tolist()))
+
+    lo, hi = result["focus"]["scan_window"]
+    assert hi - lo == cfg.n_steps
+    for name in ("scan_focused.csv", "scan_random.csv"):
+        header, rows = table(name)
+        assert header == "mode_index,counts"
+        assert [int(i) for i, _ in rows] == list(range(lo, hi))
+        assert all(int(c) >= 0 for _, c in rows)
+    focused = {int(i): int(c) for i, c in table("scan_focused.csv")[1]}
+    assert max(focused, key=focused.get) == cfg.target_a  # the conjugate mask focuses on the target
+
+    scan = scan_fringes(sm, estimate.matrix, cfg.target_a, cfg.target_b, n_steps=cfg.n_steps,
+                        counts_per_step=cfg.counts_per_step, seed=cfg.seed, sigma_phi=cfg.noise.sigma_phi,
+                        background_fraction=cfg.noise.background_fraction, sampling=cfg.counts_sampling)
+    header, rows = table("fringes.csv")
+    assert header == "phi,counts,duration"
+    assert [(float(p), int(c), float(d)) for p, c, d in rows] == \
+        list(zip(scan.phi.tolist(), scan.counts.tolist(), scan.duration.tolist()))
+
+    probabilities = result["tomo"]["probabilities"]
+    header, rows = table("probabilities.csv")
+    assert header == "quantity,value,std_error"
+    assert [(q, float(v), float(e)) for q, v, e in rows] == \
+        [(p, probabilities[p], probabilities[f"{p}_err"]) for p in ("p00", "p01", "p10", "p11")]
+
+    counts_doc = json.loads((tmp_path / "counts.json").read_text(encoding="utf-8"))
+    assert counts_doc.pop("config") == config_to_dict(cfg)["source"]
+    assert counts_doc == result["tomo"]["counts"]
 
 
 def test_run_tomo_zero_rates_surface_cleanly(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,7 +44,7 @@ def test_count_record_invariants():
     with pytest.raises(ConfigError):
         CountRecord(n_T=-1, n_A=0, n_B=0, n_AT=0, n_BT=0, n_ABT=0)
     record = CountRecord(n_T=10, n_A=5, n_B=4, n_AT=3, n_BT=2, n_ABT=1)
-    assert record.to_json_dict()["n_ABT"] == 1
+    assert dataclasses.asdict(record)["n_ABT"] == 1
 
 
 def test_mode_probabilities_symmetric_split():

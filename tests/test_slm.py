@@ -61,7 +61,7 @@ def test_conjugate_mask_hand_case():
     sm = ScatteringMatrix(np.array([[1.0, 1.0j]]))
     mask = conjugate_mask(sm, TargetSpec.single(0))
     np.testing.assert_allclose(mask, [0.0, 3 * np.pi / 2], atol=1e-12)
-    out = propagate(sm, apply_mask(mask, 1.0))
+    out = propagate(sm, apply_mask(mask))
     assert abs(out[0]) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -93,7 +93,7 @@ def test_dual_target_relative_phase_monte_carlo():
     rotations = []
     for seed in range(50):
         sm = generate_medium(MediumConfig(n_in=64, m_out=2, seed=300 + seed))
-        out = propagate(sm, apply_mask(conjugate_mask(sm, spec), 1.0))
+        out = propagate(sm, apply_mask(conjugate_mask(sm, spec)))
         rotations.append(out[0] * np.conj(out[1]))
     mean_diff = np.angle(np.mean(rotations / np.abs(rotations)))
     assert abs(mean_diff - phi) < 0.2
@@ -102,7 +102,7 @@ def test_dual_target_relative_phase_monte_carlo():
 def test_dual_target_spec_equalizes_amplitudes():
     sm = generate_medium(MediumConfig(n_in=512, m_out=8, seed=12))
     spec = dual_target_spec(sm, 2, 5, 0.0)
-    out = propagate(sm, apply_mask(conjugate_mask(sm, spec), 1.0))
+    out = propagate(sm, apply_mask(conjugate_mask(sm, spec)))
     balance = abs(out[2]) / abs(out[5])
     assert 0.8 < balance < 1.25
 
@@ -111,7 +111,7 @@ def test_dual_target_energy_exchange():
     # fixed amplitudes from one dual-target mask: the splitter at phi + pi
     # swaps the ports of the splitter at phi, and the total never moves
     sm = generate_medium(MediumConfig(n_in=128, m_out=8, seed=13))
-    out = propagate(sm, apply_mask(conjugate_mask(sm, dual_target_spec(sm, 1, 4, 0.7)), 1.0))
+    out = propagate(sm, apply_mask(conjugate_mask(sm, dual_target_spec(sm, 1, 4, 0.7))))
     a, b = out[1], out[4]
     total = abs(a) ** 2 + abs(b) ** 2
     for phi in np.linspace(0.0, TWO_PI, 9):
@@ -123,12 +123,13 @@ def test_dual_target_energy_exchange():
 
 
 def test_apply_mask_basics():
-    np.testing.assert_array_equal(apply_mask(np.zeros(4), 1.0), np.ones(4, dtype=complex))
-    np.testing.assert_allclose(apply_mask(np.array([np.pi]), 2.0), [-2.0 + 0.0j], atol=1e-12)
-    field = apply_mask(random_mask(100, seed=2), 1.0)
+    np.testing.assert_array_equal(apply_mask(np.zeros(4)), np.ones(4, dtype=complex))
+    np.testing.assert_allclose(apply_mask(np.array([np.pi])), [-1.0 + 0.0j], atol=1e-12)
+    field = apply_mask(random_mask(100, seed=2))
     np.testing.assert_allclose(np.abs(field), 1.0, atol=1e-15)
-    with pytest.raises(ConfigError):
-        apply_mask(np.zeros(4), 0.0)
+    for bad in (np.array([]), np.zeros((2, 2)), np.array([0.0, np.nan])):
+        with pytest.raises(ConfigError):
+            apply_mask(bad)
 
 
 def test_enhancement_random_mask_near_one():
