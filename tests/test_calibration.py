@@ -19,6 +19,7 @@ from specklewalk import (
     sm_fidelity,
 )
 from specklewalk.calibration import ROW_BLOCK, reference_field
+from specklewalk.harness import _write_csv
 
 
 def test_config_requires_three_steps():
@@ -154,6 +155,12 @@ def test_fidelity_matches_sum_and_norm_formula():
     inner = np.abs(np.sum(est * np.conj(sm.matrix), axis=1))
     expected = np.clip(inner / (np.linalg.norm(est, axis=1) * np.linalg.norm(sm.matrix, axis=1)), 0.0, 1.0)
     np.testing.assert_allclose(sm_fidelity(sm, estimate), expected, rtol=0, atol=1e-12)
+
+
+def test_fidelity_csv(tmp_path):
+    path = tmp_path / "fid.csv"
+    _write_csv(path, ("row", "fidelity"), enumerate(np.array([1.0, 0.25]).tolist()))
+    assert path.read_text() == "row,fidelity\n0,1.0\n1,0.25\n"
 
 
 def dft_reference(sm, cfg, draw=None):

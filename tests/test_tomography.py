@@ -25,6 +25,7 @@ from specklewalk import (
     propagate,
     scan_fringes,
 )
+from specklewalk.harness import _write_csv
 from specklewalk.slm import apply_mask, conjugate_mask, dual_target_spec
 
 
@@ -335,3 +336,14 @@ def test_positivity_confidence_consistent_with_upper_limit():
         c = positivity_confidence(n, threshold)
         assert poisson_upper_limit(n, c - 1e-9) <= threshold
         assert poisson_upper_limit(n, min(c + 1e-6, 1 - 1e-12)) > threshold
+
+
+def test_fringe_csv_format(tmp_path):
+    scan = synthetic_scan(offset=100.0, visibility=0.5, phase0=0.0, n_steps=5)
+    path = tmp_path / "fringes.csv"
+    _write_csv(path, ("phi", "counts", "duration"),
+               zip(scan.phi.tolist(), scan.counts.tolist(), scan.duration.tolist()))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "phi,counts,duration"
+    assert len(lines) == 6
+    assert lines[1] == "0.0,150,1.0"
