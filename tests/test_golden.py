@@ -1,8 +1,9 @@
 """Pins the sha256 of every output file of each scenario on configs/small.ini.
 
-``full`` is pinned at seeds 1 and 2 and at seed 1 noiseless
-(tests/golden/full_small.json); ``focus``, ``scan``, ``fringes`` and ``tomo``
-at seed 1 (tests/golden/scenarios_small.json). Any change of output bytes
+``full`` is pinned at seeds 1 and 2, at seed 1 noiseless, and at seed 1 with
+``m_out = 1000`` (noisy and noiseless), whose last row block holds 40 of
+``ROW_BLOCK`` = 64 rows (tests/golden/full_small.json); ``focus``, ``scan``,
+``fringes`` and ``tomo`` at seed 1 (tests/golden/scenarios_small.json). Any change of output bytes
 fails here. A deliberate change regenerates the golden file from the JSON
 this test prints on failure, bumps the version, and says why in CHANGES.md.
 """
@@ -32,11 +33,17 @@ def output_digests(runner, cfg) -> dict:
     return digests
 
 
+def noiseless(cfg):
+    return dataclasses.replace(cfg, calibration=dataclasses.replace(cfg.calibration, photons_per_measurement=None))
+
+
 def golden_cases():
     cases = {f"seed{seed}": load_config(CONFIG, seed=seed, output_dir=OUT) for seed in (1, 2)}
-    noisy = cases["seed1"]
-    cases["seed1-noiseless"] = dataclasses.replace(
-        noisy, calibration=dataclasses.replace(noisy.calibration, photons_per_measurement=None))
+    cases["seed1-noiseless"] = noiseless(cases["seed1"])
+    # a partial last row block: 1000 = 15 * 64 + 40
+    seed1 = cases["seed1"]
+    cases["seed1-m1000"] = dataclasses.replace(seed1, medium=dataclasses.replace(seed1.medium, m_out=1000))
+    cases["seed1-m1000-noiseless"] = noiseless(cases["seed1-m1000"])
     return cases
 
 
