@@ -24,11 +24,20 @@ conj(r_m) * S_mn, with no phase steps at all.
 
 Shot noise is modeled as Poisson photon counting on every intensity
 sample, with photons_per_measurement photons per unit intensity. The
-noisy measurement runs in blocks of ROW_BLOCK output rows. Block b draws
-its counts from its own stream, (CALIBRATION_NOISE, b) in ``rng``, so
+noisy measurement runs in blocks of ``medium.ROW_BLOCK`` output rows.
+Block b draws from its own stream, (CALIBRATION_NOISE, b) in ``rng``, so
 the estimate's bytes do not depend on how many worker threads run the
 blocks. The intensities use real arithmetic, and for the standard K = 4
 sequence the phase factors exp(i theta_j) are the exact (1, i, -1, -i).
+
+Shot-noise rule. For K = 4 the estimate reads only the differences
+c0 - c2 and c3 - c1 of independent Poisson counts, whose means are
+2 ppm Re(conj(r) S) and 2 ppm Im(conj(r) S) and whose variance is
+2 ppm (|r|^2 + |S|^2). A row whose smallest sample mean,
+min_n(dc - max(|cross_re|, |cross_im|)), is at least _GAUSSIAN_FLOOR
+photons draws each difference as one normal with exactly that mean and
+variance. Every other row, and every row when K != 4, draws each of its
+K samples as an exact Poisson count.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, DimensionError, require_finite
-from .medium import ROW_BLOCK, ScatteringMatrix, propagate
+from .medium import ScatteringMatrix, propagate
 from .slm import TWO_PI, apply_mask, random_mask
 # block helpers are called through their module: perfbench/tracing.py wraps the names
 # imported here, and its span stack must not be touched from worker threads
@@ -47,6 +56,9 @@ from . import medium, rng
 
 # largest Poisson mean numpy's sampler accepts (it raises ValueError above it)
 _POISSON_LAM_MAX = np.iinfo("l").max - 10.0 * np.sqrt(np.iinfo("l").max)
+# photons: for K = 4, a row whose smallest sample mean reaches this draws moment-matched normals;
+# each Poisson difference they replace then has skewness below 0.023 and excess kurtosis below 5e-4
+_GAUSSIAN_FLOOR = 1000.0
 
 
 @dataclass(frozen=True)
@@ -74,7 +86,6 @@ class SmEstimate:
     """Measured matrix, known only up to one complex factor per output row."""
 
     matrix: ScatteringMatrix
-    row_reference_note: str
     flagged_rows: Tuple[int, ...] = ()
 
 
@@ -94,14 +105,7 @@ def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig) -> SmEstimate:
     flagged = np.nonzero(np.abs(reference) == 0.0)[0]
     if flagged.size:
         estimate[flagged, :] = 0.0
-    note = "rows scaled by conj(r_m) of the internal reference speckle; arg-only consumers are unaffected"
-    if flagged.size:
-        note += f"; zero-reference rows zeroed: {flagged.tolist()}"
-    return SmEstimate(
-        matrix=ScatteringMatrix(estimate),
-        row_reference_note=note,
-        flagged_rows=tuple(int(i) for i in flagged),
-    )
+    return SmEstimate(matrix=ScatteringMatrix(estimate), flagged_rows=tuple(int(i) for i in flagged))
 
 
 def _phase_factors(steps: int):
@@ -113,7 +117,13 @@ def _phase_factors(steps: int):
 
 
 def _measure_noisy(s_true: ScatteringMatrix, reference: np.ndarray, cfg: CalibrationConfig) -> np.ndarray:
-    """Poisson-sampled phase stepping, one thread-pool task per block of ROW_BLOCK rows."""
+    """Shot-noise-limited phase stepping, one thread-pool task per block of ``medium.ROW_BLOCK`` rows.
+
+    Rows follow the module's shot-noise rule: for K = 4, a row whose smallest
+    sample mean is at least _GAUSSIAN_FLOOR photons gets two moment-matched
+    normal draws per entry; every other row, and every row when K != 4, gets
+    K exact Poisson draws per entry.
+    """
     matrix = s_true.matrix
     # (max|r| + max|S|)^2 bounds every intensity sample, so an oversized budget fails before any draw
     max_s2 = max(medium.map_row_blocks(lambda block: float(np.max(_abs2(medium.row_block(matrix, block)))),
@@ -131,19 +141,61 @@ def _measure_noisy(s_true: ScatteringMatrix, reference: np.ndarray, cfg: Calibra
 
 def _measure_block(matrix: np.ndarray, reference: np.ndarray, cfg: CalibrationConfig, factors,
                    block: int, estimate: np.ndarray) -> None:
-    """Write one block's Fourier estimate into its rows of ``estimate``."""
+    """Write one block's Fourier estimate into its rows of ``estimate``.
+
+    Draw order on the block's stream: the normals of the rows at or above
+    the floor (every real part, row by row, then every imaginary part),
+    then the Poisson counts of the other rows, one phase step at a time.
+    """
     rows = medium.row_block(matrix, block)
     r = medium.row_block(reference, block)[:, None]
     s_re, s_im, r_re, r_im = rows.real, rows.imag, r.real, r.imag
-    # mean photon numbers: ppm * (|r|^2 + |S|^2) and ppm * 2 conj(r) S
+    # per unit intensity: |r|^2 + |S|^2 and conj(r) S; the mean photon numbers are ppm and 2 ppm times these
+    power = _abs2(r) + _abs2(rows)
+    x_re = r_re * s_re + r_im * s_im
+    x_im = r_re * s_im - r_im * s_re
     ppm = cfg.photons_per_measurement
-    dc = ppm * (_abs2(r) + _abs2(rows))
-    cross_re = (2.0 * ppm) * (r_re * s_re + r_im * s_im)
-    cross_im = (2.0 * ppm) * (r_re * s_im - r_im * s_re)
     gen = rng.generator(cfg.noise_seed, rng.CALIBRATION_NOISE, block)
-    acc_re = np.zeros(rows.shape)
-    acc_im = np.zeros(rows.shape)
-    mean = np.empty(rows.shape)
+    out = medium.row_block(estimate, block)
+    exact = slice(None)
+    if len(factors) == 4:
+        # the four sample means are ppm * (power + 2 x_re, power - 2 x_im, power - 2 x_re, power + 2 x_im)
+        lowest = ppm * np.min(power - 2.0 * np.maximum(np.abs(x_re), np.abs(x_im)), axis=1)
+        gaussian = lowest >= _GAUSSIAN_FLOOR
+        if gaussian.any():
+            _gaussian_rows(gen, power, x_re, x_im, np.flatnonzero(gaussian), ppm, out)
+            exact = np.flatnonzero(~gaussian)
+    acc_re, acc_im = _poisson_sums(gen, ppm * power[exact], (2.0 * ppm) * x_re[exact], (2.0 * ppm) * x_im[exact],
+                                   factors)
+    out.real[exact] = np.divide(acc_re, len(factors) * ppm, out=acc_re)
+    out.imag[exact] = np.divide(acc_im, len(factors) * ppm, out=acc_im)
+
+
+def _gaussian_rows(gen: np.random.Generator, power: np.ndarray, x_re: np.ndarray, x_im: np.ndarray,
+                   gaussian: np.ndarray, ppm: float, out: np.ndarray) -> None:
+    """K = 4 estimate from c0 - c2 ~ N(2 ppm x_re, 2 ppm power) and c3 - c1 ~ N(2 ppm x_im, 2 ppm power).
+
+    Divided by 4 ppm, each component is x + sqrt(power / (8 ppm)) * z. Draws
+    normals for the rows in ``gaussian`` only; the other rows of ``out`` get
+    the noiseless value, which the caller overwrites.
+    """
+    z = np.zeros((2,) + power.shape)
+    for part in z:  # every real part, then every imaginary part
+        for row in gaussian:
+            gen.standard_normal(out=part[row])
+    z *= np.sqrt(power / (8.0 * ppm))
+    np.add(x_re, z[0], out=out.real)
+    np.add(x_im, z[1], out=out.imag)
+
+
+def _poisson_sums(gen: np.random.Generator, dc: np.ndarray, cross_re: np.ndarray, cross_im: np.ndarray, factors):
+    """Fourier sums of K exact Poisson samples per entry of means dc + cos * cross_re - sin * cross_im.
+
+    Draws one phase step at a time, over every entry in row order.
+    """
+    acc_re = np.zeros(dc.shape)
+    acc_im = np.zeros(dc.shape)
+    mean = np.empty(dc.shape)
     for cos, sin in factors:  # zero factors are skipped: exact K = 4 needs half the work
         np.copyto(mean, dc)
         if cos:
@@ -156,9 +208,7 @@ def _measure_block(matrix: np.ndarray, reference: np.ndarray, cfg: CalibrationCo
             acc_re += cos * counts
         if sin:
             acc_im -= sin * counts
-    out = medium.row_block(estimate, block)
-    np.divide(acc_re, len(factors) * ppm, out=out.real)
-    np.divide(acc_im, len(factors) * ppm, out=out.imag)
+    return acc_re, acc_im
 
 
 def _abs2(values: np.ndarray) -> np.ndarray:
