@@ -33,11 +33,12 @@ sequence the phase factors exp(i theta_j) are the exact (1, i, -1, -i).
 Shot-noise rule. For K = 4 the estimate reads only the differences
 c0 - c2 and c3 - c1 of independent Poisson counts, whose means are
 2 ppm Re(conj(r) S) and 2 ppm Im(conj(r) S) and whose variance is
-2 ppm (|r|^2 + |S|^2). A row whose smallest sample mean,
-min_n(dc - max(|cross_re|, |cross_im|)), is at least _GAUSSIAN_FLOOR
-photons draws each difference as one normal with exactly that mean and
-variance. Every other row, and every row when K != 4, draws each of its
-K samples as an exact Poisson count.
+2 ppm (|r|^2 + |S|^2), with ppm = photons_per_measurement. A row whose
+smallest sample mean, ppm * min_n(|r|^2 + |S|^2 - 2 max(|Re conj(r) S|,
+|Im conj(r) S|)), is at least _GAUSSIAN_FLOOR photons draws each
+difference as one normal with exactly that mean and variance. Every
+other row, and every row when K != 4, draws each of its K samples as an
+exact Poisson count.
 """
 
 from __future__ import annotations
@@ -180,9 +181,8 @@ def _gaussian_rows(gen: np.random.Generator, power: np.ndarray, x_re: np.ndarray
     the noiseless value, which the caller overwrites.
     """
     z = np.zeros((2,) + power.shape)
-    for part in z:  # every real part, then every imaginary part
-        for row in gaussian:
-            gen.standard_normal(out=part[row])
+    # every real part, then every imaginary part
+    z[:, gaussian] = gen.standard_normal((2, gaussian.size, power.shape[1]))
     z *= np.sqrt(power / (8.0 * ppm))
     np.add(x_re, z[0], out=out.real)
     np.add(x_im, z[1], out=out.imag)
