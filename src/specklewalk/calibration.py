@@ -164,28 +164,18 @@ def _measure_block(matrix: np.ndarray, reference: np.ndarray, cfg: CalibrationCo
         lowest = ppm * np.min(power - 2.0 * np.maximum(np.abs(x_re), np.abs(x_im)), axis=1)
         gaussian = lowest >= _GAUSSIAN_FLOOR
         if gaussian.any():
-            _gaussian_rows(gen, power, x_re, x_im, np.flatnonzero(gaussian), ppm, out)
+            # c0 - c2 ~ N(2 ppm x_re, 2 ppm power) and c3 - c1 ~ N(2 ppm x_im, 2 ppm power); divided by 4 ppm,
+            # each component is x + sqrt(power / (8 ppm)) * z, all real parts drawn before all imaginary parts
+            g = np.flatnonzero(gaussian)
+            z = gen.standard_normal((2, g.size, rows.shape[1]))
+            z *= np.sqrt(power[g] / (8.0 * ppm))
+            out.real[g] = np.add(x_re[g], z[0], out=z[0])
+            out.imag[g] = np.add(x_im[g], z[1], out=z[1])
             exact = np.flatnonzero(~gaussian)
     acc_re, acc_im = _poisson_sums(gen, ppm * power[exact], (2.0 * ppm) * x_re[exact], (2.0 * ppm) * x_im[exact],
                                    factors)
     out.real[exact] = np.divide(acc_re, len(factors) * ppm, out=acc_re)
     out.imag[exact] = np.divide(acc_im, len(factors) * ppm, out=acc_im)
-
-
-def _gaussian_rows(gen: np.random.Generator, power: np.ndarray, x_re: np.ndarray, x_im: np.ndarray,
-                   gaussian: np.ndarray, ppm: float, out: np.ndarray) -> None:
-    """K = 4 estimate from c0 - c2 ~ N(2 ppm x_re, 2 ppm power) and c3 - c1 ~ N(2 ppm x_im, 2 ppm power).
-
-    Divided by 4 ppm, each component is x + sqrt(power / (8 ppm)) * z. Draws
-    normals for the rows in ``gaussian`` only; the other rows of ``out`` get
-    the noiseless value, which the caller overwrites.
-    """
-    z = np.zeros((2,) + power.shape)
-    # every real part, then every imaginary part
-    z[:, gaussian] = gen.standard_normal((2, gaussian.size, power.shape[1]))
-    z *= np.sqrt(power / (8.0 * ppm))
-    np.add(x_re, z[0], out=out.real)
-    np.add(x_im, z[1], out=out.imag)
 
 
 def _poisson_sums(gen: np.random.Generator, dc: np.ndarray, cross_re: np.ndarray, cross_im: np.ndarray, factors):

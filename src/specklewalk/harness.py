@@ -273,8 +273,9 @@ class _Shared:
             background_fraction=cfg.noise.background_fraction,
             sampling=cfg.counts_sampling,
         )
+        # every step lasts unit time
         _write_csv(os.path.join(self.out, "fringes.csv"), ("phi", "counts", "duration"),
-                   zip(scan.phi.tolist(), scan.counts.tolist(), scan.duration.tolist()))
+                   ((phi, count, 1.0) for phi, count in zip(scan.phi.tolist(), scan.counts.tolist())))
         return scan
 
     @cached_property

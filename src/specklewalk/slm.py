@@ -61,8 +61,8 @@ class TargetSpec:
             raise ConfigError("target weights must be finite")
 
     @classmethod
-    def single(cls, index: int, weight: complex = 1.0) -> "TargetSpec":
-        return cls((index,), (weight,))
+    def single(cls, index: int) -> "TargetSpec":
+        return cls((index,), (1.0,))
 
 
 def dual_target_spec(sm: ScatteringMatrix, target_a: int, target_b: int, relative_phase: float) -> TargetSpec:

@@ -30,33 +30,27 @@ from . import rng
 
 @dataclass(frozen=True)
 class FringeScan:
-    """Counts at one splitter port versus the programmed relative phase."""
+    """Counts at one splitter port versus the programmed relative phase; every step lasts unit time."""
 
     phi: np.ndarray
     counts: np.ndarray
-    duration: np.ndarray
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=np.float64)
         counts = np.asarray(self.counts)
-        duration = np.asarray(self.duration, dtype=np.float64)
         if phi.ndim != 1 or phi.size < 5:
             raise ConfigError(f"a fringe scan needs at least 5 points, got {phi.size}")
-        if counts.shape != phi.shape or duration.shape != phi.shape:
-            raise ConfigError("phi, counts and duration must have identical shapes")
+        if counts.shape != phi.shape:
+            raise ConfigError("phi and counts must have identical shapes")
         if not np.all((phi >= 0.0) & (phi <= TWO_PI)):  # written so that NaN fails it
             raise ConfigError("phases must lie within [0, 2*pi]")
         if np.any(counts < 0) or not np.issubdtype(counts.dtype, np.integer):
             raise ConfigError("counts must be nonnegative integers")
-        if not np.all((duration > 0.0) & np.isfinite(duration)):
-            raise ConfigError("durations must be positive and finite")
         phi.setflags(write=False)
-        duration.setflags(write=False)
         counts = counts.astype(np.int64)
         counts.setflags(write=False)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "duration", duration)
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     to the port. Expected counts are scaled so a step at the scan-mean
     total rate yields counts_per_step / 2, then Poisson sampled
     (``sampling="expected"`` keeps the rounded means, the infinite-budget
-    limit). Every step lasts unit duration. sigma_phi and
+    limit). Every step lasts unit time. sigma_phi and
     background_fraction must be finite and nonnegative.
     """
     if n_steps < 5:
@@ -127,11 +121,11 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
         counts = rng.generator(seed, rng.FRINGES).poisson(means)
     else:
         counts = np.rint(means).astype(np.int64)
-    return FringeScan(phi=phis, counts=counts.astype(np.int64), duration=np.ones(n_steps))
+    return FringeScan(phi=phis, counts=counts)
 
 
 def fit_visibility(scan: FringeScan) -> VisibilityFit:
-    """Poisson-weighted least-squares fit of rate = offset*(1 + V cos(phi - phase0)).
+    """Poisson-weighted least-squares fit of counts = offset*(1 + V cos(phi - phase0)).
 
     The model is linear in (c0, c1, c2) = (offset, offset*V*cos(phase0),
     offset*V*sin(phase0)), so the weighted optimum is solved in closed
@@ -142,15 +136,11 @@ def fit_visibility(scan: FringeScan) -> VisibilityFit:
     counts = scan.counts.astype(np.float64)
     if counts.sum() <= 0:
         raise StatisticsError("cannot fit a fringe through all-zero counts")
-    rate = counts / scan.duration
-    variance = np.maximum(counts, 1.0) / scan.duration ** 2
-    weights = 1.0 / variance
+    weights = 1.0 / np.maximum(counts, 1.0)
 
     design = np.column_stack([np.ones_like(scan.phi), np.cos(scan.phi), np.sin(scan.phi)])
-    if design.shape[0] < design.shape[1]:
-        raise StatisticsError("fewer scan points than fit parameters")
     sqrt_w = np.sqrt(weights)
-    coef, *_ = np.linalg.lstsq(design * sqrt_w[:, None], rate * sqrt_w, rcond=None)
+    coef, *_ = np.linalg.lstsq(design * sqrt_w[:, None], counts * sqrt_w, rcond=None)
     c0, c1, c2 = (float(c) for c in coef)
     if c0 <= 0.0:
         raise StatisticsError("fitted mean rate is not positive")
@@ -169,7 +159,7 @@ def fit_visibility(scan: FringeScan) -> VisibilityFit:
     visibility_err = float(np.sqrt(max(grad @ covariance @ grad, 0.0)))
 
     phase0 = math.atan2(c2, c1) % TWO_PI if amplitude > 0.0 else 0.0
-    residuals = rate - design @ coef
+    residuals = counts - design @ coef
     return VisibilityFit(
         visibility=float(min(max(visibility, 0.0), 1.0)),
         visibility_err=visibility_err,
@@ -187,11 +177,12 @@ def coherence_from_visibility(visibility: float, p01: float, p10: float) -> floa
     return visibility * (p01 + p10) / 2.0
 
 
-def build_density_matrix(state: TwoModeState, phase_of_d: float = 0.0) -> np.ndarray:
+def build_density_matrix(state: TwoModeState) -> np.ndarray:
     """4x4 density matrix in the (|00>, |01>, |10>, |11>) basis.
 
     Diagonal carries the occupation probabilities; the only off-diagonal
-    entries are d = d_mag * exp(i phase_of_d) between |01> and |10>. The
+    entries are the coherence d_mag between |01> and |10>, taken real
+    (its phase changes neither the eigenvalues nor the concurrence). The
     result is Hermitian with unit trace, and positive semidefinite
     whenever d_mag <= sqrt(p01 * p10) (guaranteed by TwoModeState).
     """
@@ -200,9 +191,7 @@ def build_density_matrix(state: TwoModeState, phase_of_d: float = 0.0) -> np.nda
     rho[1, 1] = state.p01
     rho[2, 2] = state.p10
     rho[3, 3] = state.p11
-    d = state.d_mag * np.exp(1j * phase_of_d)
-    rho[1, 2] = d
-    rho[2, 1] = np.conj(d)
+    rho[1, 2] = rho[2, 1] = state.d_mag
     eigenvalues = np.linalg.eigvalsh(rho)
     if eigenvalues.min() < -1e-9:
         raise StatisticsError(f"density matrix not positive semidefinite: min eigenvalue {eigenvalues.min()}")

@@ -294,8 +294,8 @@ def test_run_tables_hold_the_library_values(tmp_path):
                         background_fraction=cfg.noise.background_fraction, sampling=cfg.counts_sampling)
     header, rows = table("fringes.csv")
     assert header == "phi,counts,duration"
-    assert [(float(p), int(c), float(d)) for p, c, d in rows] == \
-        list(zip(scan.phi.tolist(), scan.counts.tolist(), scan.duration.tolist()))
+    assert [(float(p), int(c)) for p, c, _ in rows] == list(zip(scan.phi.tolist(), scan.counts.tolist()))
+    assert [d for _, _, d in rows] == ["1.0"] * cfg.n_steps  # every step lasts unit time
 
     probabilities = result["tomo"]["probabilities"]
     header, rows = table("probabilities.csv")

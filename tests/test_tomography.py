@@ -57,24 +57,22 @@ def synthetic_scan(offset, visibility, phase0, n_steps=21, rng=None):
     phi = 2 * np.pi * np.arange(n_steps) / (n_steps - 1)
     rates = offset * (1 + visibility * np.cos(phi - phase0))
     counts = np.rint(rates).astype(np.int64) if rng is None else rng.poisson(rates)
-    return FringeScan(phi=phi, counts=counts, duration=np.ones(n_steps))
+    return FringeScan(phi=phi, counts=counts)
 
 
 def test_fringe_scan_validation():
     phi = np.linspace(0, 2 * np.pi, 21)
     with pytest.raises(ConfigError):
-        FringeScan(phi=phi[:4], counts=np.ones(4, dtype=np.int64), duration=np.ones(4))
+        FringeScan(phi=phi[:4], counts=np.ones(4, dtype=np.int64))
     with pytest.raises(ConfigError):
-        FringeScan(phi=phi + 1.0, counts=np.ones(21, dtype=np.int64), duration=np.ones(21))
+        FringeScan(phi=phi + 1.0, counts=np.ones(21, dtype=np.int64))
     with pytest.raises(ConfigError):
-        FringeScan(phi=phi, counts=np.ones(21) * 0.5, duration=np.ones(21))
-    with pytest.raises(ConfigError):
-        FringeScan(phi=phi, counts=np.ones(21, dtype=np.int64), duration=np.zeros(21))
+        FringeScan(phi=phi, counts=np.ones(21) * 0.5)
 
 
-@pytest.mark.parametrize("field,value", [("phi", math.nan), ("duration", math.nan), ("duration", math.inf)])
+@pytest.mark.parametrize("field,value", [("phi", math.nan)])
 def test_fringe_scan_rejects_nonfinite_entries(field, value):
-    arrays = {"phi": np.linspace(0, 2 * np.pi, 21), "counts": np.ones(21, dtype=np.int64), "duration": np.ones(21)}
+    arrays = {"phi": np.linspace(0, 2 * np.pi, 21), "counts": np.ones(21, dtype=np.int64)}
     arrays[field][3] = value
     with pytest.raises(ConfigError):
         FringeScan(**arrays)
@@ -194,7 +192,6 @@ def test_fit_visibility_constant_counts():
     scan = FringeScan(
         phi=2 * np.pi * np.arange(21) / 20,
         counts=np.full(21, 500, dtype=np.int64),
-        duration=np.ones(21),
     )
     fit = fit_visibility(scan)
     assert fit.visibility == pytest.approx(0.0, abs=1e-9)
@@ -203,7 +200,7 @@ def test_fit_visibility_constant_counts():
 def test_fit_visibility_errors():
     phi = 2 * np.pi * np.arange(21) / 20
     with pytest.raises(StatisticsError):
-        fit_visibility(FringeScan(phi=phi, counts=np.zeros(21, dtype=np.int64), duration=np.ones(21)))
+        fit_visibility(FringeScan(phi=phi, counts=np.zeros(21, dtype=np.int64)))
 
 
 def test_coherence_from_visibility_reference_values():
@@ -228,22 +225,16 @@ def test_density_matrix_reference_values():
     p01, p10 = 4.1e-5, 4.3e-5
     p11 = 1 / 1.1e10
     p00 = 1 - p01 - p10 - p11
-    rho = build_density_matrix(_state(p00, p01, p10, p11, 3.3e-5), phase_of_d=0.0)
+    rho = build_density_matrix(_state(p00, p01, p10, p11, 3.3e-5))
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.allclose(rho, rho.conj().T)
     assert np.linalg.eigvalsh(rho).min() >= -1e-12
-    assert rho[1, 2] == pytest.approx(3.3e-5)
+    assert rho[1, 2] == rho[2, 1] == 3.3e-5
 
 
 def test_density_matrix_pure_bell_like_state():
     rho = build_density_matrix(_state(0.0, 0.5, 0.5, 0.0, 0.5))
     np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(rho)), [0.0, 0.0, 0.0, 1.0], atol=1e-12)
-
-
-def test_density_matrix_phase_lands_on_coherence():
-    rho = build_density_matrix(_state(0.5, 0.25, 0.25, 0.0, 0.2), phase_of_d=np.pi / 3)
-    assert rho[1, 2] == pytest.approx(0.2 * np.exp(1j * np.pi / 3))
-    assert rho[2, 1] == pytest.approx(0.2 * np.exp(-1j * np.pi / 3))
 
 
 def test_concurrence_reference_values():
@@ -342,7 +333,7 @@ def test_fringe_csv_format(tmp_path):
     scan = synthetic_scan(offset=100.0, visibility=0.5, phase0=0.0, n_steps=5)
     path = tmp_path / "fringes.csv"
     _write_csv(path, ("phi", "counts", "duration"),
-               zip(scan.phi.tolist(), scan.counts.tolist(), scan.duration.tolist()))
+               ((phi, count, 1.0) for phi, count in zip(scan.phi.tolist(), scan.counts.tolist())))
     lines = path.read_text().splitlines()
     assert lines[0] == "phi,counts,duration"
     assert len(lines) == 6
