@@ -53,6 +53,7 @@ from .tomography import (
     build_density_matrix,
     coherence_from_visibility,
     concurrence,
+    concurrence_error,
     concurrence_threshold,
     fit_visibility,
     poisson_upper_limit,

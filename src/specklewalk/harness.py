@@ -44,8 +44,8 @@ from .medium import MediumConfig, ScatteringMatrix, generate_medium, propagate, 
 from .slm import TargetSpec, apply_mask, conjugate_mask, dual_target_spec, random_mask, save_mask_csv
 from .calibration import CalibrationConfig, SmEstimate, measure_sm, sm_fidelity
 from .quantum import SourceConfig, mode_probabilities, simulate_counts, estimate_state
-from .tomography import (build_density_matrix, coherence_from_visibility, concurrence, concurrence_threshold,
-                         fit_visibility, positivity_confidence, scan_fringes)
+from .tomography import (build_density_matrix, coherence_from_visibility, concurrence, concurrence_error,
+                         concurrence_threshold, fit_visibility, positivity_confidence, scan_fringes)
 
 # scenario -> the stages it runs, in order, on one medium and one estimate
 PIPELINES = {
@@ -346,7 +346,7 @@ def _tomo_stage(shared: _Shared) -> dict:
     c_value = concurrence(state.p00, state.p11, state.d_mag)
     threshold = concurrence_threshold(counts.n_T, state.d_mag, state.p00)
     confidence = positivity_confidence(counts.n_ABT, threshold) if threshold >= 0 else 0.0
-    c_err = _concurrence_error(state, vis.visibility, vis.visibility_err, counts.n_T)
+    c_err = concurrence_error(state, vis.visibility, vis.visibility_err, counts.n_T)
     return {
         "q_a": q_a,
         "q_b": q_b,
@@ -363,21 +363,6 @@ def _tomo_stage(shared: _Shared) -> dict:
         "confidence": confidence,
         "exceeds_99": bool(confidence > 0.99),
     }
-
-
-def _concurrence_error(state, visibility: float, visibility_err: float, n_t: int) -> float:
-    """Quadrature propagation of the visibility and probability errors into C."""
-    sigma_d_sq = ((state.p01 + state.p10) / 2.0 * visibility_err) ** 2 \
-        + (visibility / 2.0) ** 2 * (state.p01_err ** 2 + state.p10_err ** 2)
-    terms = [4.0 * sigma_d_sq]
-    if state.p00 > 0.0:
-        terms.append((np.sqrt(state.p11 / state.p00) * state.p00_err) ** 2)
-    if state.p11 > 0.0:
-        terms.append((np.sqrt(state.p00 / state.p11) * state.p11_err) ** 2)
-    else:
-        # sensitivity of the subtracted term to a first triple count
-        terms.append(state.p00 / n_t)
-    return float(np.sqrt(sum(terms)))
 
 
 # stage name -> the function that runs it and returns its result

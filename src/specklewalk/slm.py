@@ -158,6 +158,6 @@ def load_mask_csv(path) -> np.ndarray:
     if not values:
         raise FormatError(f"{path}: empty mask file")
     arr = np.asarray(values, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr >= TWO_PI):
+    if not np.all((arr >= 0.0) & (arr < TWO_PI)):  # written so that NaN fails it
         raise FormatError(f"{path}: phases must already be canonical in [0, 2*pi)")
     return arr

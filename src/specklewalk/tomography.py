@@ -203,9 +203,25 @@ def concurrence(p00: float, p11: float, d_mag: float) -> float:
     for name, value in (("p00", p00), ("p11", p11)):
         if not (0.0 <= value <= 1.0):
             raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+    require_finite(d_mag=d_mag)
     if d_mag < 0.0:
         raise ConfigError("coherence magnitude must be nonnegative")
     return max(2.0 * d_mag - 2.0 * math.sqrt(p00 * p11), 0.0)
+
+
+def concurrence_error(state, visibility: float, visibility_err: float, n_t: int) -> float:
+    """Quadrature propagation of the visibility and probability errors into C."""
+    sigma_d_sq = ((state.p01 + state.p10) / 2.0 * visibility_err) ** 2 \
+        + (visibility / 2.0) ** 2 * (state.p01_err ** 2 + state.p10_err ** 2)
+    terms = [4.0 * sigma_d_sq]
+    if state.p00 > 0.0:
+        terms.append((np.sqrt(state.p11 / state.p00) * state.p00_err) ** 2)
+    if state.p11 > 0.0:
+        terms.append((np.sqrt(state.p00 / state.p11) * state.p11_err) ** 2)
+    else:
+        # sensitivity of the subtracted term to a first triple count
+        terms.append(state.p00 / n_t)
+    return float(np.sqrt(sum(terms)))
 
 
 def poisson_upper_limit(n_obs: int, confidence: float) -> float:
@@ -216,6 +232,7 @@ def poisson_upper_limit(n_obs: int, confidence: float) -> float:
     The limit grows with both n_obs and confidence. For n_obs = 0 it is
     the closed form -ln(1 - confidence).
     """
+    require_finite(n_obs=n_obs)
     if n_obs < 0 or int(n_obs) != n_obs:
         raise ConfigError(f"n_obs must be a nonnegative integer, got {n_obs}")
     if not (0.0 < confidence < 1.0):
@@ -244,6 +261,7 @@ def concurrence_threshold(n_t: int, d_mag: float, p00: float) -> int:
     the strict inequality). Returns -1 when no count can do it
     (d_mag = 0: concurrence never positive).
     """
+    require_finite(n_t=n_t, d_mag=d_mag)
     if n_t <= 0:
         raise ConfigError(f"n_t must be positive, got {n_t}")
     if not (0.0 < p00 <= 1.0):
@@ -263,6 +281,7 @@ def positivity_confidence(n_obs_triples: int, threshold: int) -> float:
     the triple mean stays at or below ``threshold`` is
     P(Poisson(threshold) > n_obs_triples).
     """
+    require_finite(n_obs_triples=n_obs_triples, threshold=threshold)
     if threshold < 0:
         raise ConfigError(f"threshold must be nonnegative, got {threshold}")
     if n_obs_triples < 0:

@@ -6,6 +6,7 @@ from specklewalk import (
     ConfigError,
     DegenerateTargetError,
     DimensionError,
+    FormatError,
     MediumConfig,
     ScatteringMatrix,
     TargetSpec,
@@ -182,3 +183,11 @@ def test_mask_csv_round_trip(tmp_path):
     assert np.array_equal(loaded, mask)
     text = path.read_text()
     assert "\r" not in text and text.endswith("\n")
+
+
+@pytest.mark.parametrize("text", ["nan", "-nan"])
+def test_load_mask_csv_rejects_nan_phase(tmp_path, text):
+    path = tmp_path / "mask.csv"
+    path.write_text(f"0.5\n{text}\n1.5\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="canonical"):
+        load_mask_csv(path)

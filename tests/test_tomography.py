@@ -16,6 +16,7 @@ from specklewalk import (
     build_density_matrix,
     coherence_from_visibility,
     concurrence,
+    concurrence_error,
     concurrence_threshold,
     fit_visibility,
     generate_medium,
@@ -244,6 +245,21 @@ def test_concurrence_reference_values():
     assert concurrence(0.5, 0.02, 0.2) == pytest.approx(0.2)  # 0.4 - 2*sqrt(0.01)
 
 
+@pytest.mark.parametrize("d_mag", [math.nan, math.inf])
+def test_concurrence_rejects_nonfinite_coherence(d_mag):
+    with pytest.raises(ConfigError, match="d_mag must be finite"):
+        concurrence(0.5, 0.1, d_mag)
+
+
+def test_concurrence_error_known_answers():
+    # p11 > 0: 4 sigma_d^2 = 4 (0.25 * 0.1)^2 = 0.0025, plus (1 * 0.1)^2 from each of p00 and p11
+    state = TwoModeState(p00=0.25, p01=0.25, p10=0.25, p11=0.25, d_mag=0.2, p00_err=0.1, p11_err=0.1)
+    assert concurrence_error(state, 0.8, 0.1, 1000) == pytest.approx(0.15, rel=1e-12)
+    # p11 = 0: 4 (0.6 / 2)^2 0.1^2 = 0.0036, p00's term vanishes, and p00 / n_T = 0.5 / 50 is added
+    state = TwoModeState(p00=0.5, p01=0.25, p10=0.25, p11=0.0, d_mag=0.1, p00_err=0.3, p01_err=0.1)
+    assert concurrence_error(state, 0.6, 0.0, 50) == pytest.approx(math.sqrt(0.0136), rel=1e-12)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(min_value=0, max_value=1),
@@ -288,6 +304,12 @@ def test_poisson_upper_limit_rejects_bad_inputs():
         poisson_upper_limit(1, 0.0)
 
 
+@pytest.mark.parametrize("n_obs", [math.nan, math.inf])
+def test_poisson_upper_limit_rejects_nonfinite_count(n_obs):
+    with pytest.raises(ConfigError, match="n_obs must be finite"):
+        poisson_upper_limit(n_obs, 0.99)
+
+
 def test_concurrence_threshold_reference_case():
     assert concurrence_threshold(int(1.1e10), 3.3e-5, 1 - 8.4e-5) == 11
 
@@ -296,6 +318,12 @@ def test_concurrence_threshold_sentinel_and_boundary():
     assert concurrence_threshold(100, 0.0, 1.0) == -1
     # n_t * d^2 / p00 exactly 5: strict inequality excludes the boundary
     assert concurrence_threshold(5, 1.0, 1.0) == 4
+
+
+@pytest.mark.parametrize("n_t,d_mag", [(100, math.nan), (100, math.inf), (math.nan, 0.1), (math.inf, 0.1)])
+def test_concurrence_threshold_rejects_nonfinite_input(n_t, d_mag):
+    with pytest.raises(ConfigError, match="must be finite"):
+        concurrence_threshold(n_t, d_mag, 0.5)
 
 
 def test_concurrence_threshold_consistency_with_concurrence():
@@ -319,6 +347,12 @@ def test_positivity_confidence_boundaries():
         assert positivity_confidence(n, threshold) <= 0.5
     with pytest.raises(ConfigError):
         positivity_confidence(1, -1)
+
+
+@pytest.mark.parametrize("n_obs,threshold", [(1, math.nan), (math.nan, 11), (1, math.inf), (math.inf, 11)])
+def test_positivity_confidence_rejects_nonfinite_input(n_obs, threshold):
+    with pytest.raises(ConfigError, match="must be finite"):
+        positivity_confidence(n_obs, threshold)
 
 
 def test_positivity_confidence_consistent_with_upper_limit():
