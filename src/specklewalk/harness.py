@@ -104,11 +104,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    scenario: str
     config: ExperimentConfig
     result: dict
     wall_time: float
-    software_version: str
 
 
 def _parse_photons(text: str):
@@ -399,8 +397,7 @@ def run(cfg: ExperimentConfig) -> RunReport:
         "config": config_to_dict(cfg),
         "result": result,
     })
-    return RunReport(scenario=cfg.scenario, config=cfg, result=result,
-                     wall_time=time.perf_counter() - started, software_version=__version__)
+    return RunReport(config=cfg, result=result, wall_time=time.perf_counter() - started)
 
 
 # Each runner runs its own scenario, whatever ``cfg.scenario`` says, and reports under that name.

@@ -172,18 +172,20 @@ def save_smx(path, sm: ScatteringMatrix) -> None:
 
 
 def load_smx(path) -> ScatteringMatrix:
-    with open(path, "rb") as fh:
-        blob = fh.read()
     header_len = len(SMX_MAGIC) + _SMX_HEADER.size
-    if len(blob) < header_len:
-        raise FormatError(f"SMX1 file truncated: {len(blob)} bytes is shorter than the header")
-    if blob[: len(SMX_MAGIC)] != SMX_MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}, expected {SMX_MAGIC!r}")
-    m_out, n_in = _SMX_HEADER.unpack_from(blob, len(SMX_MAGIC))
-    if m_out < 1 or n_in < 1:
-        raise FormatError(f"invalid dimensions {m_out}x{n_in} in SMX1 header")
-    expected = header_len + 16 * m_out * n_in
-    if len(blob) != expected:
-        raise FormatError(f"SMX1 payload size mismatch: have {len(blob)} bytes, expected {expected}")
-    entries = np.frombuffer(blob, dtype="<c16", offset=header_len).reshape(m_out, n_in)
-    return ScatteringMatrix(entries.astype(np.complex128, copy=True))
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(header_len)
+        if len(header) < header_len:
+            raise FormatError(f"SMX1 file truncated: {size} bytes is shorter than the header")
+        if header[: len(SMX_MAGIC)] != SMX_MAGIC:
+            raise FormatError(f"bad magic {header[:4]!r}, expected {SMX_MAGIC!r}")
+        m_out, n_in = _SMX_HEADER.unpack_from(header, len(SMX_MAGIC))
+        if m_out < 1 or n_in < 1:
+            raise FormatError(f"invalid dimensions {m_out}x{n_in} in SMX1 header")
+        expected = header_len + 16 * m_out * n_in
+        if size != expected:
+            raise FormatError(f"SMX1 payload size mismatch: have {size} bytes, expected {expected}")
+        # one aligned array read from the file: a view of the file's bytes would sit off the 8-byte grid
+        entries = np.fromfile(fh, dtype="<c16", count=m_out * n_in)
+    return ScatteringMatrix(entries.reshape(m_out, n_in))

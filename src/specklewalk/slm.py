@@ -90,7 +90,7 @@ def random_mask(n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ConfigError(f"mask length must be >= 1, got {n}")
     gen = rng.generator(seed, rng.RANDOM_MASK)
-    return canonicalize_phases(gen.uniform(0.0, TWO_PI, size=n))
+    return gen.uniform(0.0, TWO_PI, size=n)
 
 
 def conjugate_mask(sm: ScatteringMatrix, spec: TargetSpec) -> np.ndarray:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import pdtr
+from scipy.special import gammainccinv, pdtr
 
 from .errors import ConfigError, DegenerateFieldError, DimensionError, StatisticsError, require_finite
 from .medium import ScatteringMatrix, propagate
@@ -227,30 +227,18 @@ def concurrence_error(state, visibility: float, visibility_err: float, n_t: int)
 def poisson_upper_limit(n_obs: int, confidence: float) -> float:
     """One-sided upper limit on a Poisson mean after observing n_obs events.
 
-    Returns the smallest mean lam such that P(Poisson(lam) <= n_obs)
-    equals 1 - confidence, found by bisection to 1e-9 relative width.
-    The limit grows with both n_obs and confidence. For n_obs = 0 it is
-    the closed form -ln(1 - confidence).
+    Returns the mean lam with P(Poisson(lam) <= n_obs) = 1 - confidence,
+    in closed form through the inverse regularized upper incomplete gamma
+    function, Q(n_obs + 1, lam) = 1 - confidence (Garwood 1936). The limit
+    grows with both n_obs and confidence. For n_obs = 0 it is
+    -ln(1 - confidence).
     """
     require_finite(n_obs=n_obs)
     if n_obs < 0 or int(n_obs) != n_obs:
         raise ConfigError(f"n_obs must be a nonnegative integer, got {n_obs}")
     if not (0.0 < confidence < 1.0):
         raise ConfigError(f"confidence must lie strictly inside (0, 1), got {confidence}")
-    n_obs = int(n_obs)
-    tail = 1.0 - confidence
-
-    lo = 0.0
-    hi = float(n_obs) + 1.0
-    while pdtr(n_obs, hi) > tail:
-        hi *= 2.0
-    while hi - lo > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        if pdtr(n_obs, mid) > tail:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(gammainccinv(int(n_obs) + 1, 1.0 - confidence))
 
 
 def concurrence_threshold(n_t: int, d_mag: float, p00: float) -> int:
@@ -268,8 +256,6 @@ def concurrence_threshold(n_t: int, d_mag: float, p00: float) -> int:
         raise ConfigError(f"p00 must lie in (0, 1], got {p00}")
     if d_mag < 0.0:
         raise ConfigError("coherence magnitude must be nonnegative")
-    if d_mag == 0.0:
-        return -1
     bound = n_t * d_mag * d_mag / p00
     return math.ceil(bound) - 1
 

@@ -339,7 +339,7 @@ def test_report_round_trip_reproduces_run(tmp_path):
         report = runner(small_config(out, scenario=scenario))
         cfg = small_config(out, scenario="tomo")
         doc = json.loads((out / "report.json").read_text())
-        assert report.scenario == doc["scenario"] == "tomo" and report.config == cfg
+        assert report.config.scenario == doc["scenario"] == "tomo" and report.config == cfg
         written = digest_dir(out)
 
         # rebuild the config from the echoed dict and replay
