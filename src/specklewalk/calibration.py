@@ -55,8 +55,6 @@ from .slm import TWO_PI, apply_mask, random_mask
 # imported here, and its span stack must not be touched from worker threads
 from . import medium, rng
 
-# largest Poisson mean numpy's sampler accepts (it raises ValueError above it)
-_POISSON_LAM_MAX = np.iinfo("l").max - 10.0 * np.sqrt(np.iinfo("l").max)
 # photons: for K = 4, a row whose smallest sample mean reaches this draws moment-matched normals;
 # each Poisson difference they replace then has skewness below 0.023 and excess kurtosis below 5e-4
 _GAUSSIAN_FLOOR = 1000.0
@@ -76,6 +74,8 @@ class CalibrationConfig:
             require_finite(photons_per_measurement=self.photons_per_measurement)
             if not self.photons_per_measurement > 0:
                 raise ConfigError("photons_per_measurement must be positive or None for noiseless")
+        if self.reference_seed < 0 or self.noise_seed < 0:
+            raise ConfigError("reference_seed and noise_seed must be nonnegative integers")
 
     @property
     def noiseless(self) -> bool:
@@ -104,8 +104,7 @@ def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig) -> SmEstimate:
         estimate = _measure_noisy(s_true, reference, cfg)
 
     flagged = np.nonzero(np.abs(reference) == 0.0)[0]
-    if flagged.size:
-        estimate[flagged, :] = 0.0
+    estimate[flagged, :] = 0.0
     return SmEstimate(matrix=ScatteringMatrix(estimate), flagged_rows=tuple(int(i) for i in flagged))
 
 
@@ -130,9 +129,7 @@ def _measure_noisy(s_true: ScatteringMatrix, reference: np.ndarray, cfg: Calibra
     max_s2 = max(medium.map_row_blocks(lambda block: float(np.max(_abs2(medium.row_block(matrix, block)))),
                                        s_true.m_out))
     bound = cfg.photons_per_measurement * (float(np.max(np.abs(reference))) + np.sqrt(max_s2)) ** 2
-    if bound > _POISSON_LAM_MAX:
-        raise ConfigError(f"photons_per_measurement={cfg.photons_per_measurement!r} allows up to {bound:.3g} "
-                          f"photons in one sample, above the Poisson sampler's limit {_POISSON_LAM_MAX:.3g}")
+    rng.check_poisson_mean(bound, f"photons_per_measurement={cfg.photons_per_measurement!r}")
     factors = _phase_factors(cfg.phase_steps)
     estimate = np.empty_like(matrix)
     medium.map_row_blocks(lambda block: _measure_block(matrix, reference, cfg, factors, block, estimate),

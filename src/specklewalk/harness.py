@@ -285,6 +285,7 @@ def _focus_stage(shared: _Shared) -> dict:
     cfg, out = shared.cfg, shared.out
     m_out = cfg.medium.m_out
     src = cfg.source
+    rng.check_poisson_mean(src.trigger_rate * src.acquisition_time, "trigger_rate * acquisition_time")
     focused_mask = conjugate_mask(shared.estimate.matrix, TargetSpec.single(cfg.target_a))
     baseline_mask = random_mask(cfg.medium.n_in, cfg.seed)
 

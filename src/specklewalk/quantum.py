@@ -167,6 +167,7 @@ def simulate_counts(q_a: float, q_b: float, cfg: SourceConfig, seed: int) -> Cou
         raise ConfigError("mode probabilities must be nonnegative")
     if q_a + q_b > 1.0:
         raise ConfigError(f"q_A + q_B must not exceed 1, got {q_a + q_b}")
+    rng.check_poisson_mean(max(cfg.trigger_rate, cfg.dark_rate) * cfg.acquisition_time, "trigger_rate or dark_rate")
     gen = rng.generator(seed, rng.COUNTS)
 
     n_t = int(gen.poisson(cfg.trigger_rate * cfg.acquisition_time))

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 MEDIUM = 0
 REFERENCE = 1
 CALIBRATION_NOISE = 2
@@ -39,13 +41,26 @@ COUNTS = 4
 FRINGES = 5
 FOCUS_SCAN = 6
 
+# largest Poisson mean numpy's sampler accepts (it raises ValueError above it)
+POISSON_LAM_MAX = np.iinfo("l").max - 10.0 * np.sqrt(np.iinfo("l").max)
+
 
 def generator(seed: int, *path: int) -> np.random.Generator:
     """Return the PCG64 generator for stream ``path`` of ``seed``."""
+    if seed < 0:
+        raise ConfigError(f"seeds must be nonnegative integers, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path)))
 
 
 def child_seed(seed: int, *path: int) -> int:
     """Derive a 64-bit sub-seed; stable under the same (seed, path)."""
+    if seed < 0:
+        raise ConfigError(f"seeds must be nonnegative integers, got {seed}")
     state = np.random.SeedSequence(seed, spawn_key=path).generate_state(1, np.uint64)
     return int(state[0])
+
+
+def check_poisson_mean(largest: float, knob: str) -> None:
+    """Raise ConfigError naming ``knob`` when the Poisson mean it sets, ``largest``, is beyond the sampler."""
+    if largest > POISSON_LAM_MAX:
+        raise ConfigError(f"{knob} gives a Poisson mean of {largest:.3g}, above the sampler limit {POISSON_LAM_MAX:.3g}")

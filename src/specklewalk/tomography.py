@@ -36,7 +36,7 @@ class FringeScan:
     counts: np.ndarray
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=np.float64)
+        phi = np.array(self.phi, dtype=np.float64)  # a copy: the read-only flag below must not reach the caller
         counts = np.asarray(self.counts)
         if phi.ndim != 1 or phi.size < 5:
             raise ConfigError(f"a fringe scan needs at least 5 points, got {phi.size}")
@@ -116,6 +116,7 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     offset = background_fraction * mean_total / 2.0
     means = counts_per_step * (port + offset) / (mean_total * (1.0 + background_fraction))
     means = np.clip(means, 0.0, None)
+    rng.check_poisson_mean(float(means.max()), f"counts_per_step={counts_per_step!r}")
 
     if sampling == "poisson":
         counts = rng.generator(seed, rng.FRINGES).poisson(means)

@@ -199,10 +199,11 @@ def above_floor(sm, cfg):
     return sample_means(sm, cfg).min(axis=(0, 2)) >= _GAUSSIAN_FLOOR
 
 
-def test_noisy_rows_below_the_floor_draw_exact_poisson_from_their_block_streams():
+@pytest.mark.parametrize("steps", [3, 4, 5])
+def test_noisy_rows_below_the_floor_draw_exact_poisson_from_their_block_streams(steps):
     # a count off by one in a single step moves an entry by 1 / (K * ppm); a wrong stream moves it by ~sqrt(ppm)
     ppm = 100.0
-    cfg = CalibrationConfig(photons_per_measurement=ppm, reference_seed=33, noise_seed=34)
+    cfg = CalibrationConfig(phase_steps=steps, photons_per_measurement=ppm, reference_seed=33, noise_seed=34)
     sm = generate_medium(MediumConfig(n_in=40, m_out=150, seed=32))
     assert not above_floor(sm, cfg).any()
     gens = {}

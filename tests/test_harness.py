@@ -185,6 +185,12 @@ def test_missing_output_dir_fails_before_computation(tmp_path):
         run_focus(cfg)
 
 
+def test_run_focus_rejects_counts_beyond_the_poisson_sampler(tmp_path):
+    cfg = small_config(tmp_path, scenario="focus", source=SourceConfig(trigger_rate=1e30))
+    with pytest.raises(ConfigError, match="trigger_rate"):
+        run_focus(cfg)
+
+
 def test_run_focus_outputs(tmp_path):
     report = run_focus(small_config(tmp_path, scenario="focus"))
     result = report.result

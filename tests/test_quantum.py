@@ -36,6 +36,12 @@ def test_source_config_validation():
         SourceConfig(acquisition_time=0.0)
 
 
+@pytest.mark.parametrize("knob", ["trigger_rate", "dark_rate"])
+def test_simulate_counts_rejects_means_beyond_the_poisson_sampler(knob):
+    with pytest.raises(ConfigError, match=knob):
+        simulate_counts(0.01, 0.01, SourceConfig(**{knob: 1e30}), seed=1)
+
+
 def test_count_record_invariants():
     with pytest.raises(ConfigError):
         CountRecord(n_T=10, n_A=5, n_B=5, n_AT=6, n_BT=2, n_ABT=0)   # n_AT > n_A

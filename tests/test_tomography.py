@@ -71,6 +71,16 @@ def test_fringe_scan_validation():
         FringeScan(phi=phi, counts=np.ones(21) * 0.5)
 
 
+def test_fringe_scan_leaves_the_callers_arrays_writable():
+    phi = np.linspace(0, 2 * np.pi, 21)
+    counts = np.ones(21, dtype=np.int64)
+    scan = FringeScan(phi=phi, counts=counts)
+    assert phi.flags.writeable and counts.flags.writeable
+    assert not scan.phi.flags.writeable and not scan.counts.flags.writeable
+    phi[0] = 1.0
+    assert scan.phi[0] == 0.0
+
+
 @pytest.mark.parametrize("field,value", [("phi", math.nan)])
 def test_fringe_scan_rejects_nonfinite_entries(field, value):
     arrays = {"phi": np.linspace(0, 2 * np.pi, 21), "counts": np.ones(21, dtype=np.int64)}
@@ -85,6 +95,13 @@ def test_scan_fringes_rejects_nonfinite_noise_knobs(knob, value):
     sm = generate_medium(MediumConfig(n_in=16, m_out=8, seed=1010))
     with pytest.raises(ConfigError, match=f"{knob} must be finite"):
         scan_fringes(sm, sm, 0, 1, **{knob: value})
+
+
+@pytest.mark.parametrize("sampling,counts_per_step", [("poisson", 1e19), ("expected", 1e30)])
+def test_scan_fringes_rejects_counts_beyond_the_poisson_sampler(sampling, counts_per_step):
+    sm = generate_medium(MediumConfig(n_in=16, m_out=8, seed=1011))
+    with pytest.raises(ConfigError, match="counts_per_step"):
+        scan_fringes(sm, sm, 0, 1, counts_per_step=counts_per_step, sampling=sampling)
 
 
 def test_scan_fringes_ideal_shape():
