@@ -39,7 +39,6 @@ def test_child_seed_stable_and_path_sensitive():
     assert 0 <= rng.child_seed(123, 5) < 2**64
 
 
-
 @pytest.mark.parametrize("call", [
     lambda seed: rng.generator(seed, rng.MEDIUM),
     lambda seed: rng.child_seed(seed, rng.MEDIUM),
