@@ -2,7 +2,10 @@
 
 ``full`` is pinned at seeds 1 and 2, at seed 1 noiseless, and at seed 1 with
 ``m_out = 1000`` (noisy and noiseless), whose last row block holds 40 of
-``ROW_BLOCK`` = 64 rows (tests/golden/full_small.json); ``focus``, ``scan``,
+``ROW_BLOCK`` = 64 rows. Three more seed-1 ``full`` cases move the targets:
+both in one row block (5, 40), ``target_b`` = 990 in that partial last
+block, and ``target_a`` after ``target_b`` (288, 96)
+(tests/golden/full_small.json); ``focus``, ``scan``,
 ``fringes`` and ``tomo`` at seed 1 (tests/golden/scenarios_small.json). Any change of output bytes
 fails here. A deliberate change regenerates the golden file from the JSON
 this test prints on failure, bumps the version, and says why in CHANGES.md.
@@ -44,6 +47,10 @@ def golden_cases():
     seed1 = cases["seed1"]
     cases["seed1-m1000"] = dataclasses.replace(seed1, medium=dataclasses.replace(seed1.medium, m_out=1000))
     cases["seed1-m1000-noiseless"] = noiseless(cases["seed1-m1000"])
+    # targets in one row block, a target in the partial last block, and target_a after target_b
+    cases["seed1-targets5-40"] = dataclasses.replace(seed1, target_a=5, target_b=40)
+    cases["seed1-m1000-target990"] = dataclasses.replace(cases["seed1-m1000"], target_b=990)
+    cases["seed1-targets288-96"] = dataclasses.replace(seed1, target_a=288, target_b=96)
     return cases
 
 
