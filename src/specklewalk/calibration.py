@@ -22,9 +22,13 @@ estimate matches focusing through the true matrix.
 Without shot noise the estimate is computed from that closed form,
 conj(r_m) * S_mn, with no phase steps at all.
 
+The measurement runs in blocks of ``medium.ROW_BLOCK`` output rows, one
+``estimate_block`` call each, which reads only its own block's rows.
+``measure_sm`` maps it over a whole matrix; a caller that draws the
+medium block by block calls it on each block as it is drawn.
+
 Shot noise is modeled as Poisson photon counting on every intensity
-sample, with photons_per_measurement photons per unit intensity. The
-noisy measurement runs in blocks of ``medium.ROW_BLOCK`` output rows.
+sample, with photons_per_measurement photons per unit intensity.
 Block b draws from its own stream, (CALIBRATION_NOISE, b) in ``rng``, so
 the estimate's bytes do not depend on how many worker threads run the
 blocks. The intensities use real arithmetic, and for the standard K = 4
@@ -49,7 +53,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, DimensionError, require_finite
-from .medium import ScatteringMatrix, propagate
+from .medium import ScatteringMatrix
 from .slm import TWO_PI, apply_mask, random_mask
 # block helpers are called through their module: perfbench/tracing.py wraps the names
 # imported here, and its span stack must not be touched from worker threads
@@ -96,16 +100,35 @@ def reference_field(n_in: int, cfg: CalibrationConfig) -> np.ndarray:
 
 
 def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig) -> SmEstimate:
-    """Phase-step every input mode against the static reference speckle."""
-    reference = propagate(s_true, reference_field(s_true.n_in, cfg))  # r_m per output
-    if cfg.noiseless:
-        estimate = np.conj(reference)[:, None] * s_true.matrix
-    else:
-        estimate = _measure_noisy(s_true, reference, cfg)
+    """Phase-step every input mode against the static reference speckle, one ``estimate_block`` per row block."""
+    field = reference_field(s_true.n_in, cfg)
+    estimate = np.empty_like(s_true.matrix)
+    reference = np.concatenate(medium.map_row_blocks(
+        lambda block: estimate_block(medium.row_block(s_true.matrix, block), field, cfg, block,
+                                     medium.row_block(estimate, block)),
+        s_true.m_out))
+    flagged = np.flatnonzero(np.abs(reference) == 0.0)
+    return SmEstimate(matrix=ScatteringMatrix._adopt(estimate), flagged_rows=tuple(int(i) for i in flagged))
 
-    flagged = np.nonzero(np.abs(reference) == 0.0)[0]
-    estimate[flagged, :] = 0.0
-    return SmEstimate(matrix=ScatteringMatrix(estimate), flagged_rows=tuple(int(i) for i in flagged))
+
+def estimate_block(rows: np.ndarray, field: np.ndarray, cfg: CalibrationConfig, block: int,
+                   out: np.ndarray) -> np.ndarray:
+    """Write the estimate of row block ``block``, true rows ``rows``, into ``out``; return their reference speckle.
+
+    ``field`` is ``reference_field(n_in, cfg)``. The reference r_m of each
+    row is its output under that field. Without noise the estimate is
+    conj(r_m) S_mn; with noise the block draws from its own stream, after
+    checking that the largest Poisson mean the block can ask for,
+    ppm (max|r_m| + max|S_mn|)^2 over the block, is within the sampler.
+    Rows with r_m = 0 carry no information and come out zero.
+    """
+    reference = medium.propagate_rows(rows, field)
+    if cfg.noiseless:
+        np.multiply(np.conj(reference)[:, None], rows, out=out)
+    else:
+        _measure_noisy(rows, reference, cfg, block, out)
+    out[np.abs(reference) == 0.0, :] = 0.0
+    return reference
 
 
 def _phase_factors(steps: int):
@@ -116,45 +139,30 @@ def _phase_factors(steps: int):
     return tuple(zip(np.cos(thetas).tolist(), np.sin(thetas).tolist()))
 
 
-def _measure_noisy(s_true: ScatteringMatrix, reference: np.ndarray, cfg: CalibrationConfig) -> np.ndarray:
-    """Shot-noise-limited phase stepping, one thread-pool task per block of ``medium.ROW_BLOCK`` rows.
+def _measure_noisy(rows: np.ndarray, reference: np.ndarray, cfg: CalibrationConfig, block: int,
+                   out: np.ndarray) -> None:
+    """Write one block's shot-noise-limited Fourier estimate into ``out``.
 
     Rows follow the module's shot-noise rule: for K = 4, a row whose smallest
     sample mean is at least _GAUSSIAN_FLOOR photons gets two moment-matched
     normal draws per entry; every other row, and every row when K != 4, gets
-    K exact Poisson draws per entry.
+    K exact Poisson draws per entry. Draw order on the block's stream: the
+    normals of the rows at or above the floor (every real part, row by row,
+    then every imaginary part), then the Poisson counts of the other rows,
+    one phase step at a time.
     """
-    matrix = s_true.matrix
-    # (max|r| + max|S|)^2 bounds every intensity sample, so an oversized budget fails before any draw
-    max_s2 = max(medium.map_row_blocks(lambda block: float(np.max(_abs2(medium.row_block(matrix, block)))),
-                                       s_true.m_out))
-    bound = cfg.photons_per_measurement * (float(np.max(np.abs(reference))) + np.sqrt(max_s2)) ** 2
-    rng.check_poisson_mean(bound, f"photons_per_measurement={cfg.photons_per_measurement!r}")
+    ppm = cfg.photons_per_measurement
+    # (max|r| + max|S|)^2 bounds every intensity sample of the block, so an oversized budget fails before its draws
+    bound = ppm * (float(np.max(np.abs(reference))) + np.sqrt(float(np.max(_abs2(rows))))) ** 2
+    rng.check_poisson_mean(bound, f"photons_per_measurement={ppm!r}")
     factors = _phase_factors(cfg.phase_steps)
-    estimate = np.empty_like(matrix)
-    medium.map_row_blocks(lambda block: _measure_block(matrix, reference, cfg, factors, block, estimate),
-                          s_true.m_out)
-    return estimate
-
-
-def _measure_block(matrix: np.ndarray, reference: np.ndarray, cfg: CalibrationConfig, factors,
-                   block: int, estimate: np.ndarray) -> None:
-    """Write one block's Fourier estimate into its rows of ``estimate``.
-
-    Draw order on the block's stream: the normals of the rows at or above
-    the floor (every real part, row by row, then every imaginary part),
-    then the Poisson counts of the other rows, one phase step at a time.
-    """
-    rows = medium.row_block(matrix, block)
-    r = medium.row_block(reference, block)[:, None]
+    r = reference[:, None]
     s_re, s_im, r_re, r_im = rows.real, rows.imag, r.real, r.imag
     # per unit intensity: |r|^2 + |S|^2 and conj(r) S; the mean photon numbers are ppm and 2 ppm times these
     power = _abs2(r) + _abs2(rows)
     x_re = r_re * s_re + r_im * s_im
     x_im = r_re * s_im - r_im * s_re
-    ppm = cfg.photons_per_measurement
     gen = rng.generator(cfg.noise_seed, rng.CALIBRATION_NOISE, block)
-    out = medium.row_block(estimate, block)
     exact = slice(None)
     if len(factors) == 4:
         # the four sample means are ppm * (power + 2 x_re, power - 2 x_im, power - 2 x_re, power + 2 x_im)
@@ -211,10 +219,14 @@ def sm_fidelity(s_true: ScatteringMatrix, estimate: SmEstimate) -> np.ndarray:
     est = estimate.matrix.matrix
     if est.shape != s_true.matrix.shape:
         raise DimensionError(f"estimate shape {est.shape} does not match true shape {s_true.matrix.shape}")
-    # row-wise dot products: no temporary the size of the matrix
-    inner = np.abs(np.vecdot(s_true.matrix, est))
-    norms = np.sqrt(np.vecdot(est, est).real) * np.sqrt(np.vecdot(s_true.matrix, s_true.matrix).real)
-    fidelity = np.zeros(s_true.m_out)
+    return row_fidelity(s_true.matrix, est)
+
+
+def row_fidelity(rows: np.ndarray, est: np.ndarray) -> np.ndarray:
+    """``sm_fidelity`` of true ``rows`` and their estimate ``est``, one row-wise dot product each, no temporary matrix."""
+    inner = np.abs(np.vecdot(rows, est))
+    norms = np.sqrt(np.vecdot(est, est).real) * np.sqrt(np.vecdot(rows, rows).real)
+    fidelity = np.zeros(len(rows))
     good = norms > 0.0
     fidelity[good] = inner[good] / norms[good]
     return np.clip(fidelity, 0.0, 1.0)

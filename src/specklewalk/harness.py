@@ -17,6 +17,23 @@ randomness is derived from the master seed through the stream table in
 ``rng``, and every emitted byte is reproducible. Wall time is returned
 on the RunReport but never written to disk.
 
+A run never holds a whole matrix. It works in two phases over the row
+blocks of ``medium.ROW_BLOCK`` rows, whose bytes depend only on their
+own block:
+
+  1. The blocks up to the one that holds the later target are drawn and
+     calibrated as a medium of their own (``generate_medium`` and
+     ``measure_sm`` on that row prefix). Its two target rows, true and
+     estimated, give every mask the stages use and the fringe scan.
+  2. One ``medium.map_row_blocks`` pass takes every block once: it takes
+     a prefix block from phase 1 or draws and calibrates the block, then
+     computes its row fidelities, writes both SMX blocks at their file
+     offsets, and propagates each mask through the block's rows.
+
+The stages then read the two target rows, the masks and their output
+fields. Memory grows with the prefix, not with m_out; a target in the
+last block makes the prefix the whole matrix.
+
 Every run table (``sm_fidelity.csv``, ``scan_*.csv``, ``fringes.csv``,
 ``probabilities.csv``) goes through ``_write_csv`` and every JSON file
 through ``_write_json``. Only the two formats with a loader live with
@@ -38,11 +55,13 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from . import rng
+# the row-block pass calls its block helpers through their modules: perfbench/tracing.py wraps the
+# names imported here, and its span stack must not be touched from worker threads
+from . import calibration, medium, rng
 from .errors import ConfigError, StatisticsError, require_finite
-from .medium import MediumConfig, ScatteringMatrix, generate_medium, propagate, save_smx
+from .medium import ROW_BLOCK, MediumConfig, ScatteringMatrix, generate_medium
 from .slm import TargetSpec, apply_mask, conjugate_mask, dual_target_spec, random_mask, save_mask_csv
-from .calibration import CalibrationConfig, SmEstimate, measure_sm, sm_fidelity
+from .calibration import CalibrationConfig, SmEstimate, measure_sm
 from .quantum import SourceConfig, mode_probabilities, simulate_counts, estimate_state
 from .tomography import (build_density_matrix, coherence_from_visibility, concurrence, concurrence_error,
                          concurrence_threshold, fit_visibility, positivity_confidence, scan_fringes)
@@ -251,19 +270,26 @@ def _write_csv(path, header, rows) -> None:
 
 @dataclass(frozen=True)
 class _Shared:
-    """What the stages of one run share; the fringe scan and its fit are made once, when first used."""
+    """What the stages of one run share; the fringe scan and its fit are made once, when first used.
+
+    ``pair_true`` and ``pair_estimate`` hold rows (target_a, target_b) of
+    the true matrix and of the estimate. ``outputs`` holds the output
+    field of each mask in ``masks``, under the same name.
+    """
 
     cfg: ExperimentConfig
     out: str
-    sm_true: ScatteringMatrix
-    estimate: SmEstimate
+    pair_true: ScatteringMatrix
+    pair_estimate: ScatteringMatrix
     fidelities: np.ndarray
+    masks: dict
+    outputs: dict
 
     @cached_property
     def scan(self):
         cfg = self.cfg
         scan = scan_fringes(
-            self.sm_true, self.estimate.matrix, cfg.target_a, cfg.target_b,
+            self.pair_true, self.pair_estimate, 0, 1,
             n_steps=cfg.n_steps,
             counts_per_step=cfg.counts_per_step,
             seed=cfg.seed,
@@ -281,13 +307,56 @@ class _Shared:
         return fit_visibility(self.scan)
 
 
+def _masks(cfg: ExperimentConfig, pair_estimate: ScatteringMatrix) -> dict:
+    """The masks the scenario's stages propagate, by name, built from the two target rows of the estimate."""
+    stages = PIPELINES[cfg.scenario]
+    masks = {}
+    if "focus" in stages:
+        masks["focused"] = conjugate_mask(pair_estimate, TargetSpec.single(0))
+        masks["random"] = random_mask(cfg.medium.n_in, cfg.seed)
+    if "tomo" in stages:
+        masks["split"] = conjugate_mask(pair_estimate, dual_target_spec(pair_estimate, 0, 1, 0.0))
+    return masks
+
+
+def _row_pass(cfg: ExperimentConfig, out: str, prefix: ScatteringMatrix, prefix_estimate: SmEstimate,
+              masks: dict):
+    """Phase 2: each row block once, from the prefix or drawn and calibrated here.
+
+    Writes both SMX files and returns the row fidelities and the output
+    field of each mask, by name.
+    """
+    m_out, n_in = cfg.medium.m_out, cfg.medium.n_in
+    reference_input = calibration.reference_field(n_in, cfg.calibration)
+    fields = [apply_mask(mask) for mask in masks.values()]
+
+    def block_pass(block: int):
+        first = block * ROW_BLOCK
+        if first < prefix.m_out:
+            rows = medium.row_block(prefix.matrix, block)
+            est = medium.row_block(prefix_estimate.matrix.matrix, block)
+        else:
+            rows = medium.draw_block(cfg.medium, block,
+                                     np.empty((min(ROW_BLOCK, m_out - first), n_in), dtype=np.complex128))
+            est = np.empty_like(rows)
+            calibration.estimate_block(rows, reference_input, cfg.calibration, block, est)
+        medium.write_smx_rows(smx_true, first, rows)
+        medium.write_smx_rows(smx_estimate, first, est)
+        return calibration.row_fidelity(rows, est), [medium.propagate_rows(rows, field) for field in fields]
+
+    with medium.create_smx(os.path.join(out, "medium.smx"), m_out, n_in) as smx_true, \
+            medium.create_smx(os.path.join(out, "sm_estimate.smx"), m_out, n_in) as smx_estimate:
+        blocks = medium.map_row_blocks(block_pass, m_out)
+    fidelities = np.concatenate([fidelity for fidelity, _ in blocks])
+    outputs = [np.concatenate(parts) for parts in zip(*(block_outputs for _, block_outputs in blocks))]
+    return fidelities, dict(zip(masks, outputs))
+
+
 def _focus_stage(shared: _Shared) -> dict:
     cfg, out = shared.cfg, shared.out
     m_out = cfg.medium.m_out
     src = cfg.source
     rng.check_poisson_mean(src.trigger_rate * src.acquisition_time, "trigger_rate * acquisition_time")
-    focused_mask = conjugate_mask(shared.estimate.matrix, TargetSpec.single(cfg.target_a))
-    baseline_mask = random_mask(cfg.medium.n_in, cfg.seed)
 
     half = cfg.n_steps // 2
     lo = max(0, cfg.target_a - half)
@@ -297,10 +366,10 @@ def _focus_stage(shared: _Shared) -> dict:
 
     gen = rng.generator(cfg.seed, rng.FOCUS_SCAN)
     fractions = {}
-    for name, mask in (("focused", focused_mask), ("random", baseline_mask)):
-        save_mask_csv(os.path.join(out, f"mask_{name}.csv"), mask)
-        intensities = np.abs(propagate(shared.sm_true, apply_mask(mask))) ** 2
-        if name == "focused":  # from these intensities: slm.enhancement would propagate a second time
+    for name in ("focused", "random"):
+        save_mask_csv(os.path.join(out, f"mask_{name}.csv"), shared.masks[name])
+        intensities = np.abs(shared.outputs[name]) ** 2
+        if name == "focused":  # from these intensities: slm.enhancement would need the whole matrix
             target_power = float(intensities[cfg.target_a])
             enh = target_power / ((intensities.sum() - target_power) / (m_out - 1))
         share = intensities / intensities.sum()
@@ -323,10 +392,8 @@ _PROBABILITIES = ("p00", "p01", "p10", "p11")
 
 
 def _tomo_stage(shared: _Shared) -> dict:
-    cfg, out, estimate, vis = shared.cfg, shared.out, shared.estimate, shared.fit
-    split_spec = dual_target_spec(estimate.matrix, cfg.target_a, cfg.target_b, 0.0)
-    mask = conjugate_mask(estimate.matrix, split_spec)
-    q_a, q_b = mode_probabilities(shared.sm_true, mask, (cfg.target_a, cfg.target_b),
+    cfg, out, vis = shared.cfg, shared.out, shared.fit
+    q_a, q_b = mode_probabilities(shared.outputs["split"], (cfg.target_a, cfg.target_b),
                                   cfg.source.collection_efficiency)
     counts = simulate_counts(q_a, q_b, cfg.source, cfg.seed)
     _write_json(os.path.join(out, "counts.json"),
@@ -374,21 +441,26 @@ _STAGES = {
 
 
 def run(cfg: ExperimentConfig) -> RunReport:
-    """Run ``cfg.scenario``: one medium and estimate, its stages in order, then report.json.
+    """Run ``cfg.scenario``: one medium and estimate in two phases (module docstring), its stages, then report.json.
 
     A scenario of one stage reports that stage's result; ``full`` reports
     one result per stage, keyed by stage name.
     """
     started = time.perf_counter()
     out = _require_output_dir(cfg)
-    sm_true = generate_medium(cfg.medium)
-    estimate = measure_sm(sm_true, cfg.calibration)
-    fidelities = sm_fidelity(sm_true, estimate)
-    save_smx(os.path.join(out, "medium.smx"), sm_true)
-    save_smx(os.path.join(out, "sm_estimate.smx"), estimate.matrix)
+    # phase 1: the rows up to the end of the block that holds the later target
+    targets = [cfg.target_a, cfg.target_b]
+    prefix = generate_medium(dataclasses.replace(
+        cfg.medium, m_out=min(cfg.medium.m_out, (max(targets) // ROW_BLOCK + 1) * ROW_BLOCK)))
+    prefix_estimate = measure_sm(prefix, cfg.calibration)
+    pair_true = ScatteringMatrix._adopt(prefix.matrix[targets])
+    pair_estimate = ScatteringMatrix._adopt(prefix_estimate.matrix.matrix[targets])
+    masks = _masks(cfg, pair_estimate)
+    # phase 2: every block once
+    fidelities, outputs = _row_pass(cfg, out, prefix, prefix_estimate, masks)
     _write_csv(os.path.join(out, "sm_fidelity.csv"), ("row", "fidelity"), enumerate(fidelities.tolist()))
 
-    shared = _Shared(cfg, out, sm_true, estimate, fidelities)
+    shared = _Shared(cfg, out, pair_true, pair_estimate, fidelities, masks, outputs)
     stages = PIPELINES[cfg.scenario]
     results = {stage: _STAGES[stage](shared) for stage in stages}
     result = results[stages[0]] if len(stages) == 1 else results

@@ -9,11 +9,19 @@ output mode shows fully developed speckle (exponential intensity
 statistics, unit contrast).
 
 Matrix-sized work runs in blocks of ROW_BLOCK output rows on a thread
-pool (``map_row_blocks``). The draw gives block b its own stream,
-(MEDIUM, b) in ``rng``, so the matrix bytes do not depend on how many
-workers run the blocks. ``propagate`` takes one dot product per output
-row rather than a threaded BLAS mat-vec, whose worker threads keep
-spinning after the call and would take cores from the pool.
+pool (``map_row_blocks``). ``draw_block`` draws block b from its own
+stream, (MEDIUM, b) in ``rng``, so the matrix bytes do not depend on how
+many workers run the blocks, nor on whether the blocks are drawn into one
+matrix (``generate_medium``) or one at a time by a caller that never holds
+the whole matrix. ``propagate_rows`` takes one dot product per output row
+rather than a threaded BLAS mat-vec, whose worker threads keep spinning
+after the call and would take cores from the pool; an output mode's field
+therefore depends only on its own row.
+
+The SMX1 container is written the same way: ``create_smx`` writes the
+header, and ``write_smx_rows`` writes any run of rows at its own offset
+with ``os.pwrite``, so blocks may land in any order and from any thread.
+``save_smx`` writes a whole matrix through them.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -65,14 +74,29 @@ def _cpu_count() -> int:
 
 @dataclass(frozen=True, eq=False)
 class ScatteringMatrix:
-    """Dense (m_out, n_in) complex transfer matrix, immutable once built."""
+    """Dense (m_out, n_in) complex transfer matrix, immutable once built.
+
+    The constructor copies its argument into a new aligned C-ordered
+    array, so the caller's array stays writable and later writes to it do
+    not reach the matrix. Arrays the package has just made for the matrix
+    alone are taken over without a copy (``_adopt``).
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
+        self._freeze(np.array(self.matrix, dtype=np.complex128, order="C"))
+
+    @classmethod
+    def _adopt(cls, entries: np.ndarray) -> "ScatteringMatrix":
+        """Wrap a complex128 C-ordered array that nothing else will write; no copy."""
+        sm = object.__new__(cls)
+        sm._freeze(entries)
+        return sm
+
+    def _freeze(self, m: np.ndarray) -> None:
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-            raise DimensionError(f"scattering matrix must be 2-D and nonempty, got shape {np.shape(self.matrix)}")
+            raise DimensionError(f"scattering matrix must be 2-D and nonempty, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ConfigError("scattering matrix entries must be finite")
         m.setflags(write=False)
@@ -115,20 +139,25 @@ def generate_medium(config: MediumConfig) -> ScatteringMatrix:
 
     Real and imaginary parts of each entry are independent N(0,
     transmission / (2 n_in)), giving E|S_mn|^2 = transmission / n_in.
-    Block b of ROW_BLOCK rows draws its real parts, then its imaginary
-    parts, from stream (MEDIUM, b) of the seed.
+    Block b of ROW_BLOCK rows is ``draw_block(config, b, ...)``.
+    """
+    entries = np.empty((config.m_out, config.n_in), dtype=np.complex128)
+    map_row_blocks(lambda block: draw_block(config, block, row_block(entries, block)), config.m_out)
+    return ScatteringMatrix._adopt(entries)
+
+
+def draw_block(config: MediumConfig, block: int, rows: np.ndarray) -> np.ndarray:
+    """Draw the rows of ``block`` into ``rows`` and return it.
+
+    ``rows`` is a complex128 array of the block's shape: ROW_BLOCK rows,
+    fewer in a partial last block, by n_in. The block draws its real
+    parts, then its imaginary parts, from stream (MEDIUM, block) of the seed.
     """
     scale = np.sqrt(config.transmission / (2.0 * config.n_in))
-    entries = np.empty((config.m_out, config.n_in), dtype=np.complex128)
-
-    def draw(block: int) -> None:
-        gen = rng.generator(config.seed, rng.MEDIUM, block)
-        rows = row_block(entries, block)
-        np.multiply(gen.standard_normal(rows.shape), scale, out=rows.real)
-        np.multiply(gen.standard_normal(rows.shape), scale, out=rows.imag)
-
-    map_row_blocks(draw, config.m_out)
-    return ScatteringMatrix(entries)
+    gen = rng.generator(config.seed, rng.MEDIUM, block)
+    np.multiply(gen.standard_normal(rows.shape), scale, out=rows.real)
+    np.multiply(gen.standard_normal(rows.shape), scale, out=rows.imag)
+    return rows
 
 
 def propagate(sm: ScatteringMatrix, e_in: np.ndarray) -> np.ndarray:
@@ -138,7 +167,12 @@ def propagate(sm: ScatteringMatrix, e_in: np.ndarray) -> np.ndarray:
         raise DimensionError(f"input field length {vec.shape} does not match n_in={sm.n_in}")
     if not np.all(np.isfinite(vec)):
         raise ConfigError("input field amplitudes must be finite")
-    return np.vecdot(np.conj(vec), sm.matrix)
+    return propagate_rows(sm.matrix, vec)
+
+
+def propagate_rows(rows: np.ndarray, e_in: np.ndarray) -> np.ndarray:
+    """The output field of ``rows`` of a matrix for the checked input field ``e_in``, one dot product per row."""
+    return np.vecdot(np.conj(e_in), rows)
 
 
 def speckle_contrast(intensities: np.ndarray) -> float:
@@ -159,16 +193,39 @@ def speckle_contrast(intensities: np.ndarray) -> float:
 
 
 def save_smx(path, sm: ScatteringMatrix) -> None:
-    """Write the bit-exact SMX1 container.
+    """Write the bit-exact SMX1 container of ``sm`` (layout: ``create_smx``)."""
+    with create_smx(path, sm.m_out, sm.n_in) as fh:
+        write_smx_rows(fh, 0, sm.matrix)
+
+
+@contextmanager
+def create_smx(path, m_out: int, n_in: int):
+    """Create the SMX1 file ``path`` for an m_out x n_in matrix with its header; yield it open for ``write_smx_rows``.
 
     Layout: magic b"SMX1", m_out and n_in as little-endian uint64, then
     row-major entries as (real, imag) little-endian float64 pairs.
     """
-    payload = memoryview(np.ascontiguousarray(sm.matrix, dtype="<c16")).cast("B")
-    with open(path, "wb") as fh:
-        fh.write(SMX_MAGIC)
-        fh.write(_SMX_HEADER.pack(sm.m_out, sm.n_in))
-        fh.write(payload)
+    with open(path, "wb", buffering=0) as fh:
+        _pwrite_all(fh, SMX_MAGIC + _SMX_HEADER.pack(m_out, n_in), 0)
+        yield fh
+
+
+def write_smx_rows(fh, first_row: int, rows: np.ndarray) -> None:
+    """Write ``rows`` into the SMX1 file ``fh`` from ``create_smx``, starting at row ``first_row``.
+
+    Each call writes at its own offset, so calls may come in any order and
+    from several threads at once.
+    """
+    payload = memoryview(np.ascontiguousarray(rows, dtype="<c16")).cast("B")
+    _pwrite_all(fh, payload, len(SMX_MAGIC) + _SMX_HEADER.size + first_row * rows.shape[1] * 16)
+
+
+def _pwrite_all(fh, data, offset: int) -> None:
+    """os.pwrite until every byte of ``data`` is written (one call may write fewer)."""
+    data = memoryview(data)
+    while data:
+        written = os.pwrite(fh.fileno(), data, offset)
+        data, offset = data[written:], offset + written
 
 
 def load_smx(path) -> ScatteringMatrix:
@@ -188,4 +245,4 @@ def load_smx(path) -> ScatteringMatrix:
             raise FormatError(f"SMX1 payload size mismatch: have {size} bytes, expected {expected}")
         # one aligned array read from the file: a view of the file's bytes would sit off the 8-byte grid
         entries = np.fromfile(fh, dtype="<c16", count=m_out * n_in)
-    return ScatteringMatrix(entries.reshape(m_out, n_in))
+    return ScatteringMatrix._adopt(entries.reshape(m_out, n_in))

@@ -31,9 +31,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFieldError, StatisticsError, require_finite
-from .medium import ScatteringMatrix, propagate
-from .slm import apply_mask
+from .errors import ConfigError, DegenerateFieldError, DimensionError, StatisticsError, require_finite
 from . import rng
 
 
@@ -128,19 +126,25 @@ class TwoModeState:
             raise ConfigError("coherence magnitude exceeds the positivity bound sqrt(p01*p10)")
 
 
-def mode_probabilities(sm: ScatteringMatrix, mask: np.ndarray, targets: Tuple[int, int],
+def mode_probabilities(e_out: np.ndarray, targets: Tuple[int, int],
                        collection_efficiency: float) -> Tuple[float, float]:
-    """Collected single-photon probabilities at the two target modes."""
-    target_a, target_b = targets
-    sm.check_output_index(target_a)
-    sm.check_output_index(target_b)
+    """Collected single-photon probabilities at the two target modes of the output field ``e_out``.
+
+    ``e_out`` is the field at every output mode, ``propagate(sm, apply_mask(mask))``.
+    """
+    field = np.asarray(e_out)
+    if field.ndim != 1:
+        raise DimensionError(f"output field must be 1-D, got shape {field.shape}")
+    for target in targets:
+        if not 0 <= target < field.shape[0]:
+            raise DimensionError(f"target index {target} outside output range [0, {field.shape[0]})")
     if not (0.0 <= collection_efficiency <= 1.0):
         raise ConfigError(f"collection_efficiency must lie in [0, 1], got {collection_efficiency}")
-    out = propagate(sm, apply_mask(mask))
-    intensities = np.abs(out) ** 2
+    intensities = np.abs(field) ** 2
     total = float(intensities.sum())
     if total <= 0.0:
         raise DegenerateFieldError("output field carries zero total power")
+    target_a, target_b = targets
     q_a = collection_efficiency * float(intensities[target_a]) / total
     q_b = collection_efficiency * float(intensities[target_b]) / total
     return q_a, q_b

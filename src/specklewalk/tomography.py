@@ -98,7 +98,7 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     s_true.check_output_index(target_a)
     s_true.check_output_index(target_b)
 
-    targets = ScatteringMatrix(s_true.matrix[[target_a, target_b]])
+    targets = ScatteringMatrix._adopt(s_true.matrix[[target_a, target_b]])
     phis = TWO_PI * np.arange(n_steps) / (n_steps - 1)
     dephasing = math.exp(-0.5 * sigma_phi ** 2)
     port = np.empty(n_steps)

@@ -3,11 +3,13 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specklewalk import medium, rng
 from specklewalk import (
     CalibrationConfig,
     ConfigError,
@@ -22,6 +24,7 @@ from specklewalk import (
     load_smx,
     measure_sm,
     parse_config_text,
+    propagate,
     run,
     run_focus,
     run_fringes,
@@ -30,6 +33,7 @@ from specklewalk import (
     scan_fringes,
     sm_fidelity,
 )
+from specklewalk.calibration import reference_field
 from specklewalk.cli import main
 from specklewalk.harness import SCENARIOS
 
@@ -368,6 +372,47 @@ def test_report_round_trip_reproduces_run(tmp_path):
         replay = run(rebuilt)
         assert replay.result == doc["result"]
         assert digest_dir(out) == written
+
+
+def test_run_memory_does_not_grow_with_the_medium(tmp_path):
+    # the matrix at m_out = 8192 is 32 MiB; the run holds only the row prefix up to the later target
+    def traced_peak(m_out):
+        cfg = small_config(tmp_path, medium=MediumConfig(n_in=256, m_out=m_out, seed=1281))
+        tracemalloc.start()
+        try:
+            run(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(1024), traced_peak(8192)
+    assert large < 8 * 2**20
+    assert large - small < 2 * 2**20
+
+
+def test_run_bytes_independent_of_worker_count(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path)  # 8 row blocks: 5 in the prefix up to target_b = 288, 3 past it
+    digests = []
+    for workers in (1, 4):
+        monkeypatch.setattr(medium, "_cpu_count", lambda: workers)
+        run(cfg)
+        digests.append(digest_dir(tmp_path))
+    assert digests[0] == digests[1]
+
+
+def test_run_rejects_a_photon_budget_beyond_the_sampler_past_the_prefix(tmp_path):
+    # targets (0, 1) make the prefix one row block; the budget fits it but not the block with the largest bound
+    medium_cfg = MediumConfig(n_in=8, m_out=256, seed=39)
+    sm = generate_medium(medium_cfg)
+    r = propagate(sm, reference_field(8, CalibrationConfig(reference_seed=39)))
+    terms = [(np.max(np.abs(medium.row_block(r, block))) + np.max(np.abs(medium.row_block(sm.matrix, block)))) ** 2
+             for block in range(256 // medium.ROW_BLOCK)]
+    assert max(terms) > terms[0]
+    ppm = rng.POISSON_LAM_MAX / math.sqrt(max(terms) * terms[0])
+    calibration = CalibrationConfig(photons_per_measurement=ppm, reference_seed=39, noise_seed=40)
+    measure_sm(generate_medium(dataclasses.replace(medium_cfg, m_out=medium.ROW_BLOCK)), calibration)
+    with pytest.raises(ConfigError, match="Poisson"):
+        run(small_config(tmp_path, medium=medium_cfg, calibration=calibration, target_a=0, target_b=1))
 
 
 def test_emitted_medium_matches_generator(tmp_path):

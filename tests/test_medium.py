@@ -27,7 +27,7 @@ from specklewalk import (
     scan_fringes,
     speckle_contrast,
 )
-from specklewalk.medium import ROW_BLOCK, SMX_MAGIC, map_row_blocks
+from specklewalk.medium import ROW_BLOCK, SMX_MAGIC, create_smx, map_row_blocks, row_block, write_smx_rows
 
 
 def test_config_validation():
@@ -129,7 +129,8 @@ def test_propagate_dimension_mismatch():
 OUTPUT_INDEX_CALLERS = {
     "conjugate_mask": lambda sm, index: conjugate_mask(sm, TargetSpec.single(index)),
     "dual_target_spec": lambda sm, index: dual_target_spec(sm, 0, index, 0.0),
-    "mode_probabilities": lambda sm, index: mode_probabilities(sm, np.zeros(sm.n_in), (0, index), 1.0),
+    "mode_probabilities": lambda sm, index: mode_probabilities(propagate(sm, apply_mask(np.zeros(sm.n_in))),
+                                                               (0, index), 1.0),
     "scan_fringes": lambda sm, index: scan_fringes(sm, sm, 0, index),
 }
 
@@ -203,6 +204,31 @@ def test_smx_bytes_match_copying_writer(tmp_path):
     reference = SMX_MAGIC + (70).to_bytes(8, "little") + (33).to_bytes(8, "little") \
         + np.ascontiguousarray(sm.matrix, dtype="<c16").tobytes(order="C")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == hashlib.sha256(reference).hexdigest()
+
+
+def test_smx_blocks_written_in_any_order_match_save_smx(tmp_path):
+    sm = generate_medium(MediumConfig(n_in=3, m_out=3 * ROW_BLOCK - 5, seed=106))
+    save_smx(tmp_path / "whole.smx", sm)
+    with create_smx(tmp_path / "blocks.smx", sm.m_out, sm.n_in) as fh:
+        for block in (2, 0, 1):
+            write_smx_rows(fh, block * ROW_BLOCK, row_block(sm.matrix, block))
+    assert (tmp_path / "blocks.smx").read_bytes() == (tmp_path / "whole.smx").read_bytes()
+
+
+def test_matrix_copies_the_callers_array():
+    entries = np.arange(6, dtype=np.complex128).reshape(2, 3)
+    sm = ScatteringMatrix(entries)
+    assert entries.flags.writeable
+    entries[0, 0] = 99.0
+    assert sm.matrix[0, 0] == 0.0
+    assert not sm.matrix.flags.writeable
+
+
+def test_matrix_from_an_unaligned_view_is_aligned():
+    blob = np.zeros(20 + 16 * 6, dtype=np.uint8)
+    view = np.frombuffer(blob, dtype="<c16", offset=20).reshape(2, 3)
+    assert not view.flags.aligned
+    assert ScatteringMatrix(view).matrix.flags.aligned
 
 
 def test_smx_rejects_bad_magic_and_truncation(tmp_path):

@@ -13,11 +13,13 @@ from specklewalk import (
     SourceConfig,
     StatisticsError,
     TargetSpec,
+    apply_mask,
     conjugate_mask,
     estimate_state,
     generate_medium,
     interfere,
     mode_probabilities,
+    propagate,
     random_mask,
     simulate_counts,
 )
@@ -55,7 +57,7 @@ def test_count_record_invariants():
 
 def test_mode_probabilities_symmetric_split():
     identity = ScatteringMatrix(np.eye(2, dtype=complex))
-    q_a, q_b = mode_probabilities(identity, np.zeros(2), (0, 1), 1.0)
+    q_a, q_b = mode_probabilities(propagate(identity, apply_mask(np.zeros(2))), (0, 1), 1.0)
     assert (q_a, q_b) == (0.5, 0.5)
 
 
@@ -63,7 +65,7 @@ def test_mode_probabilities_random_mask_uniform_sharing():
     m_out = 4096
     sm = generate_medium(MediumConfig(n_in=256, m_out=m_out, seed=70))
     values = [
-        mode_probabilities(sm, random_mask(256, seed=71 + k), (9, 100), 0.5)[0]
+        mode_probabilities(propagate(sm, apply_mask(random_mask(256, seed=71 + k))), (9, 100), 0.5)[0]
         for k in range(50)
     ]
     assert abs(np.mean(values) - 0.5 / m_out) < 0.2 * 0.5 / m_out * 5  # exponential stats, loose
@@ -72,7 +74,7 @@ def test_mode_probabilities_random_mask_uniform_sharing():
 def test_mode_probabilities_focused_fraction():
     sm = generate_medium(MediumConfig(n_in=1024, m_out=4096, seed=72))
     mask = conjugate_mask(sm, TargetSpec.single(40))
-    q_a, _ = mode_probabilities(sm, mask, (40, 41), 1.0)
+    q_a, _ = mode_probabilities(propagate(sm, apply_mask(mask)), (40, 41), 1.0)
     expected = ((np.pi / 4) * 1023 + 1) / ((np.pi / 4) * 1023 + 1 + 4095)  # focused share of total power
     assert abs(q_a - expected) / expected < 0.15
 
@@ -80,7 +82,7 @@ def test_mode_probabilities_focused_fraction():
 def test_mode_probabilities_degenerate_field():
     sm = ScatteringMatrix(np.zeros((2, 2), dtype=complex) + 0j)
     with pytest.raises((DegenerateFieldError, ConfigError)):
-        mode_probabilities(sm, np.zeros(2), (0, 1), 1.0)
+        mode_probabilities(propagate(sm, apply_mask(np.zeros(2))), (0, 1), 1.0)
 
 
 def test_interfere_reference_points():
