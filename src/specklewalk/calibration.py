@@ -153,13 +153,14 @@ def _measure_noisy(rows: np.ndarray, reference: np.ndarray, cfg: CalibrationConf
     """
     ppm = cfg.photons_per_measurement
     # (max|r| + max|S|)^2 bounds every intensity sample of the block, so an oversized budget fails before its draws
-    bound = ppm * (float(np.max(np.abs(reference))) + np.sqrt(float(np.max(_abs2(rows))))) ** 2
+    s2 = _abs2(rows)
+    bound = ppm * (float(np.max(np.abs(reference))) + np.sqrt(float(np.max(s2)))) ** 2
     rng.check_poisson_mean(bound, f"photons_per_measurement={ppm!r}")
     factors = _phase_factors(cfg.phase_steps)
     r = reference[:, None]
     s_re, s_im, r_re, r_im = rows.real, rows.imag, r.real, r.imag
     # per unit intensity: |r|^2 + |S|^2 and conj(r) S; the mean photon numbers are ppm and 2 ppm times these
-    power = _abs2(r) + _abs2(rows)
+    power = np.add(s2, _abs2(r), out=s2)
     x_re = r_re * s_re + r_im * s_im
     x_im = r_re * s_im - r_im * s_re
     gen = rng.generator(cfg.noise_seed, rng.CALIBRATION_NOISE, block)

@@ -21,7 +21,11 @@ therefore depends only on its own row.
 The SMX1 container is written the same way: ``create_smx`` writes the
 header, and ``write_smx_rows`` writes any run of rows at its own offset
 with ``os.pwrite``, so blocks may land in any order and from any thread.
-``save_smx`` writes a whole matrix through them.
+``save_smx`` writes a whole matrix through them. ``create_smx`` overwrites
+an existing file in place rather than truncating it on open: freeing a
+large file's blocks can stall the run's next file opens behind the
+filesystem's journal. A failure inside ``create_smx`` leaves the file
+empty, never a full-size file with an earlier run's rows.
 """
 
 from __future__ import annotations
@@ -204,10 +208,21 @@ def create_smx(path, m_out: int, n_in: int):
 
     Layout: magic b"SMX1", m_out and n_in as little-endian uint64, then
     row-major entries as (real, imag) little-endian float64 pairs.
+
+    An existing file is overwritten in place, never truncated on open: it
+    is sized to the container's length, so a file of that length keeps its
+    blocks. If anything after the open raises, the body included, the file
+    is truncated to 0 bytes, so no earlier run's rows survive in a file
+    ``load_smx`` would accept.
     """
-    with open(path, "wb", buffering=0) as fh:
-        _pwrite_all(fh, SMX_MAGIC + _SMX_HEADER.pack(m_out, n_in), 0)
-        yield fh
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as fh:
+        try:
+            os.ftruncate(fh.fileno(), len(SMX_MAGIC) + _SMX_HEADER.size + 16 * m_out * n_in)
+            _pwrite_all(fh, SMX_MAGIC + _SMX_HEADER.pack(m_out, n_in), 0)
+            yield fh
+        except BaseException:
+            os.ftruncate(fh.fileno(), 0)
+            raise
 
 
 def write_smx_rows(fh, first_row: int, rows: np.ndarray) -> None:

@@ -14,6 +14,7 @@ from specklewalk import (
     CalibrationConfig,
     ConfigError,
     ExperimentConfig,
+    FormatError,
     MediumConfig,
     NoiseConfig,
     SourceConfig,
@@ -413,6 +414,45 @@ def test_run_rejects_a_photon_budget_beyond_the_sampler_past_the_prefix(tmp_path
     measure_sm(generate_medium(dataclasses.replace(medium_cfg, m_out=medium.ROW_BLOCK)), calibration)
     with pytest.raises(ConfigError, match="Poisson"):
         run(small_config(tmp_path, medium=medium_cfg, calibration=calibration, target_a=0, target_b=1))
+
+
+def test_run_over_earlier_outputs_gives_the_fresh_directory_bytes(tmp_path):
+    small = load_config(os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "small.ini"),
+                        seed=1, output_dir=str(tmp_path))
+
+    def run_with(m_out):
+        run(dataclasses.replace(small, medium=dataclasses.replace(small.medium, m_out=m_out)))
+        return digest_dir(tmp_path)
+
+    fresh = run_with(1000)
+    assert len(fresh) == 11
+    # a larger run's SMX files are longer than this run's
+    run_with(1024)
+    assert run_with(1000) == fresh
+    # SMX files shorter than this run's, text files longer, none holding a valid byte
+    for name in fresh:
+        (tmp_path / name).write_bytes(b"\xff" * 2**21)
+    assert run_with(1000) == fresh
+
+
+def test_run_failing_in_the_row_pass_leaves_empty_smx_files(tmp_path):
+    # the setup of test_run_rejects_a_photon_budget_beyond_the_sampler_past_the_prefix
+    medium_cfg = MediumConfig(n_in=8, m_out=256, seed=39)
+    sm = generate_medium(medium_cfg)
+    r = propagate(sm, reference_field(8, CalibrationConfig(reference_seed=39)))
+    terms = [(np.max(np.abs(medium.row_block(r, block))) + np.max(np.abs(medium.row_block(sm.matrix, block)))) ** 2
+             for block in range(256 // medium.ROW_BLOCK)]
+    calibration = CalibrationConfig(photons_per_measurement=rng.POISSON_LAM_MAX / math.sqrt(max(terms) * terms[0]),
+                                    reference_seed=39, noise_seed=40)
+    cfg = small_config(tmp_path, medium=medium_cfg, calibration=calibration, target_a=0, target_b=1)
+    # a good run of the same shape leaves SMX files of the failing run's length
+    run(dataclasses.replace(cfg, calibration=dataclasses.replace(calibration, photons_per_measurement=1e4)))
+    with pytest.raises(ConfigError, match="Poisson"):
+        run(cfg)
+    for name in ("medium.smx", "sm_estimate.smx"):
+        assert (tmp_path / name).stat().st_size == 0
+        with pytest.raises(FormatError):
+            load_smx(tmp_path / name)
 
 
 def test_emitted_medium_matches_generator(tmp_path):
