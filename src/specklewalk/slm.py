@@ -29,8 +29,12 @@ def canonicalize_phases(phases: np.ndarray) -> np.ndarray:
     arr = np.asarray(phases, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ConfigError("phases must be finite")
-    folded = np.mod(arr, TWO_PI)
-    # np.mod can round tiny negatives up to exactly 2*pi
+    # on (-2*pi, 2*pi), np.mod(x, 2*pi) adds 2*pi to the negatives and maps -0.0 to 0.0
+    folded = np.add(arr, TWO_PI, where=arr < 0.0, out=arr + 0.0)
+    outside = np.abs(arr) >= TWO_PI
+    if outside.any():
+        folded[outside] = np.mod(arr[outside], TWO_PI)
+    # both round tiny negatives up to exactly 2*pi
     folded[folded >= TWO_PI] = 0.0
     return folded
 
@@ -53,26 +57,31 @@ class TargetSpec:
             raise ConfigError("target spec needs at least one target")
         if len(self.indices) != len(self.weights):
             raise ConfigError("indices and weights must have equal length")
-        if len(set(self.indices)) != len(self.indices):
-            raise ConfigError(f"target indices must be distinct, got {self.indices}")
-        if not any(w != 0 for w in self.weights):
-            raise ConfigError("at least one target weight must be nonzero")
-        if not all(np.isfinite(w) for w in self.weights):
-            raise ConfigError("target weights must be finite")
+        _check_targets(self.indices, np.array([self.weights], dtype=np.complex128))
 
     @classmethod
     def single(cls, index: int) -> "TargetSpec":
         return cls((index,), (1.0,))
 
 
-def dual_target_spec(sm: ScatteringMatrix, target_a: int, target_b: int, relative_phase: float) -> TargetSpec:
-    """Equal-amplitude two-target spec with a controlled relative phase.
+def _check_targets(indices: Tuple[int, ...], weights: np.ndarray) -> None:
+    """TargetSpec's checks on distinct ``indices`` and on each row of (specs, len(indices)) ``weights``."""
+    if len(set(indices)) != len(indices):
+        raise ConfigError(f"target indices must be distinct, got {indices}")
+    if not np.all(np.any(weights != 0, axis=1)):
+        raise ConfigError("at least one target weight must be nonzero")
+    if not np.all(np.isfinite(weights)):
+        raise ConfigError("target weights must be finite")
 
-    Weights are inverse row norms of the matrix the mask will be computed
+
+def dual_target_weights(sm: ScatteringMatrix, target_a: int, target_b: int, relative_phases) -> np.ndarray:
+    """Equal-amplitude two-target weights, one (w_a, w_b) row per relative phase.
+
+    Weights are inverse row norms of the matrix the masks will be computed
     from, so the two focused outputs come out with (statistically) equal
     amplitude even when the rows carry different norms or unknown
-    calibration factors; target A leads target B in phase by
-    ``relative_phase``.
+    calibration factors; target A leads target B in phase by the row's
+    relative phase. Every row passes TargetSpec's checks.
     """
     sm.check_output_index(target_a)
     sm.check_output_index(target_b)
@@ -80,8 +89,17 @@ def dual_target_spec(sm: ScatteringMatrix, target_a: int, target_b: int, relativ
     norm_b = float(np.linalg.norm(sm.matrix[target_b]))
     if norm_a == 0.0 or norm_b == 0.0:
         raise DegenerateTargetError("dual target rows must both carry coupling")
-    w_a = 1.0 / norm_a
-    w_b = np.exp(1j * relative_phase) / norm_b
+    phis = np.asarray(relative_phases, dtype=np.float64)
+    weights = np.empty((phis.size, 2), dtype=np.complex128)
+    weights[:, 0] = 1.0 / norm_a
+    weights[:, 1] = np.exp(1j * phis) / norm_b
+    _check_targets((target_a, target_b), weights)
+    return weights
+
+
+def dual_target_spec(sm: ScatteringMatrix, target_a: int, target_b: int, relative_phase: float) -> TargetSpec:
+    """Equal-amplitude two-target spec with a controlled relative phase, from ``dual_target_weights``."""
+    (w_a, w_b), = dual_target_weights(sm, target_a, target_b, [relative_phase])
     return TargetSpec((target_a, target_b), (w_a, w_b))
 
 
@@ -93,20 +111,32 @@ def random_mask(n: int, seed: int) -> np.ndarray:
     return gen.uniform(0.0, TWO_PI, size=n)
 
 
-def conjugate_mask(sm: ScatteringMatrix, spec: TargetSpec) -> np.ndarray:
-    """Phase-only conjugation mask, phases[n] = arg(sum_k conj(w_k) conj(S[t_k, n]))."""
-    for index in spec.indices:
-        sm.check_output_index(index)
-    rows = sm.matrix[list(spec.indices), :]
+def conjugate_phases(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Phase-only conjugation masks of the (k, n) target ``rows``, one per row of the (masks, k) ``weights``.
+
+    phases[j, n] = arg(sum_k conj(weights[j, k]) conj(rows[k, n])), folded
+    into [0, 2*pi). A row without coupling (named by its position in
+    ``rows``) or a superposition that cancels on every input mode raises
+    DegenerateTargetError.
+    """
     row_power = np.sum(np.abs(rows) ** 2, axis=1)
     if np.any(row_power == 0.0):
-        dead = [spec.indices[k] for k in np.nonzero(row_power == 0.0)[0]]
+        dead = np.nonzero(row_power == 0.0)[0].tolist()
         raise DegenerateTargetError(f"target rows {dead} have no coupling to any input mode")
-    weights = np.asarray(spec.weights, dtype=np.complex128)
-    superposition = np.conj(weights) @ np.conj(rows)
-    if not np.any(superposition != 0.0):
+    # one (1, k) @ (k, n) product per mask, as for a single mask: one (masks, k) @ (k, n) product
+    # rounds the last entries of a row differently when n is not a multiple of the BLAS kernel's width
+    superposition = (np.conj(weights)[:, None, :] @ np.conj(rows))[:, 0]
+    if not np.all(np.any(superposition != 0.0, axis=1)):
         raise DegenerateTargetError("target superposition cancels on every input mode")
     return canonicalize_phases(np.angle(superposition))
+
+
+def conjugate_mask(sm: ScatteringMatrix, spec: TargetSpec) -> np.ndarray:
+    """Phase-only conjugation mask, phases[n] = arg(sum_k conj(w_k) conj(S[t_k, n])), by ``conjugate_phases``."""
+    for index in spec.indices:
+        sm.check_output_index(index)
+    weights = np.array([spec.weights], dtype=np.complex128)
+    return conjugate_phases(sm.matrix[list(spec.indices), :], weights)[0]
 
 
 def apply_mask(mask: np.ndarray) -> np.ndarray:

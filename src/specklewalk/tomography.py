@@ -22,8 +22,8 @@ import numpy as np
 from scipy.special import gammainccinv, pdtr
 
 from .errors import ConfigError, DegenerateFieldError, DimensionError, StatisticsError, require_finite
-from .medium import ScatteringMatrix, propagate
-from .slm import TWO_PI, apply_mask, conjugate_mask, dual_target_spec
+from .medium import ScatteringMatrix, propagate_rows
+from .slm import TWO_PI, conjugate_phases, dual_target_weights
 from .quantum import TwoModeState
 from . import rng
 
@@ -72,7 +72,10 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     mask is computed from ``s_masks`` (normally the calibration
     estimate), propagated through the two target rows of ``s_true``
     (the only output amplitudes the scan reads), and the two target
-    amplitudes are combined on a balanced splitter. Phase jitter of
+    amplitudes are combined on a balanced splitter. The masks and their
+    target amplitudes are built for all steps at once, with the bits of
+    ``conjugate_mask(s_masks, dual_target_spec(s_masks, a, b, phi_j))``
+    and of ``propagate`` of its field, step by step. Phase jitter of
     width sigma_phi (radians) is averaged within each step, multiplying
     the interference cross term by exp(-sigma_phi^2 / 2); an unmodulated
     background of ``background_fraction`` of the scan-mean rate is added
@@ -98,14 +101,15 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     s_true.check_output_index(target_a)
     s_true.check_output_index(target_b)
 
-    targets = ScatteringMatrix._adopt(s_true.matrix[[target_a, target_b]])
     phis = TWO_PI * np.arange(n_steps) / (n_steps - 1)
+    weights = dual_target_weights(s_masks, target_a, target_b, phis)
+    fields = 1j * conjugate_phases(s_masks.matrix[[target_a, target_b]], weights)
+    np.exp(fields, out=fields)  # the fold has checked that the phases are finite
+    amplitudes = propagate_rows(s_true.matrix[[target_a, target_b]], fields[:, None, :])
     dephasing = math.exp(-0.5 * sigma_phi ** 2)
     port = np.empty(n_steps)
     total = np.empty(n_steps)
-    for j, phi in enumerate(phis):
-        spec = dual_target_spec(s_masks, target_a, target_b, phi)
-        a_a, a_b = propagate(targets, apply_mask(conjugate_mask(s_masks, spec)))
+    for j, (a_a, a_b) in enumerate(amplitudes):
         cross = float(np.real(np.conj(a_a) * a_b))
         total[j] = abs(a_a) ** 2 + abs(a_b) ** 2
         port[j] = total[j] / 2.0 + dephasing * cross

@@ -22,6 +22,7 @@ from specklewalk import (
     random_mask,
     save_mask_csv,
 )
+from specklewalk.slm import conjugate_phases
 
 TWO_PI = 2.0 * np.pi
 
@@ -85,6 +86,29 @@ def test_conjugate_mask_degenerate_row():
         conjugate_mask(sm, TargetSpec.single(0))
     with pytest.raises(DimensionError):
         conjugate_mask(sm, TargetSpec.single(5))
+
+
+def test_conjugate_phases_one_mask_per_weight_row():
+    sm = generate_medium(MediumConfig(n_in=37, m_out=9, seed=12))
+    gen = np.random.default_rng(13)
+    weights = gen.standard_normal((6, 3)) + 1j * gen.standard_normal((6, 3))
+    masks = conjugate_phases(sm.matrix[[4, 1, 7]], weights)
+    assert masks.shape == (6, 37)
+    for mask, row in zip(masks, weights):
+        assert np.array_equal(mask, conjugate_mask(sm, TargetSpec((4, 1, 7), tuple(row))))
+    # the masks of a scan are a block, not a mask: the modulator still takes one at a time
+    with pytest.raises(ConfigError):
+        apply_mask(masks)
+
+
+def test_conjugate_phases_degenerate_rows_and_cancelled_masks():
+    rows = np.array([[1.0, 2.0j, -3.0], [1.0, 2.0j, -3.0]], dtype=complex)
+    with pytest.raises(DegenerateTargetError, match="cancels"):
+        conjugate_phases(rows, np.array([[1.0, 1.0], [1.0, -1.0], [2.0, 0.5]]))  # only the second mask cancels
+    assert conjugate_phases(rows, np.array([[1.0, 1.0], [2.0, 0.5]])).shape == (2, 3)
+    rows[1] = 0.0
+    with pytest.raises(DegenerateTargetError, match="no coupling"):
+        conjugate_phases(rows, np.array([[1.0, 1.0]]))
 
 
 def test_dual_target_relative_phase_monte_carlo():
@@ -173,6 +197,17 @@ def test_canonicalize_idempotent(values):
     twice = canonicalize_phases(once)
     assert np.all((once >= 0.0) & (once < TWO_PI))
     np.testing.assert_array_equal(once, twice)
+
+
+def test_canonicalize_matches_the_mod_reference_bit_for_bit():
+    edges = [0.0, TWO_PI, 5e-324, 1e-17, np.nextafter(TWO_PI, 0.0), 3 * TWO_PI, 1e300]
+    values = np.concatenate([edges, np.negative(edges),
+                             np.random.default_rng(14).uniform(-2 * TWO_PI, 2 * TWO_PI, 400_000)])
+    reference = np.mod(values, TWO_PI)
+    reference[reference >= TWO_PI] = 0.0
+    folded = canonicalize_phases(values)
+    assert folded.tobytes() == reference.tobytes()  # tobytes tells -0.0 from 0.0
+    assert folded.tobytes() == canonicalize_phases(values.reshape(2, -1)).tobytes()
 
 
 def test_mask_csv_round_trip(tmp_path):

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from specklewalk import (
     CalibrationConfig,
     ConfigError,
+    DegenerateFieldError,
+    DegenerateTargetError,
     DimensionError,
     FringeScan,
     MediumConfig,
@@ -138,6 +140,68 @@ def test_scan_fringes_two_rows_match_full_propagation():
     means = 1e15 * np.array(ports) / np.mean(totals)
     scan = scan_fringes(sm, estimate.matrix, a, b, counts_per_step=1e15, sigma_phi=0.7, sampling="expected")
     assert np.array_equal(scan.counts, np.rint(means).astype(np.int64))
+
+
+def per_step_scan(s_true, s_masks, a, b, n_steps, sigma_phi, background_fraction, counts_per_step):
+    """The expected counts of a scan, one mask and one propagation per step."""
+    targets = ScatteringMatrix(s_true.matrix[[a, b]])
+    ports, totals = [], []
+    for field in scan_fields(s_masks, a, b, n_steps):
+        a_a, a_b = propagate(targets, field)
+        totals.append(abs(a_a) ** 2 + abs(a_b) ** 2)
+        ports.append(totals[-1] / 2.0 + math.exp(-0.5 * sigma_phi ** 2) * float(np.real(np.conj(a_a) * a_b)))
+    mean_total = float(np.mean(totals))
+    means = counts_per_step * (np.array(ports) + background_fraction * mean_total / 2.0) \
+        / (mean_total * (1.0 + background_fraction))
+    return np.rint(np.clip(means, 0.0, None)).astype(np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_in=st.integers(1, 1100), m_out=st.integers(2, 70), data=st.data(),
+       n_steps=st.sampled_from([5, 6, 21]), sigma_phi=st.sampled_from([0.0, 0.7, 1.3]),
+       background_fraction=st.sampled_from([0.0, 0.25]), pair=st.booleans())
+def test_scan_fringes_equals_the_per_step_composition(n_in, m_out, data, n_steps, sigma_phi, background_fraction,
+                                                      pair):
+    # 2**51 counts per step: a one-ulp change in a step's mean changes its rounded count
+    s_true = generate_medium(MediumConfig(n_in=n_in, m_out=m_out, seed=1020))
+    s_masks = generate_medium(MediumConfig(n_in=n_in, m_out=m_out, seed=1021))
+    a, b = data.draw(st.lists(st.integers(0, m_out - 1), min_size=2, max_size=2, unique=True))
+    if pair:  # the harness scans the two target rows of each matrix, as targets (0, 1)
+        s_true, s_masks = ScatteringMatrix(s_true.matrix[[a, b]]), ScatteringMatrix(s_masks.matrix[[a, b]])
+        a, b = 0, 1
+    knobs = dict(sigma_phi=sigma_phi, background_fraction=background_fraction, counts_per_step=2.0 ** 51)
+    scan = scan_fringes(s_true, s_masks, a, b, n_steps=n_steps, sampling="expected", **knobs)
+    assert np.array_equal(scan.phi, 2 * np.pi * np.arange(n_steps) / (n_steps - 1))
+    assert np.array_equal(scan.counts, per_step_scan(s_true, s_masks, a, b, n_steps, **knobs))
+
+
+def test_scan_fringes_keeps_the_per_step_error_types():
+    sm = generate_medium(MediumConfig(n_in=40, m_out=6, seed=1022))
+
+    def masks_with(row, value):
+        matrix = sm.matrix.copy()
+        matrix[row] = value
+        return ScatteringMatrix(matrix)
+
+    for value in (0.0, 5e-324, 1e-310 + 1e-310j):  # a zero row, and rows whose squared norm underflows to 0
+        for a, b in ((2, 4), (4, 2)):
+            with pytest.raises(DegenerateTargetError, match="must both carry coupling"):
+                scan_fringes(sm, masks_with(2, value), a, b)
+    # squares that are subnormal but not 0: the weight 1/norm is finite, and the scan runs
+    tiny = masks_with(2, 1e-160)
+    knobs = dict(sigma_phi=0.3, background_fraction=0.0, counts_per_step=2.0 ** 51)
+    assert np.array_equal(scan_fringes(sm, tiny, 2, 4, sampling="expected", **knobs).counts,
+                          per_step_scan(sm, tiny, 2, 4, 21, **knobs))
+    with pytest.raises(ConfigError, match="distinct"):
+        scan_fringes(sm, sm, 3, 3)
+    opposite = masks_with(2, 1.0).matrix.copy()
+    opposite[4] = -1.0
+    with pytest.raises(DegenerateTargetError, match="cancels"):  # at relative phase 0 only
+        scan_fringes(sm, ScatteringMatrix(opposite), 2, 4)
+    dark = sm.matrix.copy()
+    dark[[2, 4]] = 0.0
+    with pytest.raises(DegenerateFieldError):
+        scan_fringes(ScatteringMatrix(dark), sm, 2, 4)
 
 
 def test_scan_fringes_rejects_bad_targets_and_shapes():
