@@ -30,9 +30,10 @@ own block:
      computes its row fidelities, writes both SMX blocks at their file
      offsets, and propagates each mask through the block's rows.
 
-The stages then read the two target rows, the masks and their output
-fields. Memory grows with the prefix, not with m_out; a target in the
-last block makes the prefix the whole matrix.
+``run`` then calls the stages in order on the two target rows, the masks
+and their output fields; the fringe scan and its fit are made once, and
+only when a stage reads them. Memory grows with the prefix, not with
+m_out; a target in the last block makes the prefix the whole matrix.
 
 Every run table (``sm_fidelity.csv``, ``scan_*.csv``, ``fringes.csv``,
 ``probabilities.csv``) goes through ``_write_csv`` and every JSON file
@@ -48,7 +49,6 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
 from typing import Optional
 
@@ -60,11 +60,11 @@ from . import __version__
 from . import calibration, medium, rng
 from .errors import ConfigError, StatisticsError, require_finite
 from .medium import ROW_BLOCK, MediumConfig, ScatteringMatrix, generate_medium
-from .slm import TargetSpec, apply_mask, conjugate_mask, dual_target_spec, random_mask, save_mask_csv
+from .slm import TargetSpec, apply_mask, conjugate_mask, dual_target_spec, enhancement, random_mask, save_mask_csv
 from .calibration import CalibrationConfig, SmEstimate, measure_sm
 from .quantum import SourceConfig, mode_probabilities, simulate_counts, estimate_state
-from .tomography import (build_density_matrix, coherence_from_visibility, concurrence, concurrence_error,
-                         concurrence_threshold, fit_visibility, positivity_confidence, scan_fringes)
+from .tomography import (VisibilityFit, build_density_matrix, coherence_from_visibility, concurrence,
+                         concurrence_error, concurrence_threshold, fit_visibility, positivity_confidence, scan_fringes)
 
 # scenario -> the stages it runs, in order, on one medium and one estimate
 PIPELINES = {
@@ -268,43 +268,21 @@ def _write_csv(path, header, rows) -> None:
         fh.write("".join([line % row for row in rows]))
 
 
-@dataclass(frozen=True)
-class _Shared:
-    """What the stages of one run share; the fringe scan and its fit are made once, when first used.
-
-    ``pair_true`` and ``pair_estimate`` hold rows (target_a, target_b) of
-    the true matrix and of the estimate. ``outputs`` holds the output
-    field of each mask in ``masks``, under the same name.
-    """
-
-    cfg: ExperimentConfig
-    out: str
-    pair_true: ScatteringMatrix
-    pair_estimate: ScatteringMatrix
-    fidelities: np.ndarray
-    masks: dict
-    outputs: dict
-
-    @cached_property
-    def scan(self):
-        cfg = self.cfg
-        scan = scan_fringes(
-            self.pair_true, self.pair_estimate, 0, 1,
-            n_steps=cfg.n_steps,
-            counts_per_step=cfg.counts_per_step,
-            seed=cfg.seed,
-            sigma_phi=cfg.noise.sigma_phi,
-            background_fraction=cfg.noise.background_fraction,
-            sampling=cfg.counts_sampling,
-        )
-        # every step lasts unit time
-        _write_csv(os.path.join(self.out, "fringes.csv"), ("phi", "counts", "duration"),
-                   ((phi, count, 1.0) for phi, count in zip(scan.phi.tolist(), scan.counts.tolist())))
-        return scan
-
-    @cached_property
-    def fit(self):
-        return fit_visibility(self.scan)
+def _scan(cfg: ExperimentConfig, out: str, pair_true: ScatteringMatrix, pair_estimate: ScatteringMatrix):
+    """The dual-target fringe scan on the target rows (a, b) of the truth and the estimate; writes fringes.csv."""
+    scan = scan_fringes(
+        pair_true, pair_estimate, 0, 1,
+        n_steps=cfg.n_steps,
+        counts_per_step=cfg.counts_per_step,
+        seed=cfg.seed,
+        sigma_phi=cfg.noise.sigma_phi,
+        background_fraction=cfg.noise.background_fraction,
+        sampling=cfg.counts_sampling,
+    )
+    # every step lasts unit time
+    _write_csv(os.path.join(out, "fringes.csv"), ("phi", "counts", "duration"),
+               ((phi, count, 1.0) for phi, count in zip(scan.phi.tolist(), scan.counts.tolist())))
+    return scan
 
 
 def _masks(cfg: ExperimentConfig, pair_estimate: ScatteringMatrix) -> dict:
@@ -352,8 +330,7 @@ def _row_pass(cfg: ExperimentConfig, out: str, prefix: ScatteringMatrix, prefix_
     return fidelities, dict(zip(masks, outputs))
 
 
-def _focus_stage(shared: _Shared) -> dict:
-    cfg, out = shared.cfg, shared.out
+def _focus_stage(cfg: ExperimentConfig, out: str, masks: dict, outputs: dict, fidelities: np.ndarray) -> dict:
     m_out = cfg.medium.m_out
     src = cfg.source
     rng.check_poisson_mean(src.trigger_rate * src.acquisition_time, "trigger_rate * acquisition_time")
@@ -367,11 +344,8 @@ def _focus_stage(shared: _Shared) -> dict:
     gen = rng.generator(cfg.seed, rng.FOCUS_SCAN)
     fractions = {}
     for name in ("focused", "random"):
-        save_mask_csv(os.path.join(out, f"mask_{name}.csv"), shared.masks[name])
-        intensities = np.abs(shared.outputs[name]) ** 2
-        if name == "focused":  # from these intensities: slm.enhancement would need the whole matrix
-            target_power = float(intensities[cfg.target_a])
-            enh = target_power / ((intensities.sum() - target_power) / (m_out - 1))
+        save_mask_csv(os.path.join(out, f"mask_{name}.csv"), masks[name])
+        intensities = np.abs(outputs[name]) ** 2
         share = intensities / intensities.sum()
         mean_counts = src.trigger_rate * src.acquisition_time * src.heralding_efficiency \
             * src.collection_efficiency * share[window]
@@ -382,19 +356,17 @@ def _focus_stage(shared: _Shared) -> dict:
     return {
         "focused_fraction": fractions["focused"],
         "random_fraction": fractions["random"],
-        "enhancement": enh,
+        "enhancement": enhancement(outputs["focused"], cfg.target_a),
         "scan_window": [int(lo), int(hi)],
-        "mean_row_fidelity": float(np.mean(shared.fidelities)),
+        "mean_row_fidelity": float(np.mean(fidelities)),
     }
 
 
 _PROBABILITIES = ("p00", "p01", "p10", "p11")
 
 
-def _tomo_stage(shared: _Shared) -> dict:
-    cfg, out, vis = shared.cfg, shared.out, shared.fit
-    q_a, q_b = mode_probabilities(shared.outputs["split"], (cfg.target_a, cfg.target_b),
-                                  cfg.source.collection_efficiency)
+def _tomo_stage(cfg: ExperimentConfig, out: str, split_output: np.ndarray, fit: VisibilityFit) -> dict:
+    q_a, q_b = mode_probabilities(split_output, (cfg.target_a, cfg.target_b), cfg.source.collection_efficiency)
     counts = simulate_counts(q_a, q_b, cfg.source, cfg.seed)
     _write_json(os.path.join(out, "counts.json"),
                 {**dataclasses.asdict(counts), "config": config_to_dict(cfg)["source"]})
@@ -403,7 +375,7 @@ def _tomo_stage(shared: _Shared) -> dict:
         raise StatisticsError("acquisition produced no trigger counts; cannot estimate the state")
     raw_p10 = counts.n_AT / counts.n_T
     raw_p01 = counts.n_BT / counts.n_T
-    d_raw = coherence_from_visibility(vis.visibility, raw_p01, raw_p10)
+    d_raw = coherence_from_visibility(fit.visibility, raw_p01, raw_p10)
     state = estimate_state(counts, d_raw)
     _write_csv(os.path.join(out, "probabilities.csv"), ("quantity", "value", "std_error"),
                ((p, getattr(state, p), getattr(state, f"{p}_err")) for p in _PROBABILITIES))
@@ -412,14 +384,14 @@ def _tomo_stage(shared: _Shared) -> dict:
     c_value = concurrence(state.p00, state.p11, state.d_mag)
     threshold = concurrence_threshold(counts.n_T, state.d_mag, state.p00)
     confidence = positivity_confidence(counts.n_ABT, threshold) if threshold >= 0 else 0.0
-    c_err = concurrence_error(state, vis.visibility, vis.visibility_err, counts.n_T)
+    c_err = concurrence_error(state, fit.visibility, fit.visibility_err, counts.n_T)
     return {
         "q_a": q_a,
         "q_b": q_b,
         "counts": dataclasses.asdict(counts),
         "probabilities": {name: getattr(state, name) for p in _PROBABILITIES for name in (p, f"{p}_err")},
-        "visibility": vis.visibility,
-        "visibility_err": vis.visibility_err,
+        "visibility": fit.visibility,
+        "visibility_err": fit.visibility_err,
         "d_mag": state.d_mag,
         "d_clamped": state.d_clamped,
         "density_matrix_diag": [float(np.real(rho[i, i])) for i in range(4)],
@@ -429,15 +401,6 @@ def _tomo_stage(shared: _Shared) -> dict:
         "confidence": confidence,
         "exceeds_99": bool(confidence > 0.99),
     }
-
-
-# stage name -> the function that runs it and returns its result
-_STAGES = {
-    "focus": _focus_stage,
-    "scan": lambda shared: {"n_steps": shared.cfg.n_steps, "total_counts": int(shared.scan.counts.sum())},
-    "fringes": lambda shared: dataclasses.asdict(shared.fit),
-    "tomo": _tomo_stage,
-}
 
 
 def run(cfg: ExperimentConfig) -> RunReport:
@@ -460,9 +423,20 @@ def run(cfg: ExperimentConfig) -> RunReport:
     fidelities, outputs = _row_pass(cfg, out, prefix, prefix_estimate, masks)
     _write_csv(os.path.join(out, "sm_fidelity.csv"), ("row", "fidelity"), enumerate(fidelities.tolist()))
 
-    shared = _Shared(cfg, out, pair_true, pair_estimate, fidelities, masks, outputs)
     stages = PIPELINES[cfg.scenario]
-    results = {stage: _STAGES[stage](shared) for stage in stages}
+    results = {}
+    if "focus" in stages:
+        results["focus"] = _focus_stage(cfg, out, masks, outputs, fidelities)
+    if set(stages) & {"scan", "fringes", "tomo"}:  # the stages that read the fringe scan
+        scan = _scan(cfg, out, pair_true, pair_estimate)
+    if "scan" in stages:
+        results["scan"] = {"n_steps": cfg.n_steps, "total_counts": int(scan.counts.sum())}
+    if set(stages) & {"fringes", "tomo"}:  # the stages that read its fit; a scan run never fits
+        fit = fit_visibility(scan)
+    if "fringes" in stages:
+        results["fringes"] = dataclasses.asdict(fit)
+    if "tomo" in stages:
+        results["tomo"] = _tomo_stage(cfg, out, outputs["split"], fit)
     result = results[stages[0]] if len(stages) == 1 else results
     _write_json(os.path.join(out, "report.json"), {
         "scenario": cfg.scenario,

@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateTargetError, DimensionError, FormatError
-from .medium import ScatteringMatrix, propagate
+from .medium import ScatteringMatrix
 from . import rng
 
 TWO_PI = 2.0 * np.pi
@@ -149,18 +149,23 @@ def apply_mask(mask: np.ndarray) -> np.ndarray:
     return np.exp(1j * phases)
 
 
-def enhancement(sm: ScatteringMatrix, mask: np.ndarray, target: int) -> float:
-    """Target intensity over mean non-target intensity for a unit-power-per-mode input.
+def enhancement(e_out: np.ndarray, target: int) -> float:
+    """Target intensity over mean non-target intensity of the output field ``e_out``.
 
+    ``e_out`` is the field at every output mode, ``propagate(sm, apply_mask(mask))``.
     Random masks give ~1; a conjugate mask on N controlled modes gives
     (pi/4)(N-1)+1 on average.
     """
-    sm.check_output_index(target)
-    if sm.m_out < 2:
+    field = np.asarray(e_out)
+    if field.ndim != 1:
+        raise DimensionError(f"output field must be 1-D, got shape {field.shape}")
+    m_out = field.shape[0]
+    if not 0 <= target < m_out:
+        raise DimensionError(f"target index {target} outside output range [0, {m_out})")
+    if m_out < 2:
         raise DimensionError("enhancement needs at least two output modes for a background")
-    out = propagate(sm, apply_mask(mask))
-    intensities = np.abs(out) ** 2
-    background = (float(intensities.sum()) - float(intensities[target])) / (sm.m_out - 1)
+    intensities = np.abs(field) ** 2
+    background = (float(intensities.sum()) - float(intensities[target])) / (m_out - 1)
     if background == 0.0:
         raise DegenerateTargetError("background intensity is exactly zero")
     return float(intensities[target]) / background

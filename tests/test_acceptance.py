@@ -122,7 +122,7 @@ def test_criterion_07_focusing_enhancement_and_seven_percent(tmp_path):
     n = 256
     expected = (np.pi / 4) * (n - 1) + 1
     values = [
-        enhancement(sm, conjugate_mask(sm, TargetSpec.single(11)), 11)
+        enhancement(propagate(sm, apply_mask(conjugate_mask(sm, TargetSpec.single(11)))), 11)
         for sm in (generate_medium(MediumConfig(n_in=n, m_out=512, seed=4200 + t)) for t in range(20))
     ]
     mean_enh = float(np.mean(values))

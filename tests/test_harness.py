@@ -18,6 +18,7 @@ from specklewalk import (
     MediumConfig,
     NoiseConfig,
     SourceConfig,
+    StatisticsError,
     config_to_dict,
     config_to_ini,
     generate_medium,
@@ -230,6 +231,16 @@ def test_run_scan_emits_fringe_table(tmp_path):
     lines = (tmp_path / "fringes.csv").read_text().splitlines()
     assert lines[0] == "phi,counts,duration"
     assert len(lines) == 22
+
+
+def test_a_scan_run_never_fits(tmp_path):
+    # at zero counts a fit raises, so only a run that makes no fit can succeed
+    cfg = small_config(tmp_path, counts_per_step=0.0)
+    report = run_scan(cfg)
+    assert report.result == {"n_steps": 21, "total_counts": 0}
+    assert len((tmp_path / "fringes.csv").read_text().splitlines()) == 22
+    with pytest.raises(StatisticsError, match="all-zero counts"):
+        run_fringes(cfg)
 
 
 def test_run_fringes_noiseless_limit(tmp_path):

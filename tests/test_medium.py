@@ -17,6 +17,7 @@ from specklewalk import (
     TargetSpec,
     conjugate_mask,
     dual_target_spec,
+    enhancement,
     generate_medium,
     load_smx,
     mode_probabilities,
@@ -129,6 +130,7 @@ def test_propagate_dimension_mismatch():
 OUTPUT_INDEX_CALLERS = {
     "conjugate_mask": lambda sm, index: conjugate_mask(sm, TargetSpec.single(index)),
     "dual_target_spec": lambda sm, index: dual_target_spec(sm, 0, index, 0.0),
+    "enhancement": lambda sm, index: enhancement(propagate(sm, apply_mask(np.zeros(sm.n_in))), index),
     "mode_probabilities": lambda sm, index: mode_probabilities(propagate(sm, apply_mask(np.zeros(sm.n_in))),
                                                                (0, index), 1.0),
     "scan_fringes": lambda sm, index: scan_fringes(sm, sm, 0, index),

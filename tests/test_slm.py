@@ -161,7 +161,7 @@ def test_enhancement_random_mask_near_one():
     values = []
     for seed in range(100):
         sm = generate_medium(MediumConfig(n_in=64, m_out=128, seed=500 + seed))
-        values.append(enhancement(sm, random_mask(64, seed=900 + seed), 7))
+        values.append(enhancement(propagate(sm, apply_mask(random_mask(64, seed=900 + seed))), 7))
     assert abs(np.mean(values) - 1.0) < 0.3
 
 
@@ -171,7 +171,7 @@ def test_enhancement_conjugate_mask_expectation():
     values = []
     for seed in range(20):
         sm = generate_medium(MediumConfig(n_in=n, m_out=512, seed=700 + seed))
-        values.append(enhancement(sm, conjugate_mask(sm, TargetSpec.single(11)), 11))
+        values.append(enhancement(propagate(sm, apply_mask(conjugate_mask(sm, TargetSpec.single(11)))), 11))
     assert abs(np.mean(values) - expected) / expected < 0.10
 
 
@@ -179,14 +179,21 @@ def test_enhancement_single_input_mode_cannot_enhance():
     values = []
     for seed in range(200):
         sm = generate_medium(MediumConfig(n_in=1, m_out=256, seed=1100 + seed))
-        values.append(enhancement(sm, conjugate_mask(sm, TargetSpec.single(0)), 0))
+        values.append(enhancement(propagate(sm, apply_mask(conjugate_mask(sm, TargetSpec.single(0)))), 0))
     assert 0.8 < np.mean(values) < 1.2
 
 
 def test_enhancement_needs_background():
     sm = generate_medium(MediumConfig(n_in=4, m_out=1, seed=1))
-    with pytest.raises(DimensionError):
-        enhancement(sm, np.zeros(4), 0)
+    with pytest.raises(DimensionError, match="two output modes"):
+        enhancement(propagate(sm, apply_mask(np.zeros(4))), 0)
+
+
+def test_enhancement_rejects_a_2d_field_and_a_dark_background():
+    with pytest.raises(DimensionError, match="1-D"):
+        enhancement(np.ones((2, 3), dtype=complex), 0)
+    with pytest.raises(DegenerateTargetError, match="background"):
+        enhancement(np.array([1.0, 0.0, 0.0], dtype=complex), 0)
 
 
 @settings(max_examples=100, deadline=None)
