@@ -116,8 +116,22 @@ class ScatteringMatrix:
 
     def check_output_index(self, index: int) -> None:
         """Raise DimensionError unless ``index`` names an output mode (row)."""
-        if not 0 <= index < self.m_out:
-            raise DimensionError(f"target index {index} outside output range [0, {self.m_out})")
+        _check_index(index, self.m_out)
+
+
+def as_output_field(e_out, *targets: int) -> np.ndarray:
+    """``e_out`` as an array; raise DimensionError unless it is 1-D and each target names one of its modes."""
+    field = np.asarray(e_out)
+    if field.ndim != 1:
+        raise DimensionError(f"output field must be 1-D, got shape {field.shape}")
+    for target in targets:
+        _check_index(target, field.shape[0])
+    return field
+
+
+def _check_index(index: int, m_out: int) -> None:
+    if not 0 <= index < m_out:
+        raise DimensionError(f"target index {index} outside output range [0, {m_out})")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFieldError, DimensionError, StatisticsError, require_finite
+from .errors import ConfigError, DegenerateFieldError, StatisticsError, require_finite
+from .medium import as_output_field
 from . import rng
 
 
@@ -132,12 +133,7 @@ def mode_probabilities(e_out: np.ndarray, targets: Tuple[int, int],
 
     ``e_out`` is the field at every output mode, ``propagate(sm, apply_mask(mask))``.
     """
-    field = np.asarray(e_out)
-    if field.ndim != 1:
-        raise DimensionError(f"output field must be 1-D, got shape {field.shape}")
-    for target in targets:
-        if not 0 <= target < field.shape[0]:
-            raise DimensionError(f"target index {target} outside output range [0, {field.shape[0]})")
+    field = as_output_field(e_out, *targets)
     if not (0.0 <= collection_efficiency <= 1.0):
         raise ConfigError(f"collection_efficiency must lie in [0, 1], got {collection_efficiency}")
     intensities = np.abs(field) ** 2

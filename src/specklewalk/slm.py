@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateTargetError, DimensionError, FormatError
-from .medium import ScatteringMatrix
+from .medium import ScatteringMatrix, as_output_field
 from . import rng
 
 TWO_PI = 2.0 * np.pi
@@ -156,12 +156,8 @@ def enhancement(e_out: np.ndarray, target: int) -> float:
     Random masks give ~1; a conjugate mask on N controlled modes gives
     (pi/4)(N-1)+1 on average.
     """
-    field = np.asarray(e_out)
-    if field.ndim != 1:
-        raise DimensionError(f"output field must be 1-D, got shape {field.shape}")
+    field = as_output_field(e_out, target)
     m_out = field.shape[0]
-    if not 0 <= target < m_out:
-        raise DimensionError(f"target index {target} outside output range [0, {m_out})")
     if m_out < 2:
         raise DimensionError("enhancement needs at least two output modes for a background")
     intensities = np.abs(field) ** 2

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainccinv, pdtr
 
 from .errors import ConfigError, DegenerateFieldError, DimensionError, StatisticsError, require_finite
 from .medium import ScatteringMatrix, propagate_rows
@@ -229,13 +228,63 @@ def concurrence_error(state, visibility: float, visibility_err: float, n_t: int)
     return float(np.sqrt(sum(terms)))
 
 
+def _poisson_cdf(n: int, lam: float) -> float:
+    """P(Poisson(lam) <= n) for an integer n >= 0 and a finite lam >= 0.
+
+    Up to lam = 700, where exp(-lam) is still a normal float, the terms
+    t_k = t_{k-1} * lam / k from t_0 = exp(-lam) are summed, correctly
+    rounded, by ``math.fsum``, stopping once k > lam and a term no longer
+    moves the running sum. Above, the terms are recurred outward from the
+    largest one in [0, n], relative to it, until they fall below 2^-60 of
+    it; the cost grows with sqrt(lam), not with n. The largest term itself
+    comes from ``math.lgamma`` up to n = 100 and from Stirling's series
+    beyond, whose error does not grow with lam as that of
+    lgamma(n + 1) - n log(lam) does (1e-4 relative at lam = 1e11).
+    """
+    if lam <= 700.0:
+        term = math.exp(-lam)
+        terms = [term]
+        running = term
+        for k in range(1, n + 1):
+            term *= lam / k
+            if k > lam and running + term == running:
+                break
+            terms.append(term)
+            running += term
+        return min(math.fsum(terms), 1.0)
+    peak = min(n, math.floor(lam))
+    terms = [1.0]
+    term = 1.0
+    for k in range(peak, 0, -1):
+        term *= k / lam
+        if term < 2.0 ** -60:
+            break
+        terms.append(term)
+    term = 1.0
+    for k in range(peak + 1, n + 1):
+        term *= lam / k
+        if term < 2.0 ** -60:
+            break
+        terms.append(term)
+    if peak < 100:
+        log_peak = peak * math.log(lam) - lam - math.lgamma(peak + 1)
+    else:
+        # Stirling's series for lgamma(peak + 1), to 1/peak^5; log1p forms
+        # peak * log(peak / lam) - (peak - lam) without cancelling two terms of size lam
+        inv_sq = 1.0 / (peak * peak)
+        series = (1.0 - inv_sq / 30.0 * (1.0 - inv_sq * 2.0 / 7.0)) / (12.0 * peak)
+        log_peak = (peak - lam) - peak * math.log1p((peak - lam) / lam) \
+            - 0.5 * math.log(2.0 * math.pi * peak) - series
+    return min(math.fsum(terms) * math.exp(log_peak), 1.0)
+
+
 def poisson_upper_limit(n_obs: int, confidence: float) -> float:
     """One-sided upper limit on a Poisson mean after observing n_obs events.
 
-    Returns the mean lam with P(Poisson(lam) <= n_obs) = 1 - confidence,
-    in closed form through the inverse regularized upper incomplete gamma
-    function, Q(n_obs + 1, lam) = 1 - confidence (Garwood 1936). The limit
-    grows with both n_obs and confidence. For n_obs = 0 it is
+    Returns the mean lam with P(Poisson(lam) <= n_obs) = 1 - confidence
+    (Garwood 1936): the Poisson CDF falls with lam, so lam is bracketed by
+    doubling and then bisected down to adjacent floats. The limit grows
+    with both n_obs and confidence. For n_obs = 0 it is
     -ln(1 - confidence).
     """
     require_finite(n_obs=n_obs)
@@ -243,7 +292,18 @@ def poisson_upper_limit(n_obs: int, confidence: float) -> float:
         raise ConfigError(f"n_obs must be a nonnegative integer, got {n_obs}")
     if not (0.0 < confidence < 1.0):
         raise ConfigError(f"confidence must lie strictly inside (0, 1), got {confidence}")
-    return float(gammainccinv(int(n_obs) + 1, 1.0 - confidence))
+    n, tail = int(n_obs), 1.0 - confidence
+    lo, hi = 0.0, 1.0
+    while _poisson_cdf(n, hi) > tail:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if _poisson_cdf(n, mid) > tail:
+            lo = mid
+        else:
+            hi = mid
 
 
 def concurrence_threshold(n_t: int, d_mag: float, p00: float) -> int:
@@ -270,11 +330,12 @@ def positivity_confidence(n_obs_triples: int, threshold: int) -> float:
 
     Exact Poisson tail: the largest confidence c whose upper limit on
     the triple mean stays at or below ``threshold`` is
-    P(Poisson(threshold) > n_obs_triples).
+    P(Poisson(threshold) > n_obs_triples), computed as one minus the
+    summed CDF of ``_poisson_cdf``.
     """
     require_finite(n_obs_triples=n_obs_triples, threshold=threshold)
     if threshold < 0:
         raise ConfigError(f"threshold must be nonnegative, got {threshold}")
     if n_obs_triples < 0:
         raise ConfigError(f"n_obs_triples must be nonnegative, got {n_obs_triples}")
-    return float(1.0 - pdtr(int(n_obs_triples), float(threshold)))
+    return 1.0 - _poisson_cdf(int(n_obs_triples), float(threshold))

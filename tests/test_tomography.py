@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammainccinv, pdtr
 
 from specklewalk import (
     CalibrationConfig,
@@ -30,6 +32,7 @@ from specklewalk import (
 )
 from specklewalk.harness import _write_csv
 from specklewalk.slm import apply_mask, conjugate_mask, dual_target_spec
+from specklewalk.tomography import _poisson_cdf
 
 
 # --- independent oracle for Poisson upper limits (math module only) ---
@@ -442,6 +445,47 @@ def test_positivity_confidence_consistent_with_upper_limit():
         c = positivity_confidence(n, threshold)
         assert poisson_upper_limit(n, c - 1e-9) <= threshold
         assert poisson_upper_limit(n, min(c + 1e-6, 1 - 1e-12)) > threshold
+
+
+# --- the in-house Poisson tail against scipy.special, which only the tests import ---
+
+def cdf_cases():
+    """(n, lam) at the tails and the bulk, wherever scipy's value is at least 1e-300."""
+    for lam in (1e-3, 0.5, 11.0, 100.0, 699.0, 701.0, 745.0, 1e3, 1e5, 1e7, 1e9):
+        spread = math.sqrt(lam)
+        ns = {0, 1, 5, 2 * lam + 10} | {lam + k * spread for k in (-8, -3, 3, 8)}
+        for n in sorted({int(n) for n in ns if n >= 0}):
+            if pdtr(n, lam) >= 1e-300:
+                yield n, lam
+
+
+@pytest.mark.parametrize("n,lam", list(cdf_cases()))
+def test_poisson_cdf_matches_scipy_pdtr(n, lam):
+    reference = float(pdtr(n, lam))
+    # above lam = 700 the log of the largest term is off by about 1e-16 * |n - lam|
+    assert _poisson_cdf(n, lam) == pytest.approx(reference, rel=1e-12 if lam <= 700 else 1e-9, abs=0)
+
+
+# below confidence 0.01, 1 - confidence has lost the bits that fix a small limit
+@pytest.mark.parametrize("confidence", [0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 1 - 1e-9])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 11, 20, 40, 79, 80])
+def test_poisson_upper_limit_matches_scipy_gammainccinv(n, confidence):
+    reference = float(gammainccinv(n + 1, 1.0 - confidence))
+    assert poisson_upper_limit(n, confidence) == pytest.approx(reference, rel=1e-12, abs=0)
+
+
+def test_positivity_confidence_known_answer():
+    # the exact tail is 0.96248018589807280120...; scipy's pdtr rounds it one ulp low
+    assert positivity_confidence(5, 11) == 0.9624801858980728
+
+
+def test_poisson_cdf_at_lam_1e7_takes_under_50_ms():
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        _poisson_cdf(10 ** 7, 1e7)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.05
 
 
 def test_fringe_csv_format(tmp_path):
