@@ -43,7 +43,6 @@ from .quantum import (
     SourceConfig,
     TwoModeState,
     estimate_state,
-    interfere,
     mode_probabilities,
     simulate_counts,
 )

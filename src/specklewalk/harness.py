@@ -63,8 +63,8 @@ from .medium import ROW_BLOCK, MediumConfig, ScatteringMatrix, generate_medium
 from .slm import TargetSpec, apply_mask, conjugate_mask, dual_target_spec, enhancement, random_mask, save_mask_csv
 from .calibration import CalibrationConfig, SmEstimate, measure_sm
 from .quantum import SourceConfig, mode_probabilities, simulate_counts, estimate_state
-from .tomography import (VisibilityFit, build_density_matrix, coherence_from_visibility, concurrence,
-                         concurrence_error, concurrence_threshold, fit_visibility, positivity_confidence, scan_fringes)
+from .tomography import (VisibilityFit, coherence_from_visibility, concurrence, concurrence_error,
+                         concurrence_threshold, fit_visibility, positivity_confidence, scan_fringes)
 
 # scenario -> the stages it runs, in order, on one medium and one estimate
 PIPELINES = {
@@ -380,7 +380,6 @@ def _tomo_stage(cfg: ExperimentConfig, out: str, split_output: np.ndarray, fit: 
     _write_csv(os.path.join(out, "probabilities.csv"), ("quantity", "value", "std_error"),
                ((p, getattr(state, p), getattr(state, f"{p}_err")) for p in _PROBABILITIES))
 
-    rho = build_density_matrix(state)
     c_value = concurrence(state.p00, state.p11, state.d_mag)
     threshold = concurrence_threshold(counts.n_T, state.d_mag, state.p00)
     confidence = positivity_confidence(counts.n_ABT, threshold) if threshold >= 0 else 0.0
@@ -394,7 +393,7 @@ def _tomo_stage(cfg: ExperimentConfig, out: str, split_output: np.ndarray, fit: 
         "visibility_err": fit.visibility_err,
         "d_mag": state.d_mag,
         "d_clamped": state.d_clamped,
-        "density_matrix_diag": [float(np.real(rho[i, i])) for i in range(4)],
+        "density_matrix_diag": [state.p00, state.p01, state.p10, state.p11],
         "concurrence": c_value,
         "concurrence_err": c_err,
         "triple_threshold": threshold,

@@ -57,10 +57,7 @@ class SourceConfig:
     dark_rate: float = 0.0
 
     def __post_init__(self):
-        require_finite(trigger_rate=self.trigger_rate, heralding_efficiency=self.heralding_efficiency,
-                       collection_efficiency=self.collection_efficiency, coincidence_window=self.coincidence_window,
-                       acquisition_time=self.acquisition_time, double_pair_mean=self.double_pair_mean,
-                       dark_rate=self.dark_rate)
+        require_finite(**asdict(self))
         if self.trigger_rate < 0 or self.dark_rate < 0 or self.double_pair_mean < 0:
             raise ConfigError("rates and double_pair_mean must be nonnegative")
         if not (0.0 <= self.heralding_efficiency <= 1.0):
@@ -144,17 +141,6 @@ def mode_probabilities(e_out: np.ndarray, targets: Tuple[int, int],
     q_a = collection_efficiency * float(intensities[target_a]) / total
     q_b = collection_efficiency * float(intensities[target_b]) / total
     return q_a, q_b
-
-
-def interfere(a_a: complex, a_b: complex, phi: float) -> Tuple[float, float]:
-    """Balanced lossless splitter: ports |a_A +/- e^{i phi} a_B|^2 / 2.
-
-    Conserves probability exactly: p1 + p2 = |a_A|^2 + |a_B|^2.
-    """
-    shifted = a_b * np.exp(1j * phi)
-    p1 = abs(a_a + shifted) ** 2 / 2.0
-    p2 = abs(a_a - shifted) ** 2 / 2.0
-    return float(p1), float(p2)
 
 
 def simulate_counts(q_a: float, q_b: float, cfg: SourceConfig, seed: int) -> CountRecord:

@@ -97,8 +97,6 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
         raise ConfigError(f"sampling must be 'poisson' or 'expected', got {sampling!r}")
     if s_true.matrix.shape != s_masks.matrix.shape:
         raise DimensionError(f"mask matrix shape {s_masks.matrix.shape} does not match true shape {s_true.matrix.shape}")
-    s_true.check_output_index(target_a)
-    s_true.check_output_index(target_b)
 
     phis = TWO_PI * np.arange(n_steps) / (n_steps - 1)
     weights = dual_target_weights(s_masks, target_a, target_b, phis)
@@ -315,8 +313,8 @@ def concurrence_threshold(n_t: int, d_mag: float, p00: float) -> int:
     (d_mag = 0: concurrence never positive).
     """
     require_finite(n_t=n_t, d_mag=d_mag)
-    if n_t <= 0:
-        raise ConfigError(f"n_t must be positive, got {n_t}")
+    if n_t <= 0 or int(n_t) != n_t:
+        raise ConfigError(f"n_t must be a positive integer, got {n_t}")
     if not (0.0 < p00 <= 1.0):
         raise ConfigError(f"p00 must lie in (0, 1], got {p00}")
     if d_mag < 0.0:
@@ -334,8 +332,8 @@ def positivity_confidence(n_obs_triples: int, threshold: int) -> float:
     summed CDF of ``_poisson_cdf``.
     """
     require_finite(n_obs_triples=n_obs_triples, threshold=threshold)
-    if threshold < 0:
-        raise ConfigError(f"threshold must be nonnegative, got {threshold}")
-    if n_obs_triples < 0:
-        raise ConfigError(f"n_obs_triples must be nonnegative, got {n_obs_triples}")
+    if threshold < 0 or int(threshold) != threshold:
+        raise ConfigError(f"threshold must be a nonnegative integer, got {threshold}")
+    if n_obs_triples < 0 or int(n_obs_triples) != n_obs_triples:
+        raise ConfigError(f"n_obs_triples must be a nonnegative integer, got {n_obs_triples}")
     return 1.0 - _poisson_cdf(int(n_obs_triples), float(threshold))

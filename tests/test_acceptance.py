@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from specklewalk import calibration, medium
 from specklewalk import (
     CalibrationConfig,
     ExperimentConfig,
     MediumConfig,
     NoiseConfig,
+    ScatteringMatrix,
     SourceConfig,
     TargetSpec,
     apply_mask,
@@ -153,6 +155,25 @@ def test_criterion_08_speckle_statistics():
     check(8, ok, f"speckle contrast {contrast:.4f} (1.00 +-0.05); KS distance to exponential {ks:.4f} (< 0.03)")
 
 
+def target_pair(medium_cfg, cal_cfg, targets):
+    """The true and estimated rows of ``targets``, drawn and calibrated from their own row blocks only.
+
+    Each row block draws from its own streams, so these rows are those of
+    ``generate_medium`` and ``measure_sm`` on the whole medium.
+    """
+    field = calibration.reference_field(medium_cfg.n_in, cal_cfg)
+    true_rows, estimated_rows = [], []
+    for target in targets:
+        block, row = divmod(target, medium.ROW_BLOCK)
+        shape = (min(medium.ROW_BLOCK, medium_cfg.m_out - block * medium.ROW_BLOCK), medium_cfg.n_in)
+        rows = medium.draw_block(medium_cfg, block, np.empty(shape, dtype=np.complex128))
+        estimate = np.empty_like(rows)
+        calibration.estimate_block(rows, field, cal_cfg, block, estimate)
+        true_rows.append(rows[row])
+        estimated_rows.append(estimate[row])
+    return ScatteringMatrix(np.array(true_rows)), ScatteringMatrix(np.array(estimated_rows))
+
+
 def test_criterion_09_fringe_pipeline(tmp_path):
     noiseless_cfg = ExperimentConfig(
         scenario="fringes",
@@ -169,15 +190,23 @@ def test_criterion_09_fringe_pipeline(tmp_path):
     tuned = []
     ladder = {0.4: [], 0.7: [], 1.0: []}
     for s in range(100):
-        sm = generate_medium(MediumConfig(n_in=256, m_out=1024, seed=4600 + s))
-        estimate = measure_sm(sm, CalibrationConfig(photons_per_measurement=1e4,
-                                                    reference_seed=4700 + s, noise_seed=4800 + s))
-        scan = scan_fringes(sm, estimate.matrix, 96, 288, counts_per_step=4000.0,
+        medium_cfg = MediumConfig(n_in=256, m_out=1024, seed=4600 + s)
+        cal_cfg = CalibrationConfig(photons_per_measurement=1e4, reference_seed=4700 + s, noise_seed=4800 + s)
+        pair, pair_estimate = target_pair(medium_cfg, cal_cfg, (96, 288))
+        scan = scan_fringes(pair, pair_estimate, 0, 1, counts_per_step=4000.0,
                             seed=4900 + s, sigma_phi=NoiseConfig().sigma_phi)
+        if s == 0:  # the pair is rows 96 and 288 of the whole medium and its estimate, and scans alike
+            sm = generate_medium(medium_cfg)
+            estimate = measure_sm(sm, cal_cfg)
+            assert np.array_equal(pair.matrix, sm.matrix[[96, 288]])
+            assert np.array_equal(pair_estimate.matrix, estimate.matrix.matrix[[96, 288]])
+            whole = scan_fringes(sm, estimate.matrix, 96, 288, counts_per_step=4000.0,
+                                 seed=4900 + s, sigma_phi=NoiseConfig().sigma_phi)
+            assert np.array_equal(scan.counts, whole.counts)
         tuned.append(fit_visibility(scan).visibility)
         if s < 10:  # monotonic-degradation property on a sub-ensemble
             for sigma in ladder:
-                noisy = scan_fringes(sm, estimate.matrix, 96, 288, counts_per_step=4000.0,
+                noisy = scan_fringes(pair, pair_estimate, 0, 1, counts_per_step=4000.0,
                                      seed=4900 + s, sigma_phi=sigma)
                 ladder[sigma].append(fit_visibility(noisy).visibility)
     mean_v = float(np.mean(tuned))

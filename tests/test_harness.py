@@ -276,6 +276,8 @@ def test_run_tomo_payload_and_files(tmp_path):
     assert result["confidence"] > 0.99 and result["exceeds_99"]
     assert result["triple_threshold"] >= 0
     assert result["d_mag"] <= np.sqrt(probs["p01"] * probs["p10"]) + 1e-12
+    # the reported diagonal of the density matrix is the occupation probabilities, bit for bit
+    assert result["density_matrix_diag"] == [probs["p00"], probs["p01"], probs["p10"], probs["p11"]]
 
     counts_doc = json.loads((tmp_path / "counts.json").read_text())
     for key in ("n_T", "n_A", "n_B", "n_AT", "n_BT", "n_ABT"):
@@ -492,6 +494,13 @@ def test_cli_success_and_failure(tmp_path, capsys):
 
     assert main(["tomo", "--config", str(tmp_path / "nofile.ini")]) == 1
     assert capsys.readouterr().err.startswith("ERROR FileNotFoundError:")
+
+
+def test_console_script_names_the_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml"), "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"specklewalk": "specklewalk.cli:main"}
+    assert callable(main)
 
 
 def test_cli_scenario_overrides_file(tmp_path, capsys):

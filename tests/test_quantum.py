@@ -17,7 +17,6 @@ from specklewalk import (
     conjugate_mask,
     estimate_state,
     generate_medium,
-    interfere,
     mode_probabilities,
     propagate,
     random_mask,
@@ -83,37 +82,6 @@ def test_mode_probabilities_degenerate_field():
     sm = ScatteringMatrix(np.zeros((2, 2), dtype=complex) + 0j)
     with pytest.raises((DegenerateFieldError, ConfigError)):
         mode_probabilities(propagate(sm, apply_mask(np.zeros(2))), (0, 1), 1.0)
-
-
-def test_interfere_reference_points():
-    amp = 1 / np.sqrt(2)
-    p1, p2 = interfere(amp, amp, 0.0)
-    assert p1 == pytest.approx(1.0) and p2 == pytest.approx(0.0, abs=1e-15)
-    p1, p2 = interfere(amp, amp, np.pi)
-    assert p1 == pytest.approx(0.0, abs=1e-15) and p2 == pytest.approx(1.0)
-    for phi in (0.0, 1.0, 2.5):
-        assert interfere(1.0, 0.0, phi) == (0.5, 0.5)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
-    st.floats(min_value=-10, max_value=10, allow_nan=False),
-)
-def test_interfere_conserves_probability(a, b, phi):
-    p1, p2 = interfere(a, b, phi)
-    assert p1 >= 0 and p2 >= 0
-    assert p1 + p2 == pytest.approx(abs(a) ** 2 + abs(b) ** 2, rel=1e-12, abs=1e-12)
-
-
-def test_interfere_fringe_visibility():
-    phis = np.linspace(0, 2 * np.pi, 101)
-    balanced = np.array([interfere(0.7, 0.7, phi)[0] for phi in phis])
-    v = (balanced.max() - balanced.min()) / (balanced.max() + balanced.min())
-    assert v == pytest.approx(1.0, abs=1e-12)
-    single = np.array([interfere(0.7, 0.0, phi)[0] for phi in phis])
-    assert single.max() - single.min() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_simulate_counts_zero_efficiencies():

@@ -16,7 +16,6 @@ from specklewalk import (
     dual_target_spec,
     enhancement,
     generate_medium,
-    interfere,
     load_mask_csv,
     propagate,
     random_mask,
@@ -130,21 +129,6 @@ def test_dual_target_spec_equalizes_amplitudes():
     out = propagate(sm, apply_mask(conjugate_mask(sm, spec)))
     balance = abs(out[2]) / abs(out[5])
     assert 0.8 < balance < 1.25
-
-
-def test_dual_target_energy_exchange():
-    # fixed amplitudes from one dual-target mask: the splitter at phi + pi
-    # swaps the ports of the splitter at phi, and the total never moves
-    sm = generate_medium(MediumConfig(n_in=128, m_out=8, seed=13))
-    out = propagate(sm, apply_mask(conjugate_mask(sm, dual_target_spec(sm, 1, 4, 0.7))))
-    a, b = out[1], out[4]
-    total = abs(a) ** 2 + abs(b) ** 2
-    for phi in np.linspace(0.0, TWO_PI, 9):
-        p1, p2 = interfere(a, b, phi)
-        q1, q2 = interfere(a, b, phi + np.pi)
-        assert q1 == pytest.approx(p2, rel=1e-12, abs=1e-15)
-        assert q2 == pytest.approx(p1, rel=1e-12, abs=1e-15)
-        assert p1 + p2 == pytest.approx(total, rel=1e-9)
 
 
 def test_apply_mask_basics():

@@ -439,6 +439,22 @@ def test_positivity_confidence_rejects_nonfinite_input(n_obs, threshold):
         positivity_confidence(n_obs, threshold)
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: positivity_confidence(1.5, 11), "n_obs_triples"),
+    (lambda: positivity_confidence(1, 11.7), "threshold"),
+    (lambda: concurrence_threshold(1.5, 0.5, 0.5), "n_t"),
+], ids=["n_obs_triples", "threshold", "n_t"])
+def test_counts_reject_non_integers(call, name):
+    with pytest.raises(ConfigError, match=f"^{name} must be a (positive|nonnegative) integer"):
+        call()
+
+
+def test_counts_accept_integral_floats_and_numpy_integers():
+    expected = positivity_confidence(1, 11)
+    assert positivity_confidence(np.int64(1), 11.0) == positivity_confidence(1.0, np.int64(11)) == expected
+    assert concurrence_threshold(np.int64(5), 1.0, 1.0) == concurrence_threshold(5.0, 1.0, 1.0) == 4
+
+
 def test_positivity_confidence_consistent_with_upper_limit():
     # the reported confidence is the largest c whose upper limit fits the threshold
     for n, threshold in ((1, 11), (0, 4), (3, 9)):
