@@ -19,7 +19,7 @@ def build_parser() -> argparse.ArgumentParser:
         runner = sub.add_parser(name, help=f"run the {name} scenario")
         runner.add_argument("--config", required=True, help="INI configuration file")
         runner.add_argument("--seed", type=int, default=None, help="override the master seed")
-        runner.add_argument("--out", default=None, help="override the output directory (must exist)")
+        runner.add_argument("--out", default=None, help="output directory, which must exist (default: out)")
     return parser
 
 

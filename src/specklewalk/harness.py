@@ -134,11 +134,6 @@ def _parse_photons(text: str):
     return float(text)
 
 
-def _parse_text(text: str) -> str:
-    """A plain value, or a JSON string literal (how ``config_to_ini`` writes text INI cannot hold)."""
-    return json.loads(text) if text.startswith('"') else text
-
-
 # The INI schema, one row per key: (section, key, ExperimentConfig attribute path, parser).
 # Keys a file leaves out take their value from ExperimentConfig(); unknown entries are hard errors.
 _FIELDS = (
@@ -146,7 +141,6 @@ _FIELDS = (
     ("medium", "m_out", "medium.m_out", int),
     ("medium", "transmission", "medium.transmission", float),
     ("medium", "seed", "medium.seed", int),
-    ("medium", "mean_free_path_note", "medium.mean_free_path_note", _parse_text),
     ("calibration", "phase_steps", "calibration.phase_steps", int),
     ("calibration", "photons_per_measurement", "calibration.photons_per_measurement", _parse_photons),
     ("calibration", "reference_seed", "calibration.reference_seed", int),
@@ -155,11 +149,10 @@ _FIELDS = (
     ("targets", "index_a", "target_a", int),
     ("targets", "index_b", "target_b", int),
     *(("noise", field.name, f"noise.{field.name}", float) for field in dataclasses.fields(NoiseConfig)),
-    ("run", "scenario", "scenario", _parse_text),
+    ("run", "scenario", "scenario", str),
     ("run", "n_steps", "n_steps", int),
     ("run", "counts_per_step", "counts_per_step", float),
-    ("run", "counts_sampling", "counts_sampling", _parse_text),
-    ("run", "output_dir", "output_dir", _parse_text),
+    ("run", "counts_sampling", "counts_sampling", str),
     ("run", "seed", "seed", int),
 )
 _SECTIONS = tuple(dict.fromkeys(section for section, *_ in _FIELDS))
@@ -174,7 +167,7 @@ _DERIVED_SEEDS = {
 
 def parse_config_text(text: str, *, scenario: Optional[str] = None, seed: Optional[int] = None,
                       output_dir: Optional[str] = None) -> ExperimentConfig:
-    """Parse an INI config; optional overrides replace file values before seed derivation."""
+    """Parse an INI config; optional overrides replace file or default values before seed derivation."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -202,9 +195,10 @@ def parse_config_text(text: str, *, scenario: Optional[str] = None, seed: Option
     for path, stream in _DERIVED_SEEDS.items():
         given.setdefault(path, rng.child_seed(master_seed, stream))
 
-    # every field, grouped under the sub-config that owns it; sub-configs are built, and so checked, in table order
+    # every field, grouped under the sub-config that owns it; sub-configs are built, and so checked, in table order.
+    # output_dir is a run setting: the file does not hold it and report.json does not echo it
     owners = {}
-    for _, _, path, _ in _FIELDS:
+    for path in (*(path for _, _, path, _ in _FIELDS), "output_dir"):
         owner, _, name = path.rpartition(".")
         owners.setdefault(owner, {})[name] = given.get(path, attrgetter(path)(defaults))
     top = owners.pop("")
@@ -222,8 +216,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     doc = {section: {} for section in _SECTIONS}
     for section, key, path, _ in _FIELDS:
         doc[section][key] = attrgetter(path)(cfg)
-    if cfg.medium.mean_free_path_note is None:
-        del doc["medium"]["mean_free_path_note"]
     return doc
 
 
@@ -231,18 +223,9 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
     lines = []
     for section, entries in config_to_dict(cfg).items():
         lines.append(f"[{section}]\n")
-        lines.extend(f"{key} = {_ini_value(value)}\n" for key, value in entries.items())
+        lines.extend(f"{key} = {'noiseless' if value is None else value}\n" for key, value in entries.items())
         lines.append("\n")
     return "".join(lines)
-
-
-def _ini_value(value) -> str:
-    if value is None:
-        return "noiseless"
-    # INI strips surrounding whitespace and splits lines, so such text is written as a JSON literal
-    if isinstance(value, str) and (value != value.strip() or not value.isprintable() or value.startswith('"')):
-        return json.dumps(value)
-    return str(value)
 
 
 def _require_output_dir(cfg: ExperimentConfig) -> str:

@@ -35,7 +35,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -140,7 +140,6 @@ class MediumConfig:
     m_out: int
     transmission: float = 1.0
     seed: int = 0
-    mean_free_path_note: Optional[str] = None  # descriptive only, never used numerically
 
     def __post_init__(self):
         if self.n_in < 1 or self.m_out < 1:

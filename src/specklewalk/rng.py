@@ -61,6 +61,6 @@ def child_seed(seed: int, *path: int) -> int:
 
 
 def check_poisson_mean(largest: float, knob: str) -> None:
-    """Raise ConfigError naming ``knob`` when the Poisson mean it sets, ``largest``, is beyond the sampler."""
-    if largest > POISSON_LAM_MAX:
-        raise ConfigError(f"{knob} gives a Poisson mean of {largest:.3g}, above the sampler limit {POISSON_LAM_MAX:.3g}")
+    """Raise ConfigError naming ``knob`` when the Poisson mean it sets, ``largest``, is NaN or beyond the sampler."""
+    if not largest <= POISSON_LAM_MAX:
+        raise ConfigError(f"{knob} gives a Poisson mean of {largest:.3g}, not within the sampler limit {POISSON_LAM_MAX:.3g}")

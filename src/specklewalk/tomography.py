@@ -115,9 +115,10 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     if mean_total <= 0.0:
         raise DegenerateFieldError("no power reaches either target across the scan")
     offset = background_fraction * mean_total / 2.0
-    means = counts_per_step * (port + offset) / (mean_total * (1.0 + background_fraction))
-    means = np.clip(means, 0.0, None)
-    rng.check_poisson_mean(float(means.max()), f"counts_per_step={counts_per_step!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN means, which the check rejects
+        means = counts_per_step * (port + offset) / (mean_total * (1.0 + background_fraction))
+        means = np.clip(means, 0.0, None)
+    rng.check_poisson_mean(means.max(), f"counts_per_step={counts_per_step!r}, background_fraction={background_fraction!r}")
 
     if sampling == "poisson":
         counts = rng.generator(seed, rng.FRINGES).poisson(means)
@@ -320,6 +321,7 @@ def concurrence_threshold(n_t: int, d_mag: float, p00: float) -> int:
     if d_mag < 0.0:
         raise ConfigError("coherence magnitude must be nonnegative")
     bound = n_t * d_mag * d_mag / p00
+    require_finite(**{"n_t * d_mag^2 / p00": bound})
     return math.ceil(bound) - 1
 
 

@@ -20,19 +20,15 @@ from specklewalk import load_config, run, run_full
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "small.ini")
-# report.json echoes output_dir, so every case runs into the same relative directory
-OUT = "golden_out"
 
 
 def output_digests(runner, cfg) -> dict:
-    os.mkdir(OUT)
+    os.mkdir(cfg.output_dir)
     runner(cfg)
     digests = {}
-    for name in sorted(os.listdir(OUT)):
-        with open(os.path.join(OUT, name), "rb") as fh:
+    for name in sorted(os.listdir(cfg.output_dir)):
+        with open(os.path.join(cfg.output_dir, name), "rb") as fh:
             digests[name] = hashlib.sha256(fh.read()).hexdigest()
-        os.remove(os.path.join(OUT, name))
-    os.rmdir(OUT)
     return digests
 
 
@@ -41,7 +37,7 @@ def noiseless(cfg):
 
 
 def golden_cases():
-    cases = {f"seed{seed}": load_config(CONFIG, seed=seed, output_dir=OUT) for seed in (1, 2)}
+    cases = {f"seed{seed}": load_config(CONFIG, seed=seed) for seed in (1, 2)}
     cases["seed1-noiseless"] = noiseless(cases["seed1"])
     # a partial last row block: 1000 = 15 * 64 + 40
     seed1 = cases["seed1"]
@@ -54,20 +50,19 @@ def golden_cases():
     return cases
 
 
-def assert_golden(filename, runner, cases):
-    actual = {name: output_digests(runner, cfg) for name, cfg in cases.items()}
+def assert_golden(filename, runner, cases, tmp_path):
+    actual = {name: output_digests(runner, dataclasses.replace(cfg, output_dir=str(tmp_path / name)))
+              for name, cfg in cases.items()}
     with open(os.path.join(GOLDEN_DIR, filename), encoding="utf-8") as fh:
         golden = json.load(fh)
     assert actual == golden, "output bytes changed; actual digests:\n" + json.dumps(actual, indent=2, sort_keys=True)
 
 
-def test_full_small_output_bytes_match_golden_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert_golden("full_small.json", run_full, golden_cases())
+def test_full_small_output_bytes_match_golden_digests(tmp_path):
+    assert_golden("full_small.json", run_full, golden_cases(), tmp_path)
 
 
-def test_scenario_output_bytes_match_golden_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    cases = {f"{scenario}-seed1": load_config(CONFIG, scenario=scenario, seed=1, output_dir=OUT)
+def test_scenario_output_bytes_match_golden_digests(tmp_path):
+    cases = {f"{scenario}-seed1": load_config(CONFIG, scenario=scenario, seed=1)
              for scenario in ("focus", "scan", "fringes", "tomo")}
-    assert_golden("scenarios_small.json", run, cases)
+    assert_golden("scenarios_small.json", run, cases, tmp_path)

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -106,6 +108,11 @@ def test_parse_rejects_unknown_sections_and_keys():
         parse_config_text("[warp]\nspeed = 9\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("[medium]\nn_inn = 4\n")
+    # where a run writes is a run setting, and the note never entered the computation
+    with pytest.raises(ConfigError, match="unknown key 'output_dir'"):
+        parse_config_text("[run]\noutput_dir = out\n")
+    with pytest.raises(ConfigError, match="unknown key 'mean_free_path_note'"):
+        parse_config_text("[medium]\nmean_free_path_note = l* ~ 1-2 um\n")
     with pytest.raises(ConfigError, match="bad value"):
         parse_config_text("[medium]\nn_in = four\n")
 
@@ -113,13 +120,13 @@ def test_parse_rejects_unknown_sections_and_keys():
 def test_parse_round_trip_through_ini():
     cfg = small_config("somewhere", seed=7)
     text = config_to_ini(cfg)
-    assert parse_config_text(text) == cfg
+    assert parse_config_text(text, output_dir=cfg.output_dir) == cfg
 
 
 def test_parse_round_trip_with_noiseless_calibration():
     cfg = small_config("somewhere", calibration=CalibrationConfig(photons_per_measurement=None,
                                                                   reference_seed=3, noise_seed=4))
-    assert parse_config_text(config_to_ini(cfg)) == cfg
+    assert parse_config_text(config_to_ini(cfg), output_dir=cfg.output_dir) == cfg
 
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
@@ -136,7 +143,7 @@ def experiment_configs(draw):
         scenario=draw(st.sampled_from(SCENARIOS)),
         medium=MediumConfig(n_in=draw(st.integers(min_value=1, max_value=10**6)), m_out=m_out,
                             transmission=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
-                            seed=draw(seeds), mean_free_path_note=draw(st.none() | st.text())),
+                            seed=draw(seeds)),
         calibration=CalibrationConfig(phase_steps=draw(st.integers(min_value=3, max_value=64)),
                                       photons_per_measurement=draw(st.none() | positive),
                                       reference_seed=draw(seeds), noise_seed=draw(seeds)),
@@ -158,16 +165,13 @@ def experiment_configs(draw):
 @settings(max_examples=200, deadline=None)
 @given(experiment_configs())
 def test_every_valid_config_survives_ini_round_trip(cfg):
-    assert parse_config_text(config_to_ini(cfg)) == cfg
+    assert parse_config_text(config_to_ini(cfg), output_dir=cfg.output_dir) == cfg
 
 
-def test_ini_writes_text_it_cannot_hold_as_json_literal():
-    cfg = small_config(" out\n2 ", medium=MediumConfig(n_in=128, m_out=512, seed=1, mean_free_path_note='"l*"'))
-    text = config_to_ini(cfg)
-    assert 'output_dir = " out\\n2 "\n' in text and 'mean_free_path_note = "\\"l*\\""\n' in text
-    assert parse_config_text(text) == cfg
-    with pytest.raises(ConfigError):
-        parse_config_text('[run]\noutput_dir = "unterminated\n')
+def test_ini_text_values_are_read_verbatim():
+    # no value is JSON-decoded: a quoted scenario is the name with its quotes, which is no scenario
+    with pytest.raises(ConfigError, match="""unknown scenario '"tomo"'"""):
+        parse_config_text('[run]\nscenario = "tomo"\n')
 
 
 def test_parse_derives_subseeds_from_master():
@@ -180,7 +184,7 @@ def test_parse_derives_subseeds_from_master():
 
 
 def test_parse_overrides_take_precedence():
-    text = "[run]\nscenario = focus\nseed = 1\noutput_dir = a\n"
+    text = "[run]\nscenario = focus\nseed = 1\n"
     cfg = parse_config_text(text, scenario="tomo", seed=2, output_dir="b")
     assert cfg.scenario == "tomo" and cfg.seed == 2 and cfg.output_dir == "b"
 
@@ -348,6 +352,15 @@ def test_replay_is_byte_identical(tmp_path):
     assert digest_dir(tmp_path) == first
 
 
+def test_one_config_run_into_two_directories_gives_identical_files(tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        out.mkdir()
+        run(small_config(out))
+    assert len(digest_dir(outs[0])) == 11
+    assert digest_dir(outs[0]) == digest_dir(outs[1])
+
+
 def test_different_seed_changes_outputs(tmp_path):
     run(small_config(tmp_path, scenario="scan", seed=1))
     first = digest_dir(tmp_path)
@@ -379,7 +392,7 @@ def test_report_round_trip_reproduces_run(tmp_path):
             n_steps=echo["run"]["n_steps"],
             counts_per_step=echo["run"]["counts_per_step"],
             counts_sampling=echo["run"]["counts_sampling"],
-            output_dir=echo["run"]["output_dir"],
+            output_dir=str(out),
             seed=echo["run"]["seed"],
         )
         assert rebuilt == cfg
@@ -483,9 +496,9 @@ def test_cli_success_and_failure(tmp_path, capsys):
         "[medium]\nn_in = 64\nm_out = 256\n\n"
         "[calibration]\nphotons_per_measurement = noiseless\n\n"
         "[targets]\nindex_a = 5\nindex_b = 9\n\n"
-        f"[run]\noutput_dir = {out}\nseed = 3\n"
+        "[run]\nseed = 3\n"
     )
-    assert main(["focus", "--config", str(ini)]) == 0
+    assert main(["focus", "--config", str(ini), "--out", str(out)]) == 0
     assert "focus: ok" in capsys.readouterr().out
 
     assert main(["focus", "--config", str(ini), "--out", str(tmp_path / "missing")]) == 1
@@ -496,11 +509,31 @@ def test_cli_success_and_failure(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR FileNotFoundError:")
 
 
+PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml")
+
+
 def test_console_script_names_the_cli_main():
     tomllib = pytest.importorskip("tomllib")
-    with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml"), "rb") as fh:
+    with open(PYPROJECT, "rb") as fh:
         assert tomllib.load(fh)["project"]["scripts"] == {"specklewalk": "specklewalk.cli:main"}
     assert callable(main)
+
+
+def test_installed_setuptools_meets_the_declared_build_floor():
+    # `pip install --no-build-isolation` builds with the installed setuptools, whatever [build-system] asks for
+    tomllib = pytest.importorskip("tomllib")
+    try:
+        installed = importlib.metadata.version("setuptools")
+    except importlib.metadata.PackageNotFoundError:
+        pytest.skip("setuptools is not installed")
+    with open(PYPROJECT, "rb") as fh:
+        requires = tomllib.load(fh)["build-system"]["requires"]
+    floor = next(req.partition(">=")[2] for req in requires if req.startswith("setuptools"))
+
+    def release(version):
+        return tuple(int(part) for part in re.match(r"\d+(\.\d+)*", version).group().split("."))
+
+    assert release(installed) >= release(floor), f"setuptools {installed} is below the declared floor {floor}"
 
 
 def test_cli_scenario_overrides_file(tmp_path, capsys):
@@ -511,9 +544,9 @@ def test_cli_scenario_overrides_file(tmp_path, capsys):
         "[medium]\nn_in = 64\nm_out = 256\n\n"
         "[calibration]\nphotons_per_measurement = noiseless\n\n"
         "[targets]\nindex_a = 5\nindex_b = 9\n\n"
-        f"[run]\nscenario = full\noutput_dir = {out}\nseed = 3\n"
+        "[run]\nscenario = full\nseed = 3\n"
     )
-    assert main(["scan", "--config", str(ini)]) == 0
+    assert main(["scan", "--config", str(ini), "--out", str(out)]) == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["scenario"] == "scan"
 

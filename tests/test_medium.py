@@ -145,13 +145,6 @@ def test_output_index_outside_range_raises_dimension_error(caller, index):
         OUTPUT_INDEX_CALLERS[caller](sm, index)
 
 
-def test_mean_free_path_note_is_metadata_only():
-    note = "l* ~ 1-2 um"
-    with_note = generate_medium(MediumConfig(n_in=4, m_out=4, seed=2, mean_free_path_note=note))
-    without = generate_medium(MediumConfig(n_in=4, m_out=4, seed=2))
-    assert np.array_equal(with_note.matrix, without.matrix)  # never enters the draw
-
-
 def test_matrix_rejects_nonfinite():
     bad = np.eye(2, dtype=complex)
     bad[0, 1] = np.nan + 0j

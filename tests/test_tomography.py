@@ -109,6 +109,14 @@ def test_scan_fringes_rejects_counts_beyond_the_poisson_sampler(sampling, counts
         scan_fringes(sm, sm, 0, 1, counts_per_step=counts_per_step, sampling=sampling)
 
 
+@pytest.mark.parametrize("sampling", ["poisson", "expected"])
+def test_scan_fringes_rejects_a_background_whose_means_overflow(sampling):
+    # background_fraction * mean_total overflows, so every mean is inf / inf = NaN
+    sm = generate_medium(MediumConfig(n_in=16, m_out=8, seed=1011))
+    with pytest.raises(ConfigError, match="counts_per_step=4000.0, background_fraction=1e\\+308"):
+        scan_fringes(sm, sm, 0, 1, counts_per_step=4000.0, sampling=sampling, background_fraction=1e308)
+
+
 def test_scan_fringes_ideal_shape():
     sm = generate_medium(MediumConfig(n_in=1024, m_out=64, seed=1000))
     scan = scan_fringes(sm, sm, 5, 20, counts_per_step=1e9, seed=0, sampling="expected")
@@ -408,6 +416,11 @@ def test_concurrence_threshold_sentinel_and_boundary():
 def test_concurrence_threshold_rejects_nonfinite_input(n_t, d_mag):
     with pytest.raises(ConfigError, match="must be finite"):
         concurrence_threshold(n_t, d_mag, 0.5)
+
+
+def test_concurrence_threshold_rejects_finite_input_whose_bound_overflows():
+    with pytest.raises(ConfigError, match=r"n_t \* d_mag\^2 / p00 must be finite"):
+        concurrence_threshold(10, 0.5, 1e-320)
 
 
 def test_concurrence_threshold_consistency_with_concurrence():
