@@ -25,7 +25,8 @@ conj(r_m) * S_mn, with no phase steps at all.
 The measurement runs in blocks of ``medium.ROW_BLOCK`` output rows, one
 ``estimate_block`` call each, which reads only its own block's rows.
 ``measure_sm`` maps it over a whole matrix; a caller that draws the
-medium block by block calls it on each block as it is drawn.
+medium block by block calls it on each block as it is drawn, and may
+hand it one scratch array to reuse for every block.
 
 Shot noise is modeled as Poisson photon counting on every intensity
 sample, with photons_per_measurement photons per unit intensity.
@@ -99,12 +100,17 @@ def reference_field(n_in: int, cfg: CalibrationConfig) -> np.ndarray:
     return apply_mask(random_mask(n_in, cfg.reference_seed))
 
 
-def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig) -> SmEstimate:
-    """Phase-step every input mode against the static reference speckle, one ``estimate_block`` per row block."""
+def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig, *, first_block: int = 0) -> SmEstimate:
+    """Phase-step every input mode against the static reference speckle, one ``estimate_block`` per row block.
+
+    Row block i of ``s_true`` is block ``first_block + i`` of its medium and
+    draws that block's noise stream, so a caller that holds only some
+    blocks of a medium calibrates them to the bytes of the whole.
+    """
     field = reference_field(s_true.n_in, cfg)
     estimate = np.empty_like(s_true.matrix)
     reference = np.concatenate(medium.map_row_blocks(
-        lambda block: estimate_block(medium.row_block(s_true.matrix, block), field, cfg, block,
+        lambda block: estimate_block(medium.row_block(s_true.matrix, block), field, cfg, first_block + block,
                                      medium.row_block(estimate, block)),
         s_true.m_out))
     flagged = np.flatnonzero(np.abs(reference) == 0.0)
@@ -112,7 +118,7 @@ def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig) -> SmEstimate:
 
 
 def estimate_block(rows: np.ndarray, field: np.ndarray, cfg: CalibrationConfig, block: int,
-                   out: np.ndarray) -> np.ndarray:
+                   out: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Write the estimate of row block ``block``, true rows ``rows``, into ``out``; return their reference speckle.
 
     ``field`` is ``reference_field(n_in, cfg)``. The reference r_m of each
@@ -121,12 +127,16 @@ def estimate_block(rows: np.ndarray, field: np.ndarray, cfg: CalibrationConfig, 
     checking that the largest Poisson mean the block can ask for,
     ppm (max|r_m| + max|S_mn|)^2 over the block, is within the sampler.
     Rows with r_m = 0 carry no information and come out zero.
+
+    A noisy block works in ``scratch``, a float64 array of shape
+    (3,) + rows.shape whose three parts are C-ordered; when it is None the
+    block allocates one. Its contents going in do not matter.
     """
     reference = medium.propagate_rows(rows, field)
     if cfg.noiseless:
         np.multiply(np.conj(reference)[:, None], rows, out=out)
     else:
-        _measure_noisy(rows, reference, cfg, block, out)
+        _measure_noisy(rows, reference, cfg, block, out, np.empty((3,) + rows.shape) if scratch is None else scratch)
     out[np.abs(reference) == 0.0, :] = 0.0
     return reference
 
@@ -140,8 +150,8 @@ def _phase_factors(steps: int):
 
 
 def _measure_noisy(rows: np.ndarray, reference: np.ndarray, cfg: CalibrationConfig, block: int,
-                   out: np.ndarray) -> None:
-    """Write one block's shot-noise-limited Fourier estimate into ``out``.
+                   out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write one block's shot-noise-limited Fourier estimate into ``out``, working in ``scratch``.
 
     Rows follow the module's shot-noise rule: for K = 4, a row whose smallest
     sample mean is at least _GAUSSIAN_FLOOR photons gets two moment-matched
@@ -150,38 +160,57 @@ def _measure_noisy(rows: np.ndarray, reference: np.ndarray, cfg: CalibrationConf
     normals of the rows at or above the floor (every real part, row by row,
     then every imaginary part), then the Poisson counts of the other rows,
     one phase step at a time.
+
+    ``scratch`` holds three (rows, n_in) arrays: |r|^2 + |S|^2, a work
+    array and the normals. Every value is computed from the same operands
+    in the same order as with new temporaries, so the bytes do not depend
+    on where it works.
     """
     ppm = cfg.photons_per_measurement
+    power, work, normals = scratch
+    s_re, s_im = rows.real, rows.imag
     # (max|r| + max|S|)^2 bounds every intensity sample of the block, so an oversized budget fails before its draws
-    s2 = _abs2(rows)
+    s2 = np.multiply(s_re, s_re, out=power)
+    s2 += np.multiply(s_im, s_im, out=work)
     bound = ppm * (float(np.max(np.abs(reference))) + np.sqrt(float(np.max(s2)))) ** 2
     rng.check_poisson_mean(bound, f"photons_per_measurement={ppm!r}")
     factors = _phase_factors(cfg.phase_steps)
     r = reference[:, None]
-    s_re, s_im, r_re, r_im = rows.real, rows.imag, r.real, r.imag
-    # per unit intensity: |r|^2 + |S|^2 and conj(r) S; the mean photon numbers are ppm and 2 ppm times these
-    power = np.add(s2, _abs2(r), out=s2)
-    x_re = r_re * s_re + r_im * s_im
-    x_im = r_re * s_im - r_im * s_re
+    r_re, r_im = r.real, r.imag
+    # per unit intensity: |r|^2 + |S|^2 and conj(r) S, the latter in ``out`` until the draws replace it;
+    # the mean photon numbers are ppm and 2 ppm times these
+    power = np.add(s2, r_re * r_re + r_im * r_im, out=s2)
+    x_re = np.multiply(r_re, s_re, out=out.real)
+    x_re += np.multiply(r_im, s_im, out=work)
+    x_im = np.multiply(r_re, s_im, out=out.imag)
+    x_im -= np.multiply(r_im, s_re, out=work)
     gen = rng.generator(cfg.noise_seed, rng.CALIBRATION_NOISE, block)
     exact = slice(None)
     if len(factors) == 4:
         # the four sample means are ppm * (power + 2 x_re, power - 2 x_im, power - 2 x_re, power + 2 x_im)
-        lowest = ppm * np.min(power - 2.0 * np.maximum(np.abs(x_re), np.abs(x_im)), axis=1)
+        spread = np.maximum(np.abs(x_re, out=work), np.abs(x_im, out=normals), out=work)
+        spread *= 2.0
+        lowest = ppm * np.min(np.subtract(power, spread, out=spread), axis=1)
         gaussian = lowest >= _GAUSSIAN_FLOOR
         if gaussian.any():
             # c0 - c2 ~ N(2 ppm x_re, 2 ppm power) and c3 - c1 ~ N(2 ppm x_im, 2 ppm power); divided by 4 ppm,
             # each component is x + sqrt(power / (8 ppm)) * z, all real parts drawn before all imaginary parts
             g = np.flatnonzero(gaussian)
-            z = gen.standard_normal((2, g.size, rows.shape[1]))
-            z *= np.sqrt(power[g] / (8.0 * ppm))
-            out.real[g] = np.add(x_re[g], z[0], out=z[0])
-            out.imag[g] = np.add(x_im[g], z[1], out=z[1])
+            z, gathered = normals[:g.size], work[:g.size]
+            for x in (x_re, x_im):
+                gen.standard_normal(out=z)
+                z *= np.sqrt(np.divide(_take_rows(power, g, gathered), 8.0 * ppm, out=gathered), out=gathered)
+                x[g] = np.add(_take_rows(x, g, gathered), z, out=z)
             exact = np.flatnonzero(~gaussian)
     acc_re, acc_im = _poisson_sums(gen, ppm * power[exact], (2.0 * ppm) * x_re[exact], (2.0 * ppm) * x_im[exact],
                                    factors)
     out.real[exact] = np.divide(acc_re, len(factors) * ppm, out=acc_re)
     out.imag[exact] = np.divide(acc_im, len(factors) * ppm, out=acc_im)
+
+
+def _take_rows(values: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """values[rows] into ``out``; mode "clip" writes ``out`` directly, where "raise" would buffer it."""
+    return np.take(values, rows, axis=0, out=out, mode="clip")
 
 
 def _poisson_sums(gen: np.random.Generator, dc: np.ndarray, cross_re: np.ndarray, cross_im: np.ndarray, factors):
@@ -205,10 +234,6 @@ def _poisson_sums(gen: np.random.Generator, dc: np.ndarray, cross_re: np.ndarray
         if sin:
             acc_im -= sin * counts
     return acc_re, acc_im
-
-
-def _abs2(values: np.ndarray) -> np.ndarray:
-    return values.real * values.real + values.imag * values.imag
 
 
 def sm_fidelity(s_true: ScatteringMatrix, estimate: SmEstimate) -> np.ndarray:

@@ -19,21 +19,25 @@ on the RunReport but never written to disk.
 
 A run never holds a whole matrix. It works in two phases over the row
 blocks of ``medium.ROW_BLOCK`` rows, whose bytes depend only on their
-own block:
+own block, with both SMX files open from the start:
 
-  1. The blocks up to the one that holds the later target are drawn and
-     calibrated as a medium of their own (``generate_medium`` and
-     ``measure_sm`` on that row prefix). Its two target rows, true and
-     estimated, give every mask the stages use and the fringe scan.
-  2. One ``medium.map_row_blocks`` pass takes every block once: it takes
-     a prefix block from phase 1 or draws and calibrates the block, then
-     computes its row fidelities, writes both SMX blocks at their file
-     offsets, and propagates each mask through the block's rows.
+  1. The one or two blocks that hold the targets are drawn
+     (``medium.draw_block``) and calibrated (``measure_sm`` from the
+     block's own noise stream). Their two target rows, true and
+     estimated, give every mask the stages use and the fringe scan. The
+     blocks are then written, scored and propagated, and dropped. The
+     fringe scan and its fit run next, on the two target rows alone, so a
+     bad scan knob fails before the pass.
+  2. One ``medium.map_row_blocks`` pass draws and calibrates every other
+     block, computes its row fidelities, writes both SMX blocks at their
+     file offsets, and propagates each mask through the block's rows.
+     Each worker does this in one set of block buffers, allocated by the
+     calling thread before the pass: temporaries made new for every
+     block are mapped and page-faulted in afresh each time.
 
 ``run`` then calls the stages in order on the two target rows, the masks
-and their output fields; the fringe scan and its fit are made once, and
-only when a stage reads them. Memory grows with the prefix, not with
-m_out; a target in the last block makes the prefix the whole matrix.
+and their output fields. Memory depends on neither m_out nor where the
+targets are: two target blocks, then one set of block buffers per worker.
 
 Every run table (``sm_fidelity.csv``, ``scan_*.csv``, ``fringes.csv``,
 ``probabilities.csv``) goes through ``_write_csv`` and every JSON file
@@ -59,9 +63,9 @@ from . import __version__
 # names imported here, and its span stack must not be touched from worker threads
 from . import calibration, medium, rng
 from .errors import ConfigError, StatisticsError, require_finite
-from .medium import ROW_BLOCK, MediumConfig, ScatteringMatrix, generate_medium
+from .medium import ROW_BLOCK, MediumConfig, ScatteringMatrix
 from .slm import TargetSpec, apply_mask, conjugate_mask, dual_target_spec, enhancement, random_mask, save_mask_csv
-from .calibration import CalibrationConfig, SmEstimate, measure_sm
+from .calibration import CalibrationConfig, measure_sm
 from .quantum import SourceConfig, mode_probabilities, simulate_counts, estimate_state
 from .tomography import (VisibilityFit, coherence_from_visibility, concurrence, concurrence_error,
                          concurrence_threshold, fit_visibility, positivity_confidence, scan_fringes)
@@ -280,37 +284,52 @@ def _masks(cfg: ExperimentConfig, pair_estimate: ScatteringMatrix) -> dict:
     return masks
 
 
-def _row_pass(cfg: ExperimentConfig, out: str, prefix: ScatteringMatrix, prefix_estimate: SmEstimate,
-              masks: dict):
-    """Phase 2: each row block once, from the prefix or drawn and calibrated here.
+def _target_block(cfg: ExperimentConfig, block: int):
+    """Phase 1 for one block that holds a target: its true rows, drawn, and their estimate through ``measure_sm``."""
+    rows = medium.draw_block(cfg.medium, block, np.empty(
+        (min(ROW_BLOCK, cfg.medium.m_out - block * ROW_BLOCK), cfg.medium.n_in), dtype=np.complex128))
+    return rows, measure_sm(ScatteringMatrix._adopt(rows), cfg.calibration, first_block=block).matrix.matrix
 
-    Writes both SMX files and returns the row fidelities and the output
-    field of each mask, by name.
+
+def _target_pairs(targets: list, blocks: dict):
+    """The target rows of the truth and of the estimate, copied out of phase 1's blocks, as two-row matrices."""
+    rows = [[part[t % ROW_BLOCK] for part in blocks[t // ROW_BLOCK]] for t in targets]  # (true, estimate) per target
+    return tuple(ScatteringMatrix._adopt(np.array(pair)) for pair in zip(*rows))
+
+
+def _finish_block(smx_files, fields: list, block: int, rows: np.ndarray, est: np.ndarray):
+    """Write a block's true and estimated rows into the SMX files; return its row fidelities and each field's output."""
+    for fh, part in zip(smx_files, (rows, est)):
+        medium.write_smx_rows(fh, block * ROW_BLOCK, part)
+    return calibration.row_fidelity(rows, est), [medium.propagate_rows(rows, field) for field in fields]
+
+
+def _row_pass(cfg: ExperimentConfig, smx_files, fields: list, done: dict):
+    """Phase 2: draw, calibrate and finish every block that ``done`` (block -> result) does not hold yet.
+
+    Each worker draws and calibrates its blocks in one set of block
+    buffers, allocated here before the pass. Returns the row fidelities
+    and the output field for each of ``fields``, over every row.
     """
     m_out, n_in = cfg.medium.m_out, cfg.medium.n_in
     reference_input = calibration.reference_field(n_in, cfg.calibration)
-    fields = [apply_mask(mask) for mask in masks.values()]
 
-    def block_pass(block: int):
-        first = block * ROW_BLOCK
-        if first < prefix.m_out:
-            rows = medium.row_block(prefix.matrix, block)
-            est = medium.row_block(prefix_estimate.matrix.matrix, block)
-        else:
-            rows = medium.draw_block(cfg.medium, block,
-                                     np.empty((min(ROW_BLOCK, m_out - first), n_in), dtype=np.complex128))
-            est = np.empty_like(rows)
-            calibration.estimate_block(rows, reference_input, cfg.calibration, block, est)
-        medium.write_smx_rows(smx_true, first, rows)
-        medium.write_smx_rows(smx_estimate, first, est)
-        return calibration.row_fidelity(rows, est), [medium.propagate_rows(rows, field) for field in fields]
+    def buffers():  # one worker's true rows, estimate and calibration scratch
+        rows = np.empty((ROW_BLOCK, n_in), dtype=np.complex128)
+        return rows, np.empty_like(rows), np.empty((3, ROW_BLOCK, n_in))
 
-    with medium.create_smx(os.path.join(out, "medium.smx"), m_out, n_in) as smx_true, \
-            medium.create_smx(os.path.join(out, "sm_estimate.smx"), m_out, n_in) as smx_estimate:
-        blocks = medium.map_row_blocks(block_pass, m_out)
+    def block_pass(block: int, worker_buffers):
+        if block in done:
+            return done[block]
+        size = min(ROW_BLOCK, m_out - block * ROW_BLOCK)
+        rows, est, scratch = (buffer[..., :size, :] for buffer in worker_buffers)
+        medium.draw_block(cfg.medium, block, rows, scratch[0])
+        calibration.estimate_block(rows, reference_input, cfg.calibration, block, est, scratch)
+        return _finish_block(smx_files, fields, block, rows, est)
+
+    blocks = medium.map_row_blocks(block_pass, m_out, per_worker=buffers)
     fidelities = np.concatenate([fidelity for fidelity, _ in blocks])
-    outputs = [np.concatenate(parts) for parts in zip(*(block_outputs for _, block_outputs in blocks))]
-    return fidelities, dict(zip(masks, outputs))
+    return fidelities, [np.concatenate(parts) for parts in zip(*(block_outputs for _, block_outputs in blocks))]
 
 
 def _focus_stage(cfg: ExperimentConfig, out: str, masks: dict, outputs: dict, fidelities: np.ndarray) -> dict:
@@ -393,28 +412,33 @@ def run(cfg: ExperimentConfig) -> RunReport:
     """
     started = time.perf_counter()
     out = _require_output_dir(cfg)
-    # phase 1: the rows up to the end of the block that holds the later target
+    m_out, n_in = cfg.medium.m_out, cfg.medium.n_in
     targets = [cfg.target_a, cfg.target_b]
-    prefix = generate_medium(dataclasses.replace(
-        cfg.medium, m_out=min(cfg.medium.m_out, (max(targets) // ROW_BLOCK + 1) * ROW_BLOCK)))
-    prefix_estimate = measure_sm(prefix, cfg.calibration)
-    pair_true = ScatteringMatrix._adopt(prefix.matrix[targets])
-    pair_estimate = ScatteringMatrix._adopt(prefix_estimate.matrix.matrix[targets])
-    masks = _masks(cfg, pair_estimate)
-    # phase 2: every block once
-    fidelities, outputs = _row_pass(cfg, out, prefix, prefix_estimate, masks)
+    stages = PIPELINES[cfg.scenario]
+    with medium.create_smx(os.path.join(out, "medium.smx"), m_out, n_in) as smx_true, \
+            medium.create_smx(os.path.join(out, "sm_estimate.smx"), m_out, n_in) as smx_estimate:
+        # phase 1: the one or two blocks that hold the targets
+        blocks = {block: _target_block(cfg, block) for block in sorted({t // ROW_BLOCK for t in targets})}
+        pair_true, pair_estimate = _target_pairs(targets, blocks)
+        masks = _masks(cfg, pair_estimate)
+        fields = [apply_mask(mask) for mask in masks.values()]
+        done = {block: _finish_block((smx_true, smx_estimate), fields, block, *pair) for block, pair in blocks.items()}
+        del blocks
+        # the fringe scan and its fit read only the target rows, so a bad scan knob fails before the pass
+        if set(stages) & {"scan", "fringes", "tomo"}:  # the stages that read the fringe scan
+            scan = _scan(cfg, out, pair_true, pair_estimate)
+        if set(stages) & {"fringes", "tomo"}:  # the stages that read its fit; a scan run never fits
+            fit = fit_visibility(scan)
+        # phase 2: every other block
+        fidelities, block_outputs = _row_pass(cfg, (smx_true, smx_estimate), fields, done)
+    outputs = dict(zip(masks, block_outputs))
     _write_csv(os.path.join(out, "sm_fidelity.csv"), ("row", "fidelity"), enumerate(fidelities.tolist()))
 
-    stages = PIPELINES[cfg.scenario]
     results = {}
     if "focus" in stages:
         results["focus"] = _focus_stage(cfg, out, masks, outputs, fidelities)
-    if set(stages) & {"scan", "fringes", "tomo"}:  # the stages that read the fringe scan
-        scan = _scan(cfg, out, pair_true, pair_estimate)
     if "scan" in stages:
         results["scan"] = {"n_steps": cfg.n_steps, "total_counts": int(scan.counts.sum())}
-    if set(stages) & {"fringes", "tomo"}:  # the stages that read its fit; a scan run never fits
-        fit = fit_visibility(scan)
     if "fringes" in stages:
         results["fringes"] = dataclasses.asdict(fit)
     if "tomo" in stages:

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,19 +50,34 @@ _SMX_HEADER = struct.Struct("<QQ")
 ROW_BLOCK = 64
 
 
-def map_row_blocks(fn: Callable[[int], object], n_rows: int) -> list:
+def map_row_blocks(fn: Callable[..., object], n_rows: int, per_worker: Optional[Callable[[], object]] = None) -> list:
     """Return [fn(block) for every block of ROW_BLOCK rows], run on a thread pool.
 
     The pool has one worker per usable core, and no more than there are
     blocks; the results keep block order. With one worker the blocks run
     in the calling thread.
+
+    With ``per_worker``, the calling thread calls it once per worker before
+    the pass, and each block runs as fn(block, state) with the state of the
+    worker that runs it: a worker can reuse one set of buffers for all its
+    blocks.
     """
     blocks = range(-(-n_rows // ROW_BLOCK))
     workers = min(len(blocks), _cpu_count())
+    if per_worker is not None:
+        states = [per_worker() for _ in range(workers)]
+        local = threading.local()
+
+        def task(block):
+            if not hasattr(local, "state"):  # the worker's first block
+                local.state = states.pop()
+            return fn(block, local.state)
+    else:
+        task = fn
     if workers == 1:
-        return [fn(block) for block in blocks]
+        return [task(block) for block in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
+        return list(pool.map(task, blocks))
 
 
 def row_block(array: np.ndarray, block: int) -> np.ndarray:
@@ -163,17 +179,19 @@ def generate_medium(config: MediumConfig) -> ScatteringMatrix:
     return ScatteringMatrix._adopt(entries)
 
 
-def draw_block(config: MediumConfig, block: int, rows: np.ndarray) -> np.ndarray:
+def draw_block(config: MediumConfig, block: int, rows: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Draw the rows of ``block`` into ``rows`` and return it.
 
     ``rows`` is a complex128 array of the block's shape: ROW_BLOCK rows,
     fewer in a partial last block, by n_in. The block draws its real
     parts, then its imaginary parts, from stream (MEDIUM, block) of the seed.
+    The normals land in ``scratch``, a C-ordered float64 array of that
+    shape, or in a new array when it is None.
     """
     scale = np.sqrt(config.transmission / (2.0 * config.n_in))
     gen = rng.generator(config.seed, rng.MEDIUM, block)
-    np.multiply(gen.standard_normal(rows.shape), scale, out=rows.real)
-    np.multiply(gen.standard_normal(rows.shape), scale, out=rows.imag)
+    np.multiply(gen.standard_normal(rows.shape, out=scratch), scale, out=rows.real)
+    np.multiply(gen.standard_normal(rows.shape, out=scratch), scale, out=rows.imag)
     return rows
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from specklewalk import rng
+from specklewalk import calibration, medium, rng
 from specklewalk import (
     CalibrationConfig,
     ConfigError,
@@ -241,6 +241,51 @@ def test_noisy_rows_above_the_floor_draw_normals_first_from_their_block_streams(
         expected[exact] = acc / (4 * ppm)
     got = measure_sm(sm, cfg).matrix.matrix
     np.testing.assert_allclose(got, expected, rtol=0, atol=1.01 / (4 * ppm))
+
+
+@pytest.mark.parametrize("steps, ppm, zero_row", [
+    (4, 1e4, None),  # rows above and below the Gaussian floor
+    (3, 1e4, None),  # every row Poisson
+    (4, None, None),  # noiseless
+    (4, 1e4, ROW_BLOCK + 6),  # a row whose reference is zero
+])
+def test_reused_block_buffers_give_the_bytes_of_the_whole_matrix(steps, ppm, zero_row):
+    medium_cfg = MediumConfig(n_in=40, m_out=2 * ROW_BLOCK + 22, seed=32)  # the last block is partial
+    cfg = CalibrationConfig(phase_steps=steps, photons_per_measurement=ppm, reference_seed=33, noise_seed=34)
+    drawn = generate_medium(medium_cfg).matrix
+    truth = drawn.copy()
+    if zero_row is not None:
+        truth[zero_row] = 0.0
+    sm = ScatteringMatrix(truth)
+    whole = measure_sm(sm, cfg)
+    if steps == 4 and ppm is not None:
+        assert 0 < above_floor(sm, cfg).sum() < sm.m_out
+    if zero_row is not None:
+        assert whole.flagged_rows == (zero_row,)
+    field = reference_field(medium_cfg.n_in, cfg)
+    # one set of full-block buffers, holding NaN to begin with and reused for every block
+    rows_buffer = np.full((ROW_BLOCK, medium_cfg.n_in), np.nan, dtype=complex)
+    est_buffer = np.full_like(rows_buffer, np.nan)
+    scratch = np.full((3, ROW_BLOCK, medium_cfg.n_in), np.nan)
+    for block in range(3):
+        size = len(medium.row_block(truth, block))
+        rows, est = rows_buffer[:size], est_buffer[:size]
+        assert medium.draw_block(medium_cfg, block, rows, scratch[0, :size]).tobytes() \
+            == medium.draw_block(medium_cfg, block, np.empty_like(rows)).tobytes() \
+            == medium.row_block(drawn, block).tobytes()
+        np.copyto(rows, medium.row_block(truth, block))
+        allocated = np.empty_like(rows)
+        assert calibration.estimate_block(rows, field, cfg, block, est, scratch[:, :size]).tobytes() \
+            == calibration.estimate_block(rows, field, cfg, block, allocated).tobytes()
+        assert est.tobytes() == allocated.tobytes() == medium.row_block(whole.matrix.matrix, block).tobytes()
+
+
+def test_a_block_calibrated_alone_draws_the_noise_stream_of_its_place():
+    cfg = CalibrationConfig(photons_per_measurement=1e4, reference_seed=33, noise_seed=34)
+    sm = generate_medium(MediumConfig(n_in=40, m_out=3 * ROW_BLOCK, seed=32))
+    whole = measure_sm(sm, cfg).matrix.matrix
+    alone = measure_sm(ScatteringMatrix(medium.row_block(sm.matrix, 2)), cfg, first_block=2).matrix.matrix
+    assert alone.tobytes() == medium.row_block(whole, 2).tobytes()
 
 
 def test_noisy_estimate_independent_of_worker_count(monkeypatch):

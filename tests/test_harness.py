@@ -402,7 +402,7 @@ def test_report_round_trip_reproduces_run(tmp_path):
 
 
 def test_run_memory_does_not_grow_with_the_medium(tmp_path):
-    # the matrix at m_out = 8192 is 32 MiB; the run holds only the row prefix up to the later target
+    # the matrix at m_out = 8192 is 32 MiB; the run holds only the target blocks and one set of block buffers per worker
     def traced_peak(m_out):
         cfg = small_config(tmp_path, medium=MediumConfig(n_in=256, m_out=m_out, seed=1281))
         tracemalloc.start()
@@ -417,8 +417,23 @@ def test_run_memory_does_not_grow_with_the_medium(tmp_path):
     assert large - small < 2 * 2**20
 
 
+@pytest.mark.parametrize("targets", [(96, 8191), (8192 - 64, 8191)])
+def test_run_memory_does_not_depend_on_where_the_targets_are(tmp_path, monkeypatch, targets):
+    # the block buffers are one set per worker, so the worker count is pinned
+    monkeypatch.setattr(medium, "_cpu_count", lambda: 2)
+    cfg = small_config(tmp_path, medium=MediumConfig(n_in=256, m_out=8192, seed=1281),
+                       target_a=targets[0], target_b=targets[1])
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_run_bytes_independent_of_worker_count(tmp_path, monkeypatch):
-    cfg = small_config(tmp_path)  # 8 row blocks: 5 in the prefix up to target_b = 288, 3 past it
+    cfg = small_config(tmp_path)  # 8 row blocks: 1 and 4 hold the targets, the pass draws the other 6
     digests = []
     for workers in (1, 4):
         monkeypatch.setattr(medium, "_cpu_count", lambda: workers)
@@ -428,7 +443,7 @@ def test_run_bytes_independent_of_worker_count(tmp_path, monkeypatch):
 
 
 def test_run_rejects_a_photon_budget_beyond_the_sampler_past_the_prefix(tmp_path):
-    # targets (0, 1) make the prefix one row block; the budget fits it but not the block with the largest bound
+    # targets (0, 1) lie in row block 0; the budget fits it but not the block with the largest bound
     medium_cfg = MediumConfig(n_in=8, m_out=256, seed=39)
     sm = generate_medium(medium_cfg)
     r = propagate(sm, reference_field(8, CalibrationConfig(reference_seed=39)))
@@ -459,6 +474,16 @@ def test_run_over_earlier_outputs_gives_the_fresh_directory_bytes(tmp_path):
     for name in fresh:
         (tmp_path / name).write_bytes(b"\xff" * 2**21)
     assert run_with(1000) == fresh
+
+
+def test_run_failing_on_a_scan_knob_fails_before_the_row_pass(tmp_path):
+    cfg = small_config(tmp_path, scenario="scan", medium=MediumConfig(n_in=64, m_out=128, seed=1281),
+                       target_a=3, target_b=90, noise=NoiseConfig(background_fraction=1e307))
+    with pytest.raises(ConfigError):
+        run(cfg)
+    for name in ("medium.smx", "sm_estimate.smx"):
+        assert (tmp_path / name).stat().st_size == 0
+    assert not (tmp_path / "sm_fidelity.csv").exists()
 
 
 def test_run_failing_in_the_row_pass_leaves_empty_smx_files(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import sys
 import threading
 
 import numpy as np
@@ -77,6 +78,36 @@ def test_row_blocks_keep_order_and_use_at_most_one_worker_per_core(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     workers = set(map_row_blocks(lambda block: threading.get_ident(), 8 * ROW_BLOCK))
     assert threading.get_ident() not in workers and len(workers) <= 3
+
+
+def test_row_blocks_give_each_worker_one_state_made_by_the_calling_thread(monkeypatch):
+    # more workers than cores and a short switch interval: two threads sharing a state would meet in it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    states, made_by = [], set()
+
+    def per_worker():
+        made_by.add(threading.get_ident())
+        states.append({"busy": False, "threads": set(), "blocks": 0})
+        return states[-1]
+
+    def fn(block, state):
+        assert not state["busy"]
+        state["busy"] = True
+        state["threads"].add(threading.get_ident())
+        sum(range(2000))
+        state["blocks"] += 1
+        state["busy"] = False
+        return block
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert map_row_blocks(fn, 64 * ROW_BLOCK + 1, per_worker=per_worker) == list(range(65))
+    finally:
+        sys.setswitchinterval(interval)
+    assert made_by == {threading.get_ident()} and len(states) == 8
+    assert sum(state["blocks"] for state in states) == 65
+    assert all(len(state["threads"]) <= 1 for state in states)
 
 
 def test_medium_independent_of_worker_count(monkeypatch):
