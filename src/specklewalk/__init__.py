@@ -27,11 +27,10 @@ from .medium import (
     speckle_contrast,
 )
 from .slm import (
-    TargetSpec,
     apply_mask,
     canonicalize_phases,
-    conjugate_mask,
-    dual_target_spec,
+    conjugate_phases,
+    dual_target_weights,
     enhancement,
     load_mask_csv,
     random_mask,

@@ -53,7 +53,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, require_finite
+from .errors import ConfigError, DimensionError, require_finite, require_integer
 from .medium import ScatteringMatrix
 from .slm import TWO_PI, apply_mask, random_mask
 # block helpers are called through their module: perfbench/tracing.py wraps the names
@@ -73,6 +73,7 @@ class CalibrationConfig:
     noise_seed: int = 2
 
     def __post_init__(self):
+        require_integer(phase_steps=self.phase_steps, reference_seed=self.reference_seed, noise_seed=self.noise_seed)
         if self.phase_steps < 3:
             raise ConfigError(f"phase_steps must be >= 3 to separate amplitude, phase and offset, got {self.phase_steps}")
         if self.photons_per_measurement is not None:

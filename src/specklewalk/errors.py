@@ -1,6 +1,7 @@
 """Exception types shared across the simulator."""
 
 import math
+import numbers
 
 
 class ConfigError(ValueError):
@@ -32,3 +33,10 @@ def require_finite(**knobs: float) -> None:
     for name, value in knobs.items():
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def require_integer(**knobs: int) -> None:
+    """Raise ConfigError naming the first knob that is not a Python or numpy integer (a bool is not one)."""
+    for name, value in knobs.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")

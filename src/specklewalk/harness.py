@@ -62,9 +62,9 @@ from . import __version__
 # the row-block pass calls its block helpers through their modules: perfbench/tracing.py wraps the
 # names imported here, and its span stack must not be touched from worker threads
 from . import calibration, medium, rng
-from .errors import ConfigError, StatisticsError, require_finite
+from .errors import ConfigError, StatisticsError, require_finite, require_integer
 from .medium import ROW_BLOCK, MediumConfig, ScatteringMatrix
-from .slm import TargetSpec, apply_mask, conjugate_mask, dual_target_spec, enhancement, random_mask, save_mask_csv
+from .slm import apply_mask, conjugate_phases, dual_target_weights, enhancement, random_mask, save_mask_csv
 from .calibration import CalibrationConfig, measure_sm
 from .quantum import SourceConfig, mode_probabilities, simulate_counts, estimate_state
 from .tomography import (VisibilityFit, coherence_from_visibility, concurrence, concurrence_error,
@@ -110,6 +110,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
+        require_integer(target_a=self.target_a, target_b=self.target_b, n_steps=self.n_steps, seed=self.seed)
         if not (0 <= self.target_a < self.medium.m_out) or not (0 <= self.target_b < self.medium.m_out):
             raise ConfigError(f"targets ({self.target_a}, {self.target_b}) outside output range [0, {self.medium.m_out})")
         if self.target_a == self.target_b:
@@ -277,10 +278,10 @@ def _masks(cfg: ExperimentConfig, pair_estimate: ScatteringMatrix) -> dict:
     stages = PIPELINES[cfg.scenario]
     masks = {}
     if "focus" in stages:
-        masks["focused"] = conjugate_mask(pair_estimate, TargetSpec.single(0))
+        masks["focused"] = conjugate_phases(pair_estimate, (0,), [[1.0]])[0]
         masks["random"] = random_mask(cfg.medium.n_in, cfg.seed)
     if "tomo" in stages:
-        masks["split"] = conjugate_mask(pair_estimate, dual_target_spec(pair_estimate, 0, 1, 0.0))
+        masks["split"] = conjugate_phases(pair_estimate, (0, 1), dual_target_weights(pair_estimate, 0, 1, [0.0]))[0]
     return masks
 
 

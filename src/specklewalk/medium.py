@@ -40,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, StatisticsError, require_finite
+from .errors import ConfigError, DimensionError, FormatError, StatisticsError, require_finite, require_integer
 from . import rng
 
 SMX_MAGIC = b"SMX1"
@@ -158,6 +158,7 @@ class MediumConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integer(n_in=self.n_in, m_out=self.m_out, seed=self.seed)
         if self.n_in < 1 or self.m_out < 1:
             raise ConfigError(f"mode counts must be >= 1, got n_in={self.n_in}, m_out={self.m_out}")
         require_finite(transmission=self.transmission)

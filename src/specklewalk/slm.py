@@ -12,9 +12,6 @@ device, not something to correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
 from .errors import ConfigError, DegenerateTargetError, DimensionError, FormatError
@@ -39,41 +36,6 @@ def canonicalize_phases(phases: np.ndarray) -> np.ndarray:
     return folded
 
 
-@dataclass(frozen=True)
-class TargetSpec:
-    """Output-mode indices and complex weights defining a focus target.
-
-    For two targets, arg(weights[1] / weights[0]) sets the relative
-    phase between the focused output fields.
-    """
-
-    indices: Tuple[int, ...]
-    weights: Tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
-        if len(self.indices) == 0:
-            raise ConfigError("target spec needs at least one target")
-        if len(self.indices) != len(self.weights):
-            raise ConfigError("indices and weights must have equal length")
-        _check_targets(self.indices, np.array([self.weights], dtype=np.complex128))
-
-    @classmethod
-    def single(cls, index: int) -> "TargetSpec":
-        return cls((index,), (1.0,))
-
-
-def _check_targets(indices: Tuple[int, ...], weights: np.ndarray) -> None:
-    """TargetSpec's checks on distinct ``indices`` and on each row of (specs, len(indices)) ``weights``."""
-    if len(set(indices)) != len(indices):
-        raise ConfigError(f"target indices must be distinct, got {indices}")
-    if not np.all(np.any(weights != 0, axis=1)):
-        raise ConfigError("at least one target weight must be nonzero")
-    if not np.all(np.isfinite(weights)):
-        raise ConfigError("target weights must be finite")
-
-
 def dual_target_weights(sm: ScatteringMatrix, target_a: int, target_b: int, relative_phases) -> np.ndarray:
     """Equal-amplitude two-target weights, one (w_a, w_b) row per relative phase.
 
@@ -81,7 +43,7 @@ def dual_target_weights(sm: ScatteringMatrix, target_a: int, target_b: int, rela
     from, so the two focused outputs come out with (statistically) equal
     amplitude even when the rows carry different norms or unknown
     calibration factors; target A leads target B in phase by the row's
-    relative phase. Every row passes TargetSpec's checks.
+    relative phase.
     """
     sm.check_output_index(target_a)
     sm.check_output_index(target_b)
@@ -90,17 +52,12 @@ def dual_target_weights(sm: ScatteringMatrix, target_a: int, target_b: int, rela
     if norm_a == 0.0 or norm_b == 0.0:
         raise DegenerateTargetError("dual target rows must both carry coupling")
     phis = np.asarray(relative_phases, dtype=np.float64)
+    if not np.all(np.isfinite(phis)):  # the inverse norms are finite, so finite phases give finite weights
+        raise ConfigError("relative phases must be finite")
     weights = np.empty((phis.size, 2), dtype=np.complex128)
     weights[:, 0] = 1.0 / norm_a
     weights[:, 1] = np.exp(1j * phis) / norm_b
-    _check_targets((target_a, target_b), weights)
     return weights
-
-
-def dual_target_spec(sm: ScatteringMatrix, target_a: int, target_b: int, relative_phase: float) -> TargetSpec:
-    """Equal-amplitude two-target spec with a controlled relative phase, from ``dual_target_weights``."""
-    (w_a, w_b), = dual_target_weights(sm, target_a, target_b, [relative_phase])
-    return TargetSpec((target_a, target_b), (w_a, w_b))
 
 
 def random_mask(n: int, seed: int) -> np.ndarray:
@@ -111,17 +68,36 @@ def random_mask(n: int, seed: int) -> np.ndarray:
     return gen.uniform(0.0, TWO_PI, size=n)
 
 
-def conjugate_phases(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Phase-only conjugation masks of the (k, n) target ``rows``, one per row of the (masks, k) ``weights``.
+def conjugate_phases(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
+    """Phase-only conjugation masks on the ``targets`` rows of ``sm``, one per row of the (masks, k) ``weights``.
 
-    phases[j, n] = arg(sum_k conj(weights[j, k]) conj(rows[k, n])), folded
-    into [0, 2*pi). A row without coupling (named by its position in
-    ``rows``) or a superposition that cancels on every input mode raises
-    DegenerateTargetError.
+    phases[j, n] = arg(sum_k conj(weights[j, k]) conj(S[targets[k], n])),
+    folded into [0, 2*pi). For two targets, arg(weights[j, 1] /
+    weights[j, 0]) sets the relative phase between the focused output
+    fields. An index outside the output range raises DimensionError.
+    Repeated or no targets, weights whose shape does not match the
+    targets, and a weight row that is zero or not finite raise
+    ConfigError. A target row without coupling or a superposition that
+    cancels on every input mode raises DegenerateTargetError.
     """
+    targets = list(targets)
+    if not targets:
+        raise ConfigError("conjugation needs at least one target")
+    for index in targets:
+        sm.check_output_index(index)
+    if len(set(targets)) != len(targets):
+        raise ConfigError(f"target indices must be distinct, got {targets}")
+    weights = np.asarray(weights, dtype=np.complex128)
+    if weights.ndim != 2 or weights.shape[1] != len(targets):
+        raise ConfigError(f"weights of shape {weights.shape} do not match {len(targets)} targets")
+    if not np.all(np.isfinite(weights)):
+        raise ConfigError("target weights must be finite")
+    if not np.all(np.any(weights != 0, axis=1)):
+        raise ConfigError("at least one target weight must be nonzero")
+    rows = sm.matrix[targets]
     row_power = np.sum(np.abs(rows) ** 2, axis=1)
     if np.any(row_power == 0.0):
-        dead = np.nonzero(row_power == 0.0)[0].tolist()
+        dead = [targets[k] for k in np.nonzero(row_power == 0.0)[0]]
         raise DegenerateTargetError(f"target rows {dead} have no coupling to any input mode")
     # one (1, k) @ (k, n) product per mask, as for a single mask: one (masks, k) @ (k, n) product
     # rounds the last entries of a row differently when n is not a multiple of the BLAS kernel's width
@@ -129,14 +105,6 @@ def conjugate_phases(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if not np.all(np.any(superposition != 0.0, axis=1)):
         raise DegenerateTargetError("target superposition cancels on every input mode")
     return canonicalize_phases(np.angle(superposition))
-
-
-def conjugate_mask(sm: ScatteringMatrix, spec: TargetSpec) -> np.ndarray:
-    """Phase-only conjugation mask, phases[n] = arg(sum_k conj(w_k) conj(S[t_k, n])), by ``conjugate_phases``."""
-    for index in spec.indices:
-        sm.check_output_index(index)
-    weights = np.array([spec.weights], dtype=np.complex128)
-    return conjugate_phases(sm.matrix[list(spec.indices), :], weights)[0]
 
 
 def apply_mask(mask: np.ndarray) -> np.ndarray:

@@ -73,7 +73,7 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     (the only output amplitudes the scan reads), and the two target
     amplitudes are combined on a balanced splitter. The masks and their
     target amplitudes are built for all steps at once, with the bits of
-    ``conjugate_mask(s_masks, dual_target_spec(s_masks, a, b, phi_j))``
+    the one-mask ``conjugate_phases(s_masks, (a, b), dual_target_weights(s_masks, a, b, [phi_j]))``
     and of ``propagate`` of its field, step by step. Phase jitter of
     width sigma_phi (radians) is averaged within each step, multiplying
     the interference cross term by exp(-sigma_phi^2 / 2); an unmodulated
@@ -100,7 +100,7 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
 
     phis = TWO_PI * np.arange(n_steps) / (n_steps - 1)
     weights = dual_target_weights(s_masks, target_a, target_b, phis)
-    fields = 1j * conjugate_phases(s_masks.matrix[[target_a, target_b]], weights)
+    fields = 1j * conjugate_phases(s_masks, (target_a, target_b), weights)
     np.exp(fields, out=fields)  # the fold has checked that the phases are finite
     amplitudes = propagate_rows(s_true.matrix[[target_a, target_b]], fields[:, None, :])
     dephasing = math.exp(-0.5 * sigma_phi ** 2)

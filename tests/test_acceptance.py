@@ -17,13 +17,12 @@ from specklewalk import (
     NoiseConfig,
     ScatteringMatrix,
     SourceConfig,
-    TargetSpec,
     apply_mask,
     coherence_from_visibility,
     concurrence,
     concurrence_threshold,
-    conjugate_mask,
-    dual_target_spec,
+    conjugate_phases,
+    dual_target_weights,
     enhancement,
     estimate_state,
     fit_visibility,
@@ -115,9 +114,8 @@ def test_criterion_06_calibration_correctness():
         sm = generate_medium(MediumConfig(n_in=64, m_out=64, seed=4000 + trial))
         estimate = measure_sm(sm, CalibrationConfig(reference_seed=4100 + trial))
         worst_fidelity = min(worst_fidelity, float(sm_fidelity(sm, estimate).min()))
-        spec = TargetSpec.single(17)
-        i_true = abs(propagate(sm, apply_mask(conjugate_mask(sm, spec)))[17]) ** 2
-        i_est = abs(propagate(sm, apply_mask(conjugate_mask(estimate.matrix, spec)))[17]) ** 2
+        i_true = abs(propagate(sm, apply_mask(conjugate_phases(sm, (17,), [[1.0]])[0]))[17]) ** 2
+        i_est = abs(propagate(sm, apply_mask(conjugate_phases(estimate.matrix, (17,), [[1.0]])[0]))[17]) ** 2
         worst_intensity_gap = max(worst_intensity_gap, abs(i_true - i_est) / i_true)
     ok = worst_fidelity >= 1 - 1e-9 and worst_intensity_gap <= 1e-9
     check(6, ok, f"20 noiseless 64x64 calibrations: min row fidelity {worst_fidelity:.12f}, "
@@ -128,7 +126,7 @@ def test_criterion_07_focusing_enhancement_and_seven_percent(tmp_path):
     n = 256
     expected = (np.pi / 4) * (n - 1) + 1
     values = [
-        enhancement(propagate(sm, apply_mask(conjugate_mask(sm, TargetSpec.single(11)))), 11)
+        enhancement(propagate(sm, apply_mask(conjugate_phases(sm, (11,), [[1.0]])[0])), 11)
         for sm in (generate_medium(MediumConfig(n_in=n, m_out=512, seed=4200 + t)) for t in range(20))
     ]
     mean_enh = float(np.mean(values))
@@ -229,7 +227,7 @@ def tomo_certificate(cfg):
     The scan, fit, counts and state then follow ``harness._tomo_stage``.
     """
     pair, pair_estimate = target_pair(cfg.medium, cfg.calibration, (cfg.target_a, cfg.target_b))
-    field = apply_mask(conjugate_mask(pair_estimate, dual_target_spec(pair_estimate, 0, 1, 0.0)))
+    field = apply_mask(conjugate_phases(pair_estimate, (0, 1), dual_target_weights(pair_estimate, 0, 1, [0.0]))[0])
     m_out, n_in = cfg.medium.m_out, cfg.medium.n_in
     split_output = np.concatenate([
         medium.propagate_rows(medium.draw_block(cfg.medium, block, np.empty(

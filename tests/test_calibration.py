@@ -11,9 +11,8 @@ from specklewalk import (
     DimensionError,
     MediumConfig,
     ScatteringMatrix,
-    TargetSpec,
     apply_mask,
-    conjugate_mask,
+    conjugate_phases,
     generate_medium,
     measure_sm,
     propagate,
@@ -134,9 +133,8 @@ def test_focusing_through_estimate_matches_truth():
     for trial in range(5):
         sm = generate_medium(MediumConfig(n_in=64, m_out=64, seed=500 + trial))
         estimate = measure_sm(sm, CalibrationConfig(reference_seed=600 + trial))
-        spec = TargetSpec.single(13)
-        mask_true = conjugate_mask(sm, spec)
-        mask_est = conjugate_mask(estimate.matrix, spec)
+        mask_true, = conjugate_phases(sm, (13,), [[1.0]])
+        mask_est, = conjugate_phases(estimate.matrix, (13,), [[1.0]])
 
         # identical up to a global phase <=> the offset phasor has unit coherence
         offset_coherence = abs(np.mean(np.exp(1j * (mask_est - mask_true))))

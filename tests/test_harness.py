@@ -103,6 +103,31 @@ def test_config_rejects_nonfinite_float_knobs(section, key, value):
         parse_config_text(f"[{section}]\n{key} = {value}\n")
 
 
+INTEGER_KNOBS = [
+    ("medium", "n_in"),
+    ("medium", "m_out"),
+    ("medium", "seed"),
+    ("calibration", "phase_steps"),
+    ("calibration", "reference_seed"),
+    ("calibration", "noise_seed"),
+    ("experiment", "target_a"),
+    ("experiment", "target_b"),
+    ("experiment", "n_steps"),
+    ("experiment", "seed"),
+]
+
+
+@pytest.mark.parametrize("value", [4.5, 5.0, "5", True])
+@pytest.mark.parametrize("owner,name", INTEGER_KNOBS)
+def test_configs_reject_non_integer_counts_indices_and_seeds(owner, name, value):
+    # phase_steps=4.5 once calibrated with five steps that do not close the circle
+    defaults = ExperimentConfig()
+    config = defaults if owner == "experiment" else getattr(defaults, owner)
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        dataclasses.replace(config, **{name: value})
+    assert dataclasses.replace(config, **{name: np.int64(getattr(config, name))}) == config
+
+
 def test_parse_rejects_unknown_sections_and_keys():
     with pytest.raises(ConfigError, match="unknown config section"):
         parse_config_text("[warp]\nspeed = 9\n")
@@ -401,8 +426,10 @@ def test_report_round_trip_reproduces_run(tmp_path):
         assert digest_dir(out) == written
 
 
-def test_run_memory_does_not_grow_with_the_medium(tmp_path):
-    # the matrix at m_out = 8192 is 32 MiB; the run holds only the target blocks and one set of block buffers per worker
+def test_run_memory_does_not_grow_with_the_medium(tmp_path, monkeypatch):
+    # the matrix at m_out = 8192 is 32 MiB; the run holds only the target blocks and one set of block buffers per worker,
+    # so the worker count is pinned
+    monkeypatch.setattr(medium, "_cpu_count", lambda: 2)
     def traced_peak(m_out):
         cfg = small_config(tmp_path, medium=MediumConfig(n_in=256, m_out=m_out, seed=1281))
         tracemalloc.start()

@@ -15,9 +15,8 @@ from specklewalk import (
     MediumConfig,
     ScatteringMatrix,
     StatisticsError,
-    TargetSpec,
-    conjugate_mask,
-    dual_target_spec,
+    conjugate_phases,
+    dual_target_weights,
     enhancement,
     generate_medium,
     load_smx,
@@ -159,8 +158,8 @@ def test_propagate_dimension_mismatch():
 
 
 OUTPUT_INDEX_CALLERS = {
-    "conjugate_mask": lambda sm, index: conjugate_mask(sm, TargetSpec.single(index)),
-    "dual_target_spec": lambda sm, index: dual_target_spec(sm, 0, index, 0.0),
+    "conjugate_phases": lambda sm, index: conjugate_phases(sm, (index,), [[1.0]]),
+    "dual_target_weights": lambda sm, index: dual_target_weights(sm, 0, index, [0.0]),
     "enhancement": lambda sm, index: enhancement(propagate(sm, apply_mask(np.zeros(sm.n_in))), index),
     "mode_probabilities": lambda sm, index: mode_probabilities(propagate(sm, apply_mask(np.zeros(sm.n_in))),
                                                                (0, index), 1.0),

@@ -12,9 +12,8 @@ from specklewalk import (
     ScatteringMatrix,
     SourceConfig,
     StatisticsError,
-    TargetSpec,
     apply_mask,
-    conjugate_mask,
+    conjugate_phases,
     estimate_state,
     generate_medium,
     mode_probabilities,
@@ -72,7 +71,7 @@ def test_mode_probabilities_random_mask_uniform_sharing():
 
 def test_mode_probabilities_focused_fraction():
     sm = generate_medium(MediumConfig(n_in=1024, m_out=4096, seed=72))
-    mask = conjugate_mask(sm, TargetSpec.single(40))
+    mask, = conjugate_phases(sm, (40,), [[1.0]])
     q_a, _ = mode_probabilities(propagate(sm, apply_mask(mask)), (40, 41), 1.0)
     expected = ((np.pi / 4) * 1023 + 1) / ((np.pi / 4) * 1023 + 1 + 4095)  # focused share of total power
     assert abs(q_a - expected) / expected < 0.15

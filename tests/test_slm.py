@@ -9,11 +9,10 @@ from specklewalk import (
     FormatError,
     MediumConfig,
     ScatteringMatrix,
-    TargetSpec,
     apply_mask,
     canonicalize_phases,
-    conjugate_mask,
-    dual_target_spec,
+    conjugate_phases,
+    dual_target_weights,
     enhancement,
     generate_medium,
     load_mask_csv,
@@ -21,20 +20,26 @@ from specklewalk import (
     random_mask,
     save_mask_csv,
 )
-from specklewalk.slm import conjugate_phases
 
 TWO_PI = 2.0 * np.pi
 
 
 def test_target_spec_validation():
-    with pytest.raises(ConfigError):
-        TargetSpec((), ())
-    with pytest.raises(ConfigError):
-        TargetSpec((1, 1), (1.0, 1.0))
-    with pytest.raises(ConfigError):
-        TargetSpec((0, 1), (0.0, 0.0))
-    with pytest.raises(ConfigError):
-        TargetSpec((0,), (1.0, 2.0))
+    sm = generate_medium(MediumConfig(n_in=4, m_out=3, seed=1))
+    with pytest.raises(ConfigError, match="at least one target"):
+        conjugate_phases(sm, (), np.ones((1, 0)))
+    with pytest.raises(ConfigError, match="distinct"):
+        conjugate_phases(sm, (1, 1), [[1.0, 1.0]])
+    with pytest.raises(ConfigError, match="nonzero"):
+        conjugate_phases(sm, (0, 1), [[1.0, 1.0], [0.0, 0.0]])
+    for weights in ([[1.0, 2.0]], [1.0], [[[1.0]]]):
+        with pytest.raises(ConfigError, match="do not match"):
+            conjugate_phases(sm, (0,), weights)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        with pytest.raises(ConfigError, match="target weights must be finite"):
+            conjugate_phases(sm, (0, 2), [[1.0, 1.0], [1.0, bad]])
+        with pytest.raises(ConfigError, match="relative phases must be finite"):
+            dual_target_weights(sm, 0, 2, [0.0, abs(bad)])
 
 
 def test_random_mask_range_and_determinism():
@@ -53,14 +58,14 @@ def test_conjugate_mask_single_target_is_negated_row_phase():
     gen = np.random.default_rng(0)
     row = gen.standard_normal(12) + 1j * gen.standard_normal(12)
     sm = ScatteringMatrix(row[None, :])
-    mask = conjugate_mask(sm, TargetSpec.single(0))
+    mask, = conjugate_phases(sm, (0,), [[1.0]])
     np.testing.assert_allclose(mask, np.mod(-np.angle(row), TWO_PI), atol=1e-12)
 
 
 def test_conjugate_mask_hand_case():
     # 1x2 row (1, i): mask (0, 3*pi/2); focused amplitude |1 + i*exp(i*3pi/2)| = 2
     sm = ScatteringMatrix(np.array([[1.0, 1.0j]]))
-    mask = conjugate_mask(sm, TargetSpec.single(0))
+    mask, = conjugate_phases(sm, (0,), [[1.0]])
     np.testing.assert_allclose(mask, [0.0, 3 * np.pi / 2], atol=1e-12)
     out = propagate(sm, apply_mask(mask))
     assert abs(out[0]) == pytest.approx(2.0, abs=1e-12)
@@ -68,7 +73,7 @@ def test_conjugate_mask_hand_case():
 
 def test_conjugate_mask_phase_alignment_invariant():
     sm = generate_medium(MediumConfig(n_in=64, m_out=16, seed=8))
-    mask = conjugate_mask(sm, TargetSpec.single(3))
+    mask, = conjugate_phases(sm, (3,), [[1.0]])
     terms = sm.matrix[3, :] * np.exp(1j * mask)
     angles = np.angle(terms)
     assert np.max(np.abs(angles)) < 1e-10
@@ -82,19 +87,19 @@ def test_conjugate_mask_degenerate_row():
     matrix[1, :] = 1.0
     sm = ScatteringMatrix(matrix)
     with pytest.raises(DegenerateTargetError):
-        conjugate_mask(sm, TargetSpec.single(0))
+        conjugate_phases(sm, (0,), [[1.0]])
     with pytest.raises(DimensionError):
-        conjugate_mask(sm, TargetSpec.single(5))
+        conjugate_phases(sm, (5,), [[1.0]])
 
 
 def test_conjugate_phases_one_mask_per_weight_row():
     sm = generate_medium(MediumConfig(n_in=37, m_out=9, seed=12))
     gen = np.random.default_rng(13)
     weights = gen.standard_normal((6, 3)) + 1j * gen.standard_normal((6, 3))
-    masks = conjugate_phases(sm.matrix[[4, 1, 7]], weights)
+    masks = conjugate_phases(sm, (4, 1, 7), weights)
     assert masks.shape == (6, 37)
     for mask, row in zip(masks, weights):
-        assert np.array_equal(mask, conjugate_mask(sm, TargetSpec((4, 1, 7), tuple(row))))
+        assert np.array_equal(mask, conjugate_phases(sm, (4, 1, 7), [row])[0])
     # the masks of a scan are a block, not a mask: the modulator still takes one at a time
     with pytest.raises(ConfigError):
         apply_mask(masks)
@@ -102,22 +107,23 @@ def test_conjugate_phases_one_mask_per_weight_row():
 
 def test_conjugate_phases_degenerate_rows_and_cancelled_masks():
     rows = np.array([[1.0, 2.0j, -3.0], [1.0, 2.0j, -3.0]], dtype=complex)
+    sm = ScatteringMatrix(rows)
     with pytest.raises(DegenerateTargetError, match="cancels"):
-        conjugate_phases(rows, np.array([[1.0, 1.0], [1.0, -1.0], [2.0, 0.5]]))  # only the second mask cancels
-    assert conjugate_phases(rows, np.array([[1.0, 1.0], [2.0, 0.5]])).shape == (2, 3)
+        conjugate_phases(sm, (0, 1), [[1.0, 1.0], [1.0, -1.0], [2.0, 0.5]])  # only the second mask cancels
+    assert conjugate_phases(sm, (0, 1), [[1.0, 1.0], [2.0, 0.5]]).shape == (2, 3)
     rows[1] = 0.0
-    with pytest.raises(DegenerateTargetError, match="no coupling"):
-        conjugate_phases(rows, np.array([[1.0, 1.0]]))
+    with pytest.raises(DegenerateTargetError, match=r"target rows \[1\] have no coupling"):
+        conjugate_phases(ScatteringMatrix(rows), (0, 1), [[1.0, 1.0]])
 
 
 def test_dual_target_relative_phase_monte_carlo():
     # weights (1, e^{i*phi}): target A leads target B by phi on average
     phi = 1.0
-    spec = TargetSpec((0, 1), (1.0, np.exp(1j * phi)))
+    weights = [[1.0, np.exp(1j * phi)]]
     rotations = []
     for seed in range(50):
         sm = generate_medium(MediumConfig(n_in=64, m_out=2, seed=300 + seed))
-        out = propagate(sm, apply_mask(conjugate_mask(sm, spec)))
+        out = propagate(sm, apply_mask(conjugate_phases(sm, (0, 1), weights)[0]))
         rotations.append(out[0] * np.conj(out[1]))
     mean_diff = np.angle(np.mean(rotations / np.abs(rotations)))
     assert abs(mean_diff - phi) < 0.2
@@ -125,8 +131,8 @@ def test_dual_target_relative_phase_monte_carlo():
 
 def test_dual_target_spec_equalizes_amplitudes():
     sm = generate_medium(MediumConfig(n_in=512, m_out=8, seed=12))
-    spec = dual_target_spec(sm, 2, 5, 0.0)
-    out = propagate(sm, apply_mask(conjugate_mask(sm, spec)))
+    weights = dual_target_weights(sm, 2, 5, [0.0])
+    out = propagate(sm, apply_mask(conjugate_phases(sm, (2, 5), weights)[0]))
     balance = abs(out[2]) / abs(out[5])
     assert 0.8 < balance < 1.25
 
@@ -155,7 +161,7 @@ def test_enhancement_conjugate_mask_expectation():
     values = []
     for seed in range(20):
         sm = generate_medium(MediumConfig(n_in=n, m_out=512, seed=700 + seed))
-        values.append(enhancement(propagate(sm, apply_mask(conjugate_mask(sm, TargetSpec.single(11)))), 11))
+        values.append(enhancement(propagate(sm, apply_mask(conjugate_phases(sm, (11,), [[1.0]])[0])), 11))
     assert abs(np.mean(values) - expected) / expected < 0.10
 
 
@@ -163,7 +169,7 @@ def test_enhancement_single_input_mode_cannot_enhance():
     values = []
     for seed in range(200):
         sm = generate_medium(MediumConfig(n_in=1, m_out=256, seed=1100 + seed))
-        values.append(enhancement(propagate(sm, apply_mask(conjugate_mask(sm, TargetSpec.single(0)))), 0))
+        values.append(enhancement(propagate(sm, apply_mask(conjugate_phases(sm, (0,), [[1.0]])[0])), 0))
     assert 0.8 < np.mean(values) < 1.2
 
 

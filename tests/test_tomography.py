@@ -31,7 +31,7 @@ from specklewalk import (
     scan_fringes,
 )
 from specklewalk.harness import _write_csv
-from specklewalk.slm import apply_mask, conjugate_mask, dual_target_spec
+from specklewalk.slm import apply_mask, conjugate_phases, dual_target_weights
 from specklewalk.tomography import _poisson_cdf
 
 
@@ -132,7 +132,8 @@ def test_scan_fringes_ideal_shape():
 
 def scan_fields(s_masks, target_a, target_b, n_steps):
     for phi in 2 * np.pi * np.arange(n_steps) / (n_steps - 1):
-        yield apply_mask(conjugate_mask(s_masks, dual_target_spec(s_masks, target_a, target_b, phi)))
+        weights = dual_target_weights(s_masks, target_a, target_b, [phi])
+        yield apply_mask(conjugate_phases(s_masks, (target_a, target_b), weights)[0])
 
 
 def test_scan_fringes_two_rows_match_full_propagation():
