@@ -6,7 +6,9 @@
 both in one row block (5, 40), ``target_b`` = 990 in that partial last
 block, and ``target_a`` after ``target_b`` (288, 96)
 (tests/golden/full_small.json); ``focus``, ``scan``,
-``fringes`` and ``tomo`` at seed 1 (tests/golden/scenarios_small.json). Any change of output bytes
+``fringes`` and ``tomo`` at seed 1 (tests/golden/scenarios_small.json). ``full`` on
+configs/paper.ini (1024 x 4096) at its own seed 12345 is pinned too
+(tests/golden/full_paper.json); that run writes 128 MiB. Any change of output bytes
 fails here. A deliberate change regenerates the golden file from the JSON
 this test prints on failure, bumps the version, and says why in CHANGES.md.
 """
@@ -19,7 +21,8 @@ import os
 from specklewalk import load_config, run, run_full
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
-CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "small.ini")
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+CONFIG = os.path.join(CONFIGS, "small.ini")
 
 
 def output_digests(runner, cfg) -> dict:
@@ -66,3 +69,7 @@ def test_scenario_output_bytes_match_golden_digests(tmp_path):
     cases = {f"{scenario}-seed1": load_config(CONFIG, scenario=scenario, seed=1)
              for scenario in ("focus", "scan", "fringes", "tomo")}
     assert_golden("scenarios_small.json", run, cases, tmp_path)
+
+
+def test_full_paper_output_bytes_match_golden_digests(tmp_path):
+    assert_golden("full_paper.json", run_full, {"seed12345": load_config(os.path.join(CONFIGS, "paper.ini"))}, tmp_path)
