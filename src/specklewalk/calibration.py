@@ -73,15 +73,14 @@ class CalibrationConfig:
     noise_seed: int = 2
 
     def __post_init__(self):
-        require_integer(phase_steps=self.phase_steps, reference_seed=self.reference_seed, noise_seed=self.noise_seed)
+        require_integer(phase_steps=self.phase_steps)
+        require_integer(0, reference_seed=self.reference_seed, noise_seed=self.noise_seed)
         if self.phase_steps < 3:
             raise ConfigError(f"phase_steps must be >= 3 to separate amplitude, phase and offset, got {self.phase_steps}")
         if self.photons_per_measurement is not None:
             require_finite(photons_per_measurement=self.photons_per_measurement)
             if not self.photons_per_measurement > 0:
                 raise ConfigError("photons_per_measurement must be positive or None for noiseless")
-        if self.reference_seed < 0 or self.noise_seed < 0:
-            raise ConfigError("reference_seed and noise_seed must be nonnegative integers")
 
     @property
     def noiseless(self) -> bool:
@@ -108,6 +107,7 @@ def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig, *, first_block:
     draws that block's noise stream, so a caller that holds only some
     blocks of a medium calibrates them to the bytes of the whole.
     """
+    require_integer(0, first_block=first_block)
     field = reference_field(s_true.n_in, cfg)
     estimate = np.empty_like(s_true.matrix)
     reference = np.concatenate(medium.map_row_blocks(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -28,14 +29,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.config, scenario=args.scenario, seed=args.seed, output_dir=args.out)
         report = run(cfg)
+        print(f"{cfg.scenario}: ok seed={cfg.seed} out={cfg.output_dir} wall_time={report.wall_time:.3f}s")
+        for key in ("focused_fraction", "visibility", "concurrence", "confidence", "total_counts"):
+            value = _lookup(report.result, key)
+            if value is not None:
+                print(f"  {key} = {value}")
+        sys.stdout.flush()  # a closed pipe raises here, inside the try, not at exit
+    except BrokenPipeError:  # stdout closed early, as by `| head -1`: exit 1 without a traceback (Python's SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot raise again
+        return 1
     except Exception as exc:  # single machine-parsable failure line
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(f"{cfg.scenario}: ok seed={cfg.seed} out={cfg.output_dir} wall_time={report.wall_time:.3f}s")
-    for key in ("focused_fraction", "visibility", "concurrence", "confidence", "total_counts"):
-        value = _lookup(report.result, key)
-        if value is not None:
-            print(f"  {key} = {value}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator."""
+"""Exception types, and the argument rules that raise them, shared across the simulator."""
 
 import math
 import numbers
@@ -35,8 +35,44 @@ def require_finite(**knobs: float) -> None:
             raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
-def require_integer(**knobs: int) -> None:
-    """Raise ConfigError naming the first knob that is not a Python or numpy integer (a bool is not one)."""
+def require_nonnegative(**knobs: float) -> None:
+    """Raise ConfigError naming the first knob that is not finite, then the first below 0."""
+    require_finite(**knobs)
+    for name, value in knobs.items():
+        if value < 0:
+            raise ConfigError(f"{name} must be nonnegative, got {value!r}")
+
+
+def require_probability(**knobs: float) -> None:
+    """Raise ConfigError naming the first knob outside [0, 1]; NaN is outside."""
+    for name, value in knobs.items():
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def require_integer(minimum: int | None = None, **knobs: int) -> None:
+    """Raise ConfigError naming the first knob that is not a Python or numpy integer (a bool is not one), or is below ``minimum``."""
     for name, value in knobs.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{name} must be {_whole(minimum)}, got {value!r}")
+
+
+def require_count(minimum: int = 0, **counts: float) -> None:
+    """Raise ConfigError naming the first count that is not finite, then the first that is not a whole number >= ``minimum``; 5.0 passes, True does not."""
+    require_finite(**counts)
+    for name, value in counts.items():
+        if isinstance(value, bool) or value < minimum or int(value) != value:
+            raise ConfigError(f"{name} must be {_whole(minimum)}, got {value!r}")
+
+
+def _whole(minimum: int) -> str:
+    return {0: "a nonnegative integer", 1: "a positive integer"}.get(minimum, f"an integer >= {minimum}")
+
+
+def require_choice(choices: tuple, **knobs: str) -> None:
+    """Raise ConfigError naming the first knob that is not one of ``choices``."""
+    for name, value in knobs.items():
+        if value not in choices:
+            raise ConfigError(f"{name} must be one of {choices}, got {value!r}")

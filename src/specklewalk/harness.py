@@ -62,12 +62,12 @@ from . import __version__
 # the row-block pass calls its block helpers through their modules: perfbench/tracing.py wraps the
 # names imported here, and its span stack must not be touched from worker threads
 from . import calibration, medium, rng
-from .errors import ConfigError, StatisticsError, require_finite, require_integer
+from .errors import ConfigError, StatisticsError, require_choice, require_integer, require_nonnegative
 from .medium import ROW_BLOCK, MediumConfig, ScatteringMatrix
 from .slm import apply_mask, conjugate_phases, dual_target_weights, enhancement, random_mask, save_mask_csv
 from .calibration import CalibrationConfig, measure_sm
 from .quantum import SourceConfig, mode_probabilities, simulate_counts, estimate_state
-from .tomography import (VisibilityFit, coherence_from_visibility, concurrence, concurrence_error,
+from .tomography import (SAMPLINGS, VisibilityFit, coherence_from_visibility, concurrence, concurrence_error,
                          concurrence_threshold, fit_visibility, positivity_confidence, scan_fringes)
 
 # scenario -> the stages it runs, in order, on one medium and one estimate
@@ -87,9 +87,7 @@ class NoiseConfig:
     background_fraction: float = 0.0
 
     def __post_init__(self):
-        require_finite(sigma_phi=self.sigma_phi, background_fraction=self.background_fraction)
-        if self.sigma_phi < 0 or self.background_fraction < 0:
-            raise ConfigError("noise knobs must be nonnegative")
+        require_nonnegative(sigma_phi=self.sigma_phi, background_fraction=self.background_fraction)
 
 
 @dataclass(frozen=True)
@@ -110,20 +108,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
-        require_integer(target_a=self.target_a, target_b=self.target_b, n_steps=self.n_steps, seed=self.seed)
+        require_integer(0, target_a=self.target_a, target_b=self.target_b, seed=self.seed)
+        require_integer(5, n_steps=self.n_steps)
         if not (0 <= self.target_a < self.medium.m_out) or not (0 <= self.target_b < self.medium.m_out):
             raise ConfigError(f"targets ({self.target_a}, {self.target_b}) outside output range [0, {self.medium.m_out})")
         if self.target_a == self.target_b:
             raise ConfigError("target_a and target_b must differ")
-        if self.n_steps < 5:
-            raise ConfigError(f"n_steps must be >= 5, got {self.n_steps}")
-        require_finite(counts_per_step=self.counts_per_step)
-        if self.counts_per_step < 0:
-            raise ConfigError("counts_per_step must be nonnegative")
-        if self.counts_sampling not in ("poisson", "expected"):
-            raise ConfigError(f"counts_sampling must be 'poisson' or 'expected', got {self.counts_sampling!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        require_nonnegative(counts_per_step=self.counts_per_step)
+        require_choice(SAMPLINGS, counts_sampling=self.counts_sampling)
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ class ScatteringMatrix:
         return self.matrix.shape[1]
 
     def check_output_index(self, index: int) -> None:
-        """Raise DimensionError unless ``index`` names an output mode (row)."""
+        """Raise ConfigError unless ``index`` is an integer, DimensionError unless it names an output mode (row)."""
         _check_index(index, self.m_out)
 
 
@@ -146,6 +146,7 @@ def as_output_field(e_out, *targets: int) -> np.ndarray:
 
 
 def _check_index(index: int, m_out: int) -> None:
+    require_integer(**{"target index": index})
     if not 0 <= index < m_out:
         raise DimensionError(f"target index {index} outside output range [0, {m_out})")
 
@@ -158,14 +159,11 @@ class MediumConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integer(n_in=self.n_in, m_out=self.m_out, seed=self.seed)
-        if self.n_in < 1 or self.m_out < 1:
-            raise ConfigError(f"mode counts must be >= 1, got n_in={self.n_in}, m_out={self.m_out}")
+        require_integer(1, n_in=self.n_in, m_out=self.m_out)
+        require_integer(0, seed=self.seed)
         require_finite(transmission=self.transmission)
         if not (0.0 < self.transmission <= 1.0):
             raise ConfigError(f"transmission must lie in (0, 1], got {self.transmission}")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
 
 
 def generate_medium(config: MediumConfig) -> ScatteringMatrix:
@@ -222,10 +220,13 @@ def speckle_contrast(intensities: np.ndarray) -> float:
         raise StatisticsError("speckle contrast of an empty sample is undefined")
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise StatisticsError("intensities must be finite and nonnegative")
-    mean = float(arr.mean())
+    with np.errstate(over="ignore", invalid="ignore"):  # beyond float64 the std comes out inf or NaN, also when the mean does
+        mean, std = float(arr.mean()), float(arr.std())
+    if not np.isfinite(std):
+        raise StatisticsError(f"speckle contrast overflows float64: standard deviation {std}")
     if mean <= 0.0:
         raise StatisticsError("speckle contrast is undefined for zero mean intensity")
-    return float(arr.std()) / mean
+    return std / mean
 
 
 def save_smx(path, sm: ScatteringMatrix) -> None:

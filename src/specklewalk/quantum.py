@@ -31,7 +31,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFieldError, StatisticsError, require_finite
+from .errors import (ConfigError, DegenerateFieldError, StatisticsError, require_finite, require_integer,
+                     require_nonnegative, require_probability)
 from .medium import as_output_field
 from . import rng
 
@@ -58,16 +59,11 @@ class SourceConfig:
 
     def __post_init__(self):
         require_finite(**asdict(self))
-        if self.trigger_rate < 0 or self.dark_rate < 0 or self.double_pair_mean < 0:
-            raise ConfigError("rates and double_pair_mean must be nonnegative")
-        if not (0.0 <= self.heralding_efficiency <= 1.0):
-            raise ConfigError(f"heralding_efficiency must lie in [0, 1], got {self.heralding_efficiency}")
-        if not (0.0 <= self.collection_efficiency <= 1.0):
-            raise ConfigError(f"collection_efficiency must lie in [0, 1], got {self.collection_efficiency}")
-        if not (self.coincidence_window > 0):
-            raise ConfigError("coincidence_window must be positive")
-        if not (self.acquisition_time > 0):
-            raise ConfigError("acquisition_time must be positive")
+        require_nonnegative(trigger_rate=self.trigger_rate, dark_rate=self.dark_rate, double_pair_mean=self.double_pair_mean)
+        require_probability(heralding_efficiency=self.heralding_efficiency, collection_efficiency=self.collection_efficiency)
+        for name, value in (("coincidence_window", self.coincidence_window), ("acquisition_time", self.acquisition_time)):
+            if not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,9 +78,7 @@ class CountRecord:
     n_ABT: int
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if value < 0:
-                raise ConfigError(f"count {name} must be nonnegative, got {value}")
+        require_integer(0, **asdict(self))
         if self.n_ABT > min(self.n_AT, self.n_BT):
             raise ConfigError("triples cannot exceed either twofold count")
         if self.n_AT > min(self.n_A, self.n_T) or self.n_BT > min(self.n_B, self.n_T):
@@ -113,13 +107,11 @@ class TwoModeState:
     d_clamped: bool = False
 
     def __post_init__(self):
-        probs = (self.p00, self.p01, self.p10, self.p11)
-        if any(not (0.0 <= p <= 1.0) for p in probs):
-            raise ConfigError(f"probabilities must lie in [0, 1], got {probs}")
-        if abs(sum(probs) - 1.0) > 1e-12:
-            raise ConfigError(f"probabilities must sum to 1 within 1e-12, got {sum(probs)!r}")
-        if self.d_mag < 0.0:
-            raise ConfigError("coherence magnitude must be nonnegative")
+        require_probability(p00=self.p00, p01=self.p01, p10=self.p10, p11=self.p11)
+        total = self.p00 + self.p01 + self.p10 + self.p11
+        if abs(total - 1.0) > 1e-12:
+            raise ConfigError(f"probabilities must sum to 1 within 1e-12, got {total!r}")
+        require_nonnegative(d_mag=self.d_mag)
         if self.d_mag > np.sqrt(self.p01 * self.p10) + 1e-12:
             raise ConfigError("coherence magnitude exceeds the positivity bound sqrt(p01*p10)")
 
@@ -131,8 +123,7 @@ def mode_probabilities(e_out: np.ndarray, targets: Tuple[int, int],
     ``e_out`` is the field at every output mode, ``propagate(sm, apply_mask(mask))``.
     """
     field = as_output_field(e_out, *targets)
-    if not (0.0 <= collection_efficiency <= 1.0):
-        raise ConfigError(f"collection_efficiency must lie in [0, 1], got {collection_efficiency}")
+    require_probability(collection_efficiency=collection_efficiency)
     intensities = np.abs(field) ** 2
     total = float(intensities.sum())
     if total <= 0.0:
@@ -149,10 +140,7 @@ def simulate_counts(q_a: float, q_b: float, cfg: SourceConfig, seed: int) -> Cou
     Draw order is fixed: n_T, triples, extra twofolds (A then B), dark
     singles (A then B).
     """
-    if not (0.0 <= q_a and 0.0 <= q_b):
-        raise ConfigError("mode probabilities must be nonnegative")
-    if q_a + q_b > 1.0:
-        raise ConfigError(f"q_A + q_B must not exceed 1, got {q_a + q_b}")
+    require_probability(q_a=q_a, q_b=q_b, **{"q_a + q_b": q_a + q_b})  # the photon lands in A or in B, never both
     rng.check_poisson_mean(max(cfg.trigger_rate, cfg.dark_rate) * cfg.acquisition_time, "trigger_rate or dark_rate")
     gen = rng.generator(seed, rng.COUNTS)
 
@@ -185,8 +173,7 @@ def estimate_state(counts: CountRecord, d_mag: float) -> TwoModeState:
     """Occupation probabilities from count ratios, coherence clamped to the positivity bound."""
     if counts.n_T <= 0:
         raise StatisticsError("cannot estimate probabilities without trigger counts")
-    if d_mag < 0.0 or not np.isfinite(d_mag):
-        raise ConfigError(f"coherence magnitude must be finite and nonnegative, got {d_mag}")
+    require_nonnegative(d_mag=d_mag)
     n_t = counts.n_T
     p10 = counts.n_AT / n_t
     p01 = counts.n_BT / n_t

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_integer
 
 MEDIUM = 0
 REFERENCE = 1
@@ -46,18 +46,14 @@ POISSON_LAM_MAX = np.iinfo("l").max - 10.0 * np.sqrt(np.iinfo("l").max)
 
 
 def generator(seed: int, *path: int) -> np.random.Generator:
-    """Return the PCG64 generator for stream ``path`` of ``seed``."""
-    if seed < 0:
-        raise ConfigError(f"seeds must be nonnegative integers, got {seed}")
+    """Return the PCG64 generator for stream ``path`` of ``seed``, which must be integers >= 0."""
+    require_integer(0, seed=seed, **{f"stream path[{i}]": step for i, step in enumerate(path)})
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path)))
 
 
 def child_seed(seed: int, *path: int) -> int:
-    """Derive a 64-bit sub-seed; stable under the same (seed, path)."""
-    if seed < 0:
-        raise ConfigError(f"seeds must be nonnegative integers, got {seed}")
-    state = np.random.SeedSequence(seed, spawn_key=path).generate_state(1, np.uint64)
-    return int(state[0])
+    """Derive a 64-bit sub-seed, the first word of stream ``path``'s seed sequence; stable under the same (seed, path)."""
+    return int(generator(seed, *path).bit_generator.seed_seq.generate_state(1, np.uint64)[0])
 
 
 def check_poisson_mean(largest: float, knob: str) -> None:

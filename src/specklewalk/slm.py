@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateTargetError, DimensionError, FormatError
+from .errors import ConfigError, DegenerateTargetError, DimensionError, FormatError, require_integer
 from .medium import ScatteringMatrix, as_output_field
 from . import rng
 
@@ -62,8 +62,7 @@ def dual_target_weights(sm: ScatteringMatrix, target_a: int, target_b: int, rela
 
 def random_mask(n: int, seed: int) -> np.ndarray:
     """n phases i.i.d. uniform on [0, 2*pi), deterministic per seed."""
-    if n < 1:
-        raise ConfigError(f"mask length must be >= 1, got {n}")
+    require_integer(1, n=n)
     gen = rng.generator(seed, rng.RANDOM_MASK)
     return gen.uniform(0.0, TWO_PI, size=n)
 

@@ -20,12 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFieldError, DimensionError, StatisticsError, require_finite
+from .errors import (ConfigError, DegenerateFieldError, DimensionError, StatisticsError, require_choice, require_count,
+                     require_finite, require_integer, require_nonnegative, require_probability)
 from .medium import ScatteringMatrix, propagate_rows
 from .slm import TWO_PI, conjugate_phases, dual_target_weights
 from .quantum import TwoModeState
 from . import rng
 
+SAMPLINGS = ("poisson", "expected")
 
 @dataclass(frozen=True)
 class FringeScan:
@@ -44,7 +46,7 @@ class FringeScan:
         if not np.all((phi >= 0.0) & (phi <= TWO_PI)):  # written so that NaN fails it
             raise ConfigError("phases must lie within [0, 2*pi]")
         if np.any(counts < 0) or not np.issubdtype(counts.dtype, np.integer):
-            raise ConfigError("counts must be nonnegative integers")
+            raise ConfigError("counts must have an integer dtype and no negative entry")
         phi.setflags(write=False)
         counts = counts.astype(np.int64)
         counts.setflags(write=False)
@@ -84,17 +86,10 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     limit). Every step lasts unit time. sigma_phi and
     background_fraction must be finite and nonnegative.
     """
-    if n_steps < 5:
-        raise ConfigError(f"n_steps must be >= 5, got {n_steps}")
-    if counts_per_step < 0 or not np.isfinite(counts_per_step):
-        raise ConfigError("counts_per_step must be a finite nonnegative number")
-    require_finite(sigma_phi=sigma_phi, background_fraction=background_fraction)
-    if sigma_phi < 0:
-        raise ConfigError("sigma_phi must be nonnegative")
-    if background_fraction < 0:
-        raise ConfigError("background_fraction must be nonnegative")
-    if sampling not in ("poisson", "expected"):
-        raise ConfigError(f"sampling must be 'poisson' or 'expected', got {sampling!r}")
+    require_integer(5, n_steps=n_steps)
+    require_nonnegative(counts_per_step=counts_per_step, sigma_phi=sigma_phi, background_fraction=background_fraction)
+    require_choice(SAMPLINGS, sampling=sampling)
+    gen = rng.generator(seed, rng.FRINGES)  # made first, so that a bad seed fails before the scan in either sampling
     if s_true.matrix.shape != s_masks.matrix.shape:
         raise DimensionError(f"mask matrix shape {s_masks.matrix.shape} does not match true shape {s_true.matrix.shape}")
 
@@ -121,7 +116,7 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     rng.check_poisson_mean(means.max(), f"counts_per_step={counts_per_step!r}, background_fraction={background_fraction!r}")
 
     if sampling == "poisson":
-        counts = rng.generator(seed, rng.FRINGES).poisson(means)
+        counts = gen.poisson(means)
     else:
         counts = np.rint(means).astype(np.int64)
     return FringeScan(phi=phis, counts=counts)
@@ -174,9 +169,7 @@ def fit_visibility(scan: FringeScan) -> VisibilityFit:
 
 def coherence_from_visibility(visibility: float, p01: float, p10: float) -> float:
     """|d| ~= V * (p01 + p10) / 2."""
-    for name, value in (("visibility", visibility), ("p01", p01), ("p10", p10)):
-        if not (0.0 <= value <= 1.0):
-            raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+    require_probability(visibility=visibility, p01=p01, p10=p10)
     return visibility * (p01 + p10) / 2.0
 
 
@@ -203,17 +196,16 @@ def build_density_matrix(state: TwoModeState) -> np.ndarray:
 
 def concurrence(p00: float, p11: float, d_mag: float) -> float:
     """Entanglement lower bound max(2|d| - 2 sqrt(p00 * p11), 0)."""
-    for name, value in (("p00", p00), ("p11", p11)):
-        if not (0.0 <= value <= 1.0):
-            raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-    require_finite(d_mag=d_mag)
-    if d_mag < 0.0:
-        raise ConfigError("coherence magnitude must be nonnegative")
+    require_probability(p00=p00, p11=p11)
+    require_nonnegative(d_mag=d_mag)
     return max(2.0 * d_mag - 2.0 * math.sqrt(p00 * p11), 0.0)
 
 
 def concurrence_error(state, visibility: float, visibility_err: float, n_t: int) -> float:
     """Quadrature propagation of the visibility and probability errors into C."""
+    require_probability(visibility=visibility)
+    require_nonnegative(visibility_err=visibility_err)
+    require_count(1, n_t=n_t)
     sigma_d_sq = ((state.p01 + state.p10) / 2.0 * visibility_err) ** 2 \
         + (visibility / 2.0) ** 2 * (state.p01_err ** 2 + state.p10_err ** 2)
     terms = [4.0 * sigma_d_sq]
@@ -286,9 +278,7 @@ def poisson_upper_limit(n_obs: int, confidence: float) -> float:
     with both n_obs and confidence. For n_obs = 0 it is
     -ln(1 - confidence).
     """
-    require_finite(n_obs=n_obs)
-    if n_obs < 0 or int(n_obs) != n_obs:
-        raise ConfigError(f"n_obs must be a nonnegative integer, got {n_obs}")
+    require_count(n_obs=n_obs)
     if not (0.0 < confidence < 1.0):
         raise ConfigError(f"confidence must lie strictly inside (0, 1), got {confidence}")
     n, tail = int(n_obs), 1.0 - confidence
@@ -313,13 +303,10 @@ def concurrence_threshold(n_t: int, d_mag: float, p00: float) -> int:
     the strict inequality). Returns -1 when no count can do it
     (d_mag = 0: concurrence never positive).
     """
-    require_finite(n_t=n_t, d_mag=d_mag)
-    if n_t <= 0 or int(n_t) != n_t:
-        raise ConfigError(f"n_t must be a positive integer, got {n_t}")
+    require_count(1, n_t=n_t)
+    require_nonnegative(d_mag=d_mag)
     if not (0.0 < p00 <= 1.0):
         raise ConfigError(f"p00 must lie in (0, 1], got {p00}")
-    if d_mag < 0.0:
-        raise ConfigError("coherence magnitude must be nonnegative")
     bound = n_t * d_mag * d_mag / p00
     require_finite(**{"n_t * d_mag^2 / p00": bound})
     return math.ceil(bound) - 1
@@ -333,9 +320,5 @@ def positivity_confidence(n_obs_triples: int, threshold: int) -> float:
     P(Poisson(threshold) > n_obs_triples), computed as one minus the
     summed CDF of ``_poisson_cdf``.
     """
-    require_finite(n_obs_triples=n_obs_triples, threshold=threshold)
-    if threshold < 0 or int(threshold) != threshold:
-        raise ConfigError(f"threshold must be a nonnegative integer, got {threshold}")
-    if n_obs_triples < 0 or int(n_obs_triples) != n_obs_triples:
-        raise ConfigError(f"n_obs_triples must be a nonnegative integer, got {n_obs_triples}")
+    require_count(threshold=threshold, n_obs_triples=n_obs_triples)
     return 1.0 - _poisson_cdf(int(n_obs_triples), float(threshold))

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -559,6 +561,23 @@ def test_cli_success_and_failure(tmp_path, capsys):
 
     assert main(["tomo", "--config", str(tmp_path / "nofile.ini")]) == 1
     assert capsys.readouterr().err.startswith("ERROR FileNotFoundError:")
+
+
+def test_cli_exits_1_without_a_traceback_when_stdout_is_closed(tmp_path):
+    # as in `specklewalk full ... | head -1`, where the reader is gone before the summary is printed
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[medium]\nn_in = 16\nm_out = 64\n\n[targets]\nindex_a = 3\nindex_b = 40\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(medium.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run([sys.executable, "-m", "specklewalk.cli", "full", "--config", str(ini), "--out",
+                                str(tmp_path)], stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (1, "")
+    assert (tmp_path / "report.json").is_file()
 
 
 PYPROJECT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pyproject.toml")
