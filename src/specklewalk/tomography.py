@@ -93,7 +93,7 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     if s_true.matrix.shape != s_masks.matrix.shape:
         raise DimensionError(f"mask matrix shape {s_masks.matrix.shape} does not match true shape {s_true.matrix.shape}")
 
-    phis = TWO_PI * np.arange(n_steps) / (n_steps - 1)
+    phis = np.minimum(TWO_PI * np.arange(n_steps) / (n_steps - 1), TWO_PI)  # the last step can round an ulp above
     weights = dual_target_weights(s_masks, target_a, target_b, phis)
     fields = 1j * conjugate_phases(s_masks, (target_a, target_b), weights)
     np.exp(fields, out=fields)  # the fold has checked that the phases are finite

@@ -117,6 +117,13 @@ def test_scan_fringes_rejects_a_background_whose_means_overflow(sampling):
         scan_fringes(sm, sm, 0, 1, counts_per_step=4000.0, sampling=sampling, background_fraction=1e308)
 
 
+def test_scan_fringes_takes_every_step_count():
+    # 2*pi * (n - 1) / (n - 1) rounds an ulp above 2*pi at n = 14, 27, 48, ..., which FringeScan refused
+    sm = generate_medium(MediumConfig(n_in=4, m_out=2, seed=1012))
+    for n_steps in range(5, 200):
+        assert scan_fringes(sm, sm, 0, 1, n_steps=n_steps, sampling="expected").phi[-1] == pytest.approx(2 * np.pi)
+
+
 def test_scan_fringes_ideal_shape():
     sm = generate_medium(MediumConfig(n_in=1024, m_out=64, seed=1000))
     scan = scan_fringes(sm, sm, 5, 20, counts_per_step=1e9, seed=0, sampling="expected")
