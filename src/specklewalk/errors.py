@@ -51,16 +51,16 @@ def require_probability(**knobs: float) -> None:
 
 
 def require_integer(minimum: int | None = None, **knobs: int) -> None:
-    """Raise ConfigError naming the first knob that is not a Python or numpy integer (a bool is not one), or is below ``minimum``."""
-    for name, value in knobs.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    """Raise ConfigError naming the first knob that is not an int or numpy integer (not a bool), or is below ``minimum``."""
+    for name, value in knobs.items():  # a plain int skips the numbers.Integral test, an ABC check of ~0.7 us (CPython 3.11)
+        if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         if minimum is not None and value < minimum:
             raise ConfigError(f"{name} must be {_whole(minimum)}, got {value!r}")
 
 
 def require_count(minimum: int = 0, **counts: float) -> None:
-    """Raise ConfigError naming the first count that is not finite, then the first that is not a whole number >= ``minimum``; 5.0 passes, True does not."""
+    """Raise ConfigError naming the first count not finite or not a whole number >= ``minimum`` (5.0 is one, True is not)."""
     require_finite(**counts)
     for name, value in counts.items():
         if isinstance(value, bool) or value < minimum or int(value) != value:
