@@ -90,7 +90,10 @@ RUNNERS = {"run": run, "run_focus": run_focus, "run_scan": run_scan, "run_fringe
 
 def _file(tmp_path, name, content):
     path = tmp_path / name
-    path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
     return path
 
 
