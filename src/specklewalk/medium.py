@@ -220,7 +220,7 @@ def speckle_contrast(intensities: np.ndarray) -> float:
         raise StatisticsError("speckle contrast of an empty sample is undefined")
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise StatisticsError("intensities must be finite and nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):  # beyond float64 the std comes out inf or NaN, also when the mean does
+    with np.errstate(over="ignore", invalid="ignore"):  # any overflow, in the mean too, leaves the std inf or NaN
         mean, std = float(arr.mean()), float(arr.std())
     if not np.isfinite(std):
         raise StatisticsError(f"speckle contrast overflows float64: standard deviation {std}")

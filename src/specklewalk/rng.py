@@ -46,7 +46,7 @@ POISSON_LAM_MAX = np.iinfo("l").max - 10.0 * np.sqrt(np.iinfo("l").max)
 
 
 def generator(seed: int, *path: int) -> np.random.Generator:
-    """Return the PCG64 generator for stream ``path`` of ``seed``, which must be integers >= 0."""
+    """Return the PCG64 generator for stream ``path`` of ``seed``; the seed and each path entry must be integers >= 0."""
     require_integer(0, seed=seed, **{f"stream path[{i}]": step for i, step in enumerate(path)})
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path)))
 
