@@ -28,10 +28,20 @@ class FormatError(ValueError):
     """A persisted file does not match its declared binary/text format."""
 
 
+def _require_real(name: str, value) -> None:
+    if type(value) is not float and type(value) is not int and not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
 def require_finite(**knobs: float) -> None:
-    """Raise ConfigError naming the first knob that is NaN or infinite."""
+    """Raise ConfigError naming the first knob that is not a real number, or is NaN, infinite or beyond float range."""
     for name, value in knobs.items():
-        if not math.isfinite(value):
+        _require_real(name, value)
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
@@ -44,8 +54,9 @@ def require_nonnegative(**knobs: float) -> None:
 
 
 def require_probability(**knobs: float) -> None:
-    """Raise ConfigError naming the first knob outside [0, 1]; NaN is outside."""
+    """Raise ConfigError naming the first knob that is not a real number or lies outside [0, 1]; NaN is outside."""
     for name, value in knobs.items():
+        _require_real(name, value)
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
 

@@ -121,14 +121,18 @@ def mode_probabilities(e_out: np.ndarray, targets: Tuple[int, int],
     """Collected single-photon probabilities at the two target modes of the output field ``e_out``.
 
     ``e_out`` is the field at every output mode, ``propagate(sm, apply_mask(mask))``.
+    ``targets`` must hold exactly two indices.
     """
-    field = as_output_field(e_out, *targets)
+    try:
+        target_a, target_b = targets
+    except (TypeError, ValueError):
+        raise ConfigError(f"targets must hold exactly two indices, got {targets!r}") from None
+    field = as_output_field(e_out, target_a, target_b)
     require_probability(collection_efficiency=collection_efficiency)
     intensities = np.abs(field) ** 2
     total = float(intensities.sum())
     if total <= 0.0:
         raise DegenerateFieldError("output field carries zero total power")
-    target_a, target_b = targets
     q_a = collection_efficiency * float(intensities[target_a]) / total
     q_b = collection_efficiency * float(intensities[target_b]) / total
     return q_a, q_b
@@ -140,7 +144,8 @@ def simulate_counts(q_a: float, q_b: float, cfg: SourceConfig, seed: int) -> Cou
     Draw order is fixed: n_T, triples, extra twofolds (A then B), dark
     singles (A then B).
     """
-    require_probability(q_a=q_a, q_b=q_b, **{"q_a + q_b": q_a + q_b})  # the photon lands in A or in B, never both
+    require_probability(q_a=q_a, q_b=q_b)
+    require_probability(**{"q_a + q_b": q_a + q_b})  # the photon lands in A or in B, never both
     rng.check_poisson_mean(max(cfg.trigger_rate, cfg.dark_rate) * cfg.acquisition_time, "trigger_rate or dark_rate")
     gen = rng.generator(seed, rng.COUNTS)
 

@@ -79,6 +79,11 @@ def conjugate_phases(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
     ConfigError. A target row without coupling or a superposition that
     cancels on every input mode raises DegenerateTargetError.
     """
+    return canonicalize_phases(np.angle(_superposition(sm, targets, weights)))
+
+
+def _superposition(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
+    """The (masks, n) conjugate superpositions whose arguments ``conjugate_phases`` returns, with its checks."""
     targets = list(targets)
     if not targets:
         raise ConfigError("conjugation needs at least one target")
@@ -103,7 +108,7 @@ def conjugate_phases(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
     superposition = (np.conj(weights)[:, None, :] @ np.conj(rows))[:, 0]
     if not np.all(np.any(superposition != 0.0, axis=1)):
         raise DegenerateTargetError("target superposition cancels on every input mode")
-    return canonicalize_phases(np.angle(superposition))
+    return superposition
 
 
 def apply_mask(mask: np.ndarray) -> np.ndarray:

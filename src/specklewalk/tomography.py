@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (ConfigError, DegenerateFieldError, DimensionError, StatisticsError, require_choice, require_count,
                      require_finite, require_integer, require_nonnegative, require_probability)
 from .medium import ScatteringMatrix, propagate_rows
-from .slm import TWO_PI, conjugate_phases, dual_target_weights
+from .slm import TWO_PI, _superposition, dual_target_weights
 from .quantum import TwoModeState
 from . import rng
 
@@ -69,14 +69,20 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
                  sampling: str = "poisson") -> FringeScan:
     """Scan the dual-target relative phase over [0, 2*pi] and count one port.
 
-    For each of n_steps phases phi_j = 2*pi*j/(n_steps-1) a dual-target
-    mask is computed from ``s_masks`` (normally the calibration
-    estimate), propagated through the two target rows of ``s_true``
-    (the only output amplitudes the scan reads), and the two target
-    amplitudes are combined on a balanced splitter. The masks and their
-    target amplitudes are built for all steps at once, with the bits of
-    the one-mask ``conjugate_phases(s_masks, (a, b), dual_target_weights(s_masks, a, b, [phi_j]))``
-    and of ``propagate`` of its field, step by step. Phase jitter of
+    For each of n_steps phases phi_j = 2*pi*j/(n_steps-1) the scan
+    programs the dual-target mask
+    ``conjugate_phases(s_masks, (a, b), dual_target_weights(s_masks, a, b, [phi_j]))``
+    of ``s_masks`` (normally the calibration estimate). Its field is
+    built directly as the unit phasor z/|z| of the conjugate
+    superposition z whose argument that mask holds, without computing
+    the phases; it lies within about 1e-15 of ``apply_mask`` of the
+    mask, and an entry where z is exactly 0 gets field 1. The field is
+    propagated through the two target rows of ``s_true`` (the only
+    output amplitudes the scan reads), and the two target amplitudes
+    are combined on a balanced splitter. The fields and their target
+    amplitudes are built for all steps at once, with the bits of each
+    step built alone: one superposition, its unit phasors, and
+    ``propagate`` of that field. Phase jitter of
     width sigma_phi (radians) is averaged within each step, multiplying
     the interference cross term by exp(-sigma_phi^2 / 2); an unmodulated
     background of ``background_fraction`` of the scan-mean rate is added
@@ -95,8 +101,7 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
 
     phis = np.minimum(TWO_PI * np.arange(n_steps) / (n_steps - 1), TWO_PI)  # the last step can round an ulp above
     weights = dual_target_weights(s_masks, target_a, target_b, phis)
-    fields = 1j * conjugate_phases(s_masks, (target_a, target_b), weights)
-    np.exp(fields, out=fields)  # the fold has checked that the phases are finite
+    fields = _unit_phasors(_superposition(s_masks, (target_a, target_b), weights))
     amplitudes = propagate_rows(s_true.matrix[[target_a, target_b]], fields[:, None, :])
     dephasing = math.exp(-0.5 * sigma_phi ** 2)
     port = np.empty(n_steps)
@@ -120,6 +125,33 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     else:
         counts = np.rint(means).astype(np.int64)
     return FringeScan(phi=phis, counts=counts)
+
+
+def _unit_phasors(z: np.ndarray) -> np.ndarray:
+    """Overwrite each entry of the complex array ``z`` with z/|z|, the field exp(i arg z), and return ``z``.
+
+    Only + - * / and sqrt touch the entries, one entry at a time, so an
+    entry's bits depend on nothing else in the array and on no host's
+    math library. Both parts are first divided by max(|Re z|, |Im z|),
+    so that neither a tiny nor a huge entry underflows or overflows in
+    the squared norm. An entry that is exactly zero becomes 1, phase 0.
+    """
+    re, im = z.real, z.imag
+    scale = np.abs(re)
+    norm = np.abs(im)
+    np.maximum(scale, norm, out=scale)
+    zero = scale == 0.0
+    if zero.any():
+        re[zero], im[zero], scale[zero] = 1.0, 0.0, 1.0
+    np.divide(re, scale, out=re)
+    np.divide(im, scale, out=im)
+    np.multiply(re, re, out=norm)
+    np.multiply(im, im, out=scale)
+    norm += scale
+    np.sqrt(norm, out=norm)
+    np.divide(re, norm, out=re)
+    np.divide(im, norm, out=im)
+    return z
 
 
 def fit_visibility(scan: FringeScan) -> VisibilityFit:

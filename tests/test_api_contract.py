@@ -170,10 +170,12 @@ ROWS = [
     ("SourceConfig", "dark_rate=nan", lambda tmp: SourceConfig(dark_rate=math.nan)),
     ("SourceConfig", "heralding=1.5", lambda tmp: SourceConfig(heralding_efficiency=1.5)),
     ("SourceConfig", "coincidence_window=0", lambda tmp: SourceConfig(coincidence_window=0.0)),
+    ("SourceConfig", "trigger_rate='1'", lambda tmp: SourceConfig(trigger_rate="1")),
     ("TwoModeState", "p00=-0.5", lambda tmp: TwoModeState(p00=-0.5, p01=0.75, p10=0.75, p11=0.0, d_mag=0.0)),
     ("TwoModeState", "sum 0.9", lambda tmp: TwoModeState(p00=0.4, p01=0.25, p10=0.25, p11=0.0, d_mag=0.0)),
     ("TwoModeState", "d_mag=nan", lambda tmp: TwoModeState(p00=0.5, p01=0.25, p10=0.25, p11=0.0, d_mag=math.nan)),
     ("TwoModeState", "d_mag above bound", lambda tmp: TwoModeState(p00=0.5, p01=0.25, p10=0.25, p11=0.0, d_mag=0.3)),
+    ("TwoModeState", "p00='a'", lambda tmp: TwoModeState(p00="a", p01=0.25, p10=0.25, p11=0.0, d_mag=0.0)),
     ("estimate_state", "no triggers",
      lambda tmp: estimate_state(CountRecord(n_T=0, n_A=0, n_B=0, n_AT=0, n_BT=0, n_ABT=0), 0.0)),
     ("estimate_state", "d_mag=-1", lambda tmp: estimate_state(COUNTS, -1.0)),
@@ -182,8 +184,10 @@ ROWS = [
     ("mode_probabilities", "target out of range", lambda tmp: mode_probabilities(FIELD, (0, M_OUT), 1.0)),
     ("mode_probabilities", "collection=2", lambda tmp: mode_probabilities(FIELD, (0, 1), 2.0)),
     ("mode_probabilities", "dark field", lambda tmp: mode_probabilities(np.zeros(M_OUT), (0, 1), 1.0)),
+    ("mode_probabilities", "one target", lambda tmp: mode_probabilities(FIELD, (0,), 1.0)),
     ("simulate_counts", "q_a=nan", lambda tmp: simulate_counts(math.nan, 0.1, SourceConfig(), 1)),
     ("simulate_counts", "q_a + q_b > 1", lambda tmp: simulate_counts(0.6, 0.6, SourceConfig(), 1)),
+    ("simulate_counts", "q_a='a'", lambda tmp: simulate_counts("a", 0.1, SourceConfig(), 1)),
     ("simulate_counts", "seed=1.5", lambda tmp: simulate_counts(0.1, 0.1, SourceConfig(), 1.5)),
     ("simulate_counts", "seed=True", lambda tmp: simulate_counts(0.1, 0.1, SourceConfig(), True)),
     ("simulate_counts", "triggers beyond the sampler",
@@ -213,6 +217,7 @@ ROWS = [
     ("positivity_confidence", "n_obs=1.5", lambda tmp: positivity_confidence(1.5, 11)),
     ("positivity_confidence", "threshold=-1", lambda tmp: positivity_confidence(1, -1)),
     ("positivity_confidence", "threshold=inf", lambda tmp: positivity_confidence(1, math.inf)),
+    ("positivity_confidence", "n_obs=10**400", lambda tmp: positivity_confidence(10 ** 400, 11)),
     ("positivity_confidence", "n_obs=True", lambda tmp: positivity_confidence(True, 11)),
     ("scan_fringes", "n_steps=nan", lambda tmp: scan_fringes(SM, SM, 0, 1, n_steps=math.nan)),
     ("scan_fringes", "n_steps=4", lambda tmp: scan_fringes(SM, SM, 0, 1, n_steps=4)),
@@ -237,6 +242,7 @@ ROWS = [
     ("ExperimentConfig", "counts_sampling", lambda tmp: _experiment(counts_sampling="mean")),
     ("NoiseConfig", "sigma_phi=-1", lambda tmp: NoiseConfig(sigma_phi=-1.0)),
     ("NoiseConfig", "background=nan", lambda tmp: NoiseConfig(background_fraction=math.nan)),
+    ("NoiseConfig", "sigma_phi=None", lambda tmp: NoiseConfig(sigma_phi=None)),
     ("load_config", "unknown key", lambda tmp: load_config(_file(tmp, "c.ini", "[run]\nspeed = 1\n"))),
     ("parse_config_text", "not INI", lambda tmp: parse_config_text("n_in = 4\n")),
     ("parse_config_text", "unknown section", lambda tmp: parse_config_text("[lens]\n")),

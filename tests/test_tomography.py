@@ -31,8 +31,8 @@ from specklewalk import (
     scan_fringes,
 )
 from specklewalk.harness import _write_csv
-from specklewalk.slm import apply_mask, conjugate_phases, dual_target_weights
-from specklewalk.tomography import _poisson_cdf
+from specklewalk.slm import _superposition, apply_mask, conjugate_phases, dual_target_weights
+from specklewalk.tomography import _poisson_cdf, _unit_phasors
 
 
 # --- independent oracle for Poisson upper limits (math module only) ---
@@ -140,7 +140,42 @@ def test_scan_fringes_ideal_shape():
 def scan_fields(s_masks, target_a, target_b, n_steps):
     for phi in 2 * np.pi * np.arange(n_steps) / (n_steps - 1):
         weights = dual_target_weights(s_masks, target_a, target_b, [phi])
-        yield apply_mask(conjugate_phases(s_masks, (target_a, target_b), weights)[0])
+        yield _unit_phasors(_superposition(s_masks, (target_a, target_b), weights))[0]
+
+
+def field_error(s_masks, targets, weights):
+    """Largest distance between the unit-phasor fields and apply_mask of the masks, over the weight rows."""
+    fields = _unit_phasors(_superposition(s_masks, targets, weights))
+    masks = conjugate_phases(s_masks, targets, weights)
+    return max(float(np.max(np.abs(field - apply_mask(mask)))) for field, mask in zip(fields, masks))
+
+
+def scan_field_error(s_masks, target_a, target_b):
+    phis = 2 * np.pi * np.arange(21) / 20
+    return field_error(s_masks, (target_a, target_b), dual_target_weights(s_masks, target_a, target_b, phis))
+
+
+def test_scan_fields_lie_within_1e_15_of_the_masks_fields():
+    sm = generate_medium(MediumConfig(n_in=1024, m_out=40, seed=1013))
+    assert max(scan_field_error(sm, a, b) for a in range(10) for b in range(20, 40)) <= 1e-15  # 200 pairs
+    # rows of tiny and huge entries; one target with unit weight makes the superposition itself that small or
+    # large, where an unscaled squared norm would lose its digits to underflow
+    for tiny, huge in ((1e-160, 1.0), (1.0, 1e150), (1e-160, 1e150)):
+        rows = ScatteringMatrix(sm.matrix[:2] * [[tiny], [huge]])
+        assert scan_field_error(rows, 0, 1) <= 1e-15
+        for target in (0, 1):
+            assert field_error(rows, (target,), [[1.0]]) <= 1e-15
+    # squared norms that would overflow or be subnormal: 3-4-5 triangles, exact at every step
+    z = np.array([complex(3 * 2.0 ** 1000, 4 * 2.0 ** 1000), complex(3 * 2.0 ** -1070, -4 * 2.0 ** -1070)])
+    assert np.array_equal(_unit_phasors(z), [0.6 + 0.8j, 0.6 - 0.8j])
+    # an entry where the superposition is exactly zero gets field 1, the phase 0 of the mask
+    rows = sm.matrix[[0, 0]]
+    rows[:, 5] = (1.0, -1.0)  # rows of equal norm, so equal weights at relative phase 0
+    rows = ScatteringMatrix(rows)
+    weights = dual_target_weights(rows, 0, 1, [0.0])
+    assert conjugate_phases(rows, (0, 1), weights)[0, 5] == 0.0
+    assert _unit_phasors(_superposition(rows, (0, 1), weights))[0, 5] == 1.0
+    assert scan_field_error(rows, 0, 1) <= 1e-15
 
 
 def test_scan_fringes_two_rows_match_full_propagation():
