@@ -43,12 +43,15 @@ def dual_target_weights(sm: ScatteringMatrix, target_a: int, target_b: int, rela
     from, so the two focused outputs come out with (statistically) equal
     amplitude even when the rows carry different norms or unknown
     calibration factors; target A leads target B in phase by the row's
-    relative phase.
+    relative phase. A target row whose squared norm overflows float64
+    raises ConfigError.
     """
     sm.check_output_index(target_a)
     sm.check_output_index(target_b)
-    norm_a = float(np.linalg.norm(sm.matrix[target_a]))
-    norm_b = float(np.linalg.norm(sm.matrix[target_b]))
+    with np.errstate(over="ignore"):  # an overflowing square is refused below, not warned about
+        norm_a = float(np.linalg.norm(sm.matrix[target_a]))
+        norm_b = float(np.linalg.norm(sm.matrix[target_b]))
+    _check_row_power([target_a, target_b], [norm_a, norm_b])
     if norm_a == 0.0 or norm_b == 0.0:
         raise DegenerateTargetError("dual target rows must both carry coupling")
     phis = np.asarray(relative_phases, dtype=np.float64)
@@ -75,9 +78,10 @@ def conjugate_phases(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
     weights[j, 0]) sets the relative phase between the focused output
     fields. An index outside the output range raises DimensionError.
     Repeated or no targets, weights whose shape does not match the
-    targets, and a weight row that is zero or not finite raise
-    ConfigError. A target row without coupling or a superposition that
-    cancels on every input mode raises DegenerateTargetError.
+    targets, a weight row that is zero or not finite, and a target row
+    whose squared norm overflows float64 raise ConfigError. A target row
+    without coupling or a superposition that cancels on every input mode
+    raises DegenerateTargetError.
     """
     return canonicalize_phases(np.angle(_superposition(sm, targets, weights)))
 
@@ -99,7 +103,9 @@ def _superposition(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
     if not np.all(np.any(weights != 0, axis=1)):
         raise ConfigError("at least one target weight must be nonzero")
     rows = sm.matrix[targets]
-    row_power = np.sum(np.abs(rows) ** 2, axis=1)
+    with np.errstate(over="ignore"):  # an overflowing square is refused below, not warned about
+        row_power = np.sum(np.abs(rows) ** 2, axis=1)
+    _check_row_power(targets, row_power)
     if np.any(row_power == 0.0):
         dead = [targets[k] for k in np.nonzero(row_power == 0.0)[0]]
         raise DegenerateTargetError(f"target rows {dead} have no coupling to any input mode")
@@ -109,6 +115,13 @@ def _superposition(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
     if not np.all(np.any(superposition != 0.0, axis=1)):
         raise DegenerateTargetError("target superposition cancels on every input mode")
     return superposition
+
+
+def _check_row_power(targets: list, powers) -> None:
+    """Raise ConfigError naming the target rows whose squared norm, or norm, in ``powers`` overflowed to inf."""
+    overflowed = [index for index, power in zip(targets, powers) if power == np.inf]
+    if overflowed:
+        raise ConfigError(f"target rows {overflowed} have a squared norm beyond float64 range")
 
 
 def apply_mask(mask: np.ndarray) -> np.ndarray:

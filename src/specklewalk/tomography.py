@@ -11,12 +11,28 @@ the (|01>, |10>) positions, and the entanglement lower bound is
 positive iff the state is certified entangled. Confidence in C > 0 uses
 exact Poisson tail statistics on the triple-coincidence count, the one
 number whose fluctuation can erase positivity.
+
+A fringe scan (``scan_fringes``) splits into a noise-free pattern, which
+depends only on the two matrices, the target pair and the step count,
+and a noise model (phase jitter, background, count budget, sampling,
+seed) that reads it. The pattern is memoised: the memo is keyed on the
+identity of the two ``ScatteringMatrix`` objects, held by weak reference
+so that it keeps no matrix alive, and then on (target_a, target_b,
+n_steps). Each matrix pair keeps at most ``_PATTERNS_PER_PAIR`` patterns,
+the oldest dropped first. A stored pattern holds read-only arrays that
+refer to no matrix, and it relies on the matrices being immutable
+(``ScatteringMatrix``). A hit gives the same bytes as a miss, every
+argument check runs on every call, and the memo is safe to use from
+several threads.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +44,12 @@ from .quantum import TwoModeState
 from . import rng
 
 SAMPLINGS = ("poisson", "expected")
+
+# noise-free patterns kept per (s_true, s_masks) pair; the oldest is dropped first
+_PATTERNS_PER_PAIR = 64
+# s_true -> s_masks -> {(target_a, target_b, n_steps): _Pattern}, with weak keys so that no matrix is kept alive
+_PATTERNS = weakref.WeakKeyDictionary()
+_PATTERNS_LOCK = threading.Lock()
 
 @dataclass(frozen=True)
 class FringeScan:
@@ -69,8 +91,9 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
                  sampling: str = "poisson") -> FringeScan:
     """Scan the dual-target relative phase over [0, 2*pi] and count one port.
 
-    For each of n_steps phases phi_j = 2*pi*j/(n_steps-1) the scan
-    programs the dual-target mask
+    The scan has two parts. The noise-free pattern depends only on
+    (s_true, s_masks, target_a, target_b, n_steps). For each of n_steps
+    phases phi_j = 2*pi*j/(n_steps-1) it programs the dual-target mask
     ``conjugate_phases(s_masks, (a, b), dual_target_weights(s_masks, a, b, [phi_j]))``
     of ``s_masks`` (normally the calibration estimate). Its field is
     built directly as the unit phasor z/|z| of the conjugate
@@ -78,18 +101,23 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     the phases; it lies within about 1e-15 of ``apply_mask`` of the
     mask, and an entry where z is exactly 0 gets field 1. The field is
     propagated through the two target rows of ``s_true`` (the only
-    output amplitudes the scan reads), and the two target amplitudes
-    are combined on a balanced splitter. The fields and their target
-    amplitudes are built for all steps at once, with the bits of each
-    step built alone: one superposition, its unit phasors, and
-    ``propagate`` of that field. Phase jitter of
-    width sigma_phi (radians) is averaged within each step, multiplying
-    the interference cross term by exp(-sigma_phi^2 / 2); an unmodulated
-    background of ``background_fraction`` of the scan-mean rate is added
-    to the port. Expected counts are scaled so a step at the scan-mean
-    total rate yields counts_per_step / 2, then Poisson sampled
-    (``sampling="expected"`` keeps the rounded means, the infinite-budget
-    limit). Every step lasts unit time. sigma_phi and
+    output amplitudes the scan reads). The pattern keeps each step's
+    total target power |a_a|^2 + |a_b|^2 and cross term
+    Re(conj(a_a) a_b). The fields and their target amplitudes are built
+    for all steps at once, with the bits of each step built alone: one
+    superposition, its unit phasors, and ``propagate`` of that field.
+    The pattern is memoised (module docstring), so repeated scans of one
+    matrix pair pay only for the noise model.
+
+    The noise model combines the two target amplitudes on a balanced
+    splitter. Phase jitter of width sigma_phi (radians) is averaged
+    within each step, multiplying the cross term by
+    exp(-sigma_phi^2 / 2); an unmodulated background of
+    ``background_fraction`` of the scan-mean rate is added to the port.
+    Expected counts are scaled so a step at the scan-mean total rate
+    yields counts_per_step / 2, then Poisson sampled
+    (``sampling="expected"`` keeps the rounded means, the
+    infinite-budget limit). Every step lasts unit time. sigma_phi and
     background_fraction must be finite and nonnegative.
     """
     require_integer(5, n_steps=n_steps)
@@ -98,25 +126,16 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     gen = rng.generator(seed, rng.FRINGES)  # made first, so that a bad seed fails before the scan in either sampling
     if s_true.matrix.shape != s_masks.matrix.shape:
         raise DimensionError(f"mask matrix shape {s_masks.matrix.shape} does not match true shape {s_true.matrix.shape}")
+    # the indices are checked before the lookup, as True and 1.0 equal a stored key 1; the checks that need
+    # the rows run on a miss, and a pattern is stored only for arguments that pass them
+    s_masks.check_output_index(target_a)
+    s_masks.check_output_index(target_b)
 
-    phis = np.minimum(TWO_PI * np.arange(n_steps) / (n_steps - 1), TWO_PI)  # the last step can round an ulp above
-    weights = dual_target_weights(s_masks, target_a, target_b, phis)
-    fields = _unit_phasors(_superposition(s_masks, (target_a, target_b), weights))
-    amplitudes = propagate_rows(s_true.matrix[[target_a, target_b]], fields[:, None, :])
-    dephasing = math.exp(-0.5 * sigma_phi ** 2)
-    port = np.empty(n_steps)
-    total = np.empty(n_steps)
-    for j, (a_a, a_b) in enumerate(amplitudes):
-        cross = float(np.real(np.conj(a_a) * a_b))
-        total[j] = abs(a_a) ** 2 + abs(a_b) ** 2
-        port[j] = total[j] / 2.0 + dephasing * cross
-
-    mean_total = float(total.mean())
-    if mean_total <= 0.0:
-        raise DegenerateFieldError("no power reaches either target across the scan")
-    offset = background_fraction * mean_total / 2.0
+    pattern = _pattern(s_true, s_masks, target_a, target_b, n_steps)
+    port = pattern.total / 2.0 + math.exp(-0.5 * sigma_phi ** 2) * pattern.cross
+    offset = background_fraction * pattern.mean_total / 2.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN means, which the check rejects
-        means = counts_per_step * (port + offset) / (mean_total * (1.0 + background_fraction))
+        means = counts_per_step * (port + offset) / (pattern.mean_total * (1.0 + background_fraction))
         means = np.clip(means, 0.0, None)
     rng.check_poisson_mean(means.max(), f"counts_per_step={counts_per_step!r}, background_fraction={background_fraction!r}")
 
@@ -124,7 +143,56 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
         counts = gen.poisson(means)
     else:
         counts = np.rint(means).astype(np.int64)
-    return FringeScan(phi=phis, counts=counts)
+    return FringeScan(phi=pattern.phi, counts=counts)
+
+
+class _Pattern(NamedTuple):
+    """A fringe scan's noise-free part: its phases, and each step's total target power and cross term."""
+
+    phi: np.ndarray
+    total: np.ndarray
+    cross: np.ndarray
+    mean_total: float
+
+
+def _pattern(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: int, target_b: int,
+             n_steps: int) -> _Pattern:
+    """The memoised noise-free pattern of a scan whose arguments ``scan_fringes`` has checked."""
+    key = (target_a, target_b, n_steps)
+    with _PATTERNS_LOCK:
+        pattern = _PATTERNS.get(s_true, {}).get(s_masks, {}).get(key)
+    if pattern is not None:
+        return pattern
+    pattern = _build_pattern(s_true, s_masks, target_a, target_b, n_steps)
+    with _PATTERNS_LOCK:
+        patterns = _PATTERNS.setdefault(s_true, weakref.WeakKeyDictionary()).setdefault(s_masks, {})
+        if key not in patterns and len(patterns) >= _PATTERNS_PER_PAIR:
+            del patterns[next(iter(patterns))]  # the oldest
+        patterns[key] = pattern
+    return pattern
+
+
+def _build_pattern(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: int, target_b: int,
+                   n_steps: int) -> _Pattern:
+    """Compute the noise-free pattern of a scan; the checks on the targets' rows and the scan's power run here."""
+    phis = np.minimum(TWO_PI * np.arange(n_steps) / (n_steps - 1), TWO_PI)  # the last step can round an ulp above
+    weights = dual_target_weights(s_masks, target_a, target_b, phis)
+    fields = _unit_phasors(_superposition(s_masks, (target_a, target_b), weights))
+    amplitudes = propagate_rows(s_true.matrix[[target_a, target_b]], fields[:, None, :])
+    total = np.empty(n_steps)
+    cross = np.empty(n_steps)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing power is refused below, not warned about
+        for j, (a_a, a_b) in enumerate(amplitudes):
+            cross[j] = float(np.real(np.conj(a_a) * a_b))
+            total[j] = abs(a_a) ** 2 + abs(a_b) ** 2
+        mean_total = float(total.mean())
+    if not math.isfinite(mean_total):
+        raise ConfigError(f"the scan's power at true target rows {[target_a, target_b]} is beyond float64 range")
+    if mean_total <= 0.0:
+        raise DegenerateFieldError("no power reaches either target across the scan")
+    for array in (phis, total, cross):
+        array.setflags(write=False)
+    return _Pattern(phis, total, cross, mean_total)
 
 
 def _unit_phasors(z: np.ndarray) -> np.ndarray:

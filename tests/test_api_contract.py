@@ -83,6 +83,7 @@ NOISY = CalibrationConfig(photons_per_measurement=100.0)
 STATE = TwoModeState(p00=0.5, p01=0.25, p10=0.25, p11=0.0, d_mag=0.1)
 COUNTS = CountRecord(n_T=100, n_A=10, n_B=10, n_AT=10, n_BT=10, n_ABT=1)
 SCAN_PHI = np.linspace(0.0, 2.0 * np.pi, 9)
+HUGE_ROW = ScatteringMatrix(SM.matrix[:2] * [[1.0], [1e160]])  # row 1's squared norm overflows float64
 INI = "[medium]\nn_in = 16\nm_out = 64\n\n[targets]\nindex_a = 3\nindex_b = 40\n"
 RUNNERS = {"run": run, "run_focus": run_focus, "run_scan": run_scan, "run_fringes": run_fringes,
            "run_tomo": run_tomo, "run_full": run_full}
@@ -133,9 +134,11 @@ ROWS = [
     ("conjugate_phases", "weights shape", lambda tmp: conjugate_phases(SM, (1, 2), [[1.0]])),
     ("conjugate_phases", "nan weight", lambda tmp: conjugate_phases(SM, (1,), [[math.nan]])),
     ("conjugate_phases", "zero weights", lambda tmp: conjugate_phases(SM, (1,), [[0.0]])),
+    ("conjugate_phases", "row norm overflows", lambda tmp: conjugate_phases(HUGE_ROW, (1,), [[1.0]])),
     ("dual_target_weights", "target_b=1.5", lambda tmp: dual_target_weights(SM, 0, 1.5, [0.0])),
     ("dual_target_weights", "target_b out of range", lambda tmp: dual_target_weights(SM, 0, -1, [0.0])),
     ("dual_target_weights", "nan phase", lambda tmp: dual_target_weights(SM, 0, 1, [math.nan])),
+    ("dual_target_weights", "row norm overflows", lambda tmp: dual_target_weights(HUGE_ROW, 0, 1, [0.0])),
     ("enhancement", "target=1.5", lambda tmp: enhancement(FIELD, 1.5)),
     ("enhancement", "target out of range", lambda tmp: enhancement(FIELD, M_OUT)),
     ("enhancement", "2-D field", lambda tmp: enhancement(FIELD[None, :], 0)),
@@ -231,6 +234,9 @@ ROWS = [
     ("scan_fringes", "counts_per_step=-1", lambda tmp: scan_fringes(SM, SM, 0, 1, counts_per_step=-1.0)),
     ("scan_fringes", "sampling", lambda tmp: scan_fringes(SM, SM, 0, 1, sampling="mean")),
     ("scan_fringes", "shape mismatch", lambda tmp: scan_fringes(SM, ScatteringMatrix(SM.matrix[:, :2]), 0, 1)),
+    ("scan_fringes", "row norm overflows", lambda tmp: scan_fringes(HUGE_ROW, HUGE_ROW, 0, 1)),
+    ("scan_fringes", "true row power overflows",
+     lambda tmp: scan_fringes(HUGE_ROW, ScatteringMatrix(SM.matrix[:2]), 0, 1)),
     ("ExperimentConfig", "scenario", lambda tmp: _experiment(scenario="all")),
     ("ExperimentConfig", "target_a=1.5", lambda tmp: ExperimentConfig(target_a=1.5)),
     ("ExperimentConfig", "target_a=-1", lambda tmp: ExperimentConfig(target_a=-1)),

@@ -116,6 +116,19 @@ def test_conjugate_phases_degenerate_rows_and_cancelled_masks():
         conjugate_phases(ScatteringMatrix(rows), (0, 1), [[1.0, 1.0]])
 
 
+def test_a_target_row_whose_squared_norm_overflows_is_named():
+    sm = generate_medium(MediumConfig(n_in=16, m_out=3, seed=13))
+    rows = ScatteringMatrix(sm.matrix * [[1.0], [1e160], [1e150]])  # squares of ~1e319 and ~1e299
+    with pytest.raises(ConfigError, match=r"target rows \[1\] have a squared norm beyond float64 range"):
+        dual_target_weights(rows, 0, 1, [0.0])
+    with pytest.raises(ConfigError, match=r"target rows \[1\] have a squared norm beyond float64 range"):
+        conjugate_phases(rows, (2, 1), [[1.0, 1.0]])
+    # a row whose squares are finite keeps its weights and masks
+    assert np.array_equal(dual_target_weights(rows, 0, 2, [0.0])[0], [1.0 / np.linalg.norm(sm.matrix[0]),
+                                                                       1.0 / np.linalg.norm(rows.matrix[2])])
+    assert np.array_equal(conjugate_phases(rows, (2,), [[1.0]]), conjugate_phases(sm, (2,), [[1.0]]))
+
+
 def test_dual_target_relative_phase_monte_carlo():
     # weights (1, e^{i*phi}): target A leads target B by phi on average
     phi = 1.0

@@ -1,5 +1,10 @@
+import dataclasses
+import gc
 import math
+import sys
+import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -32,7 +37,8 @@ from specklewalk import (
 )
 from specklewalk.harness import _write_csv
 from specklewalk.slm import _superposition, apply_mask, conjugate_phases, dual_target_weights
-from specklewalk.tomography import _poisson_cdf, _unit_phasors
+from specklewalk import tomography
+from specklewalk.tomography import SAMPLINGS, _poisson_cdf, _unit_phasors
 
 
 # --- independent oracle for Poisson upper limits (math module only) ---
@@ -298,6 +304,142 @@ def test_scan_fringes_background_reduces_visibility():
     # dilution ~ 1/(1+beta); the duplicated 0/2pi endpoint skews the scan mean slightly
     assert dirty.visibility == pytest.approx(clean.visibility / 1.25, rel=0.03)
     assert dirty.visibility < clean.visibility
+
+
+# --- the memo of noise-free scan patterns ---
+
+def scan_pair(seed, n_in=64, m_out=12):
+    """A medium and its noisy calibration estimate, as (s_true, s_masks)."""
+    sm = generate_medium(MediumConfig(n_in=n_in, m_out=m_out, seed=seed))
+    return sm, measure_sm(sm, CalibrationConfig(photons_per_measurement=1e4, noise_seed=seed + 1)).matrix
+
+
+def copies(*matrices):
+    """New ScatteringMatrix objects with the same entries: the memo has never seen them."""
+    return [ScatteringMatrix(m.matrix) for m in matrices]
+
+
+def stored(s_true, s_masks):
+    return tomography._PATTERNS[s_true][s_masks]
+
+
+def scan_bytes(scan):
+    return scan.phi.tobytes(), scan.counts.tobytes()
+
+
+def test_scan_memo_hits_give_the_bytes_of_misses(monkeypatch):
+    s_true, s_masks = scan_pair(1030)
+    scan_fringes(s_true, s_masks, 2, 9)
+    assert list(stored(s_true, s_masks)) == [(2, 9, 21)]
+    builds = []
+    build = tomography._build_pattern
+    monkeypatch.setattr(tomography, "_build_pattern", lambda *args: builds.append(args) or build(*args))
+    for sigma_phi in (0.0, 0.7, 1.3):
+        for background_fraction in (0.0, 0.25):
+            for sampling in SAMPLINGS:
+                for seed in (0, 7, 2 ** 40):
+                    knobs = dict(sigma_phi=sigma_phi, background_fraction=background_fraction, sampling=sampling,
+                                 seed=seed, counts_per_step=2.0 ** 51 if sampling == "expected" else 4000.0)
+                    hit = scan_fringes(s_true, s_masks, 2, 9, **knobs)
+                    miss = scan_fringes(*copies(s_true, s_masks), 2, 9, **knobs)
+                    assert scan_bytes(hit) == scan_bytes(miss)
+                    assert dataclasses.astuple(fit_visibility(hit)) == dataclasses.astuple(fit_visibility(miss))
+    assert all(args[0] is not s_true for args in builds)  # 36 hits, and a build for every miss
+    assert len(builds) == 36
+    # one pair's targets in either order, and other step counts, are patterns of their own
+    for a, b, n_steps in ((9, 2, 21), (2, 9, 5), (2, 9, 22)):
+        hit = scan_fringes(s_true, s_masks, a, b, n_steps=n_steps)
+        miss = scan_fringes(*copies(s_true, s_masks), a, b, n_steps=n_steps)
+        assert scan_bytes(hit) == scan_bytes(miss)
+
+
+def test_scan_memo_hits_still_check_their_arguments():
+    s_true, s_masks = scan_pair(1031)
+    scan_fringes(s_true, s_masks, 0, 1)
+    assert (0, 1, 21) in stored(s_true, s_masks)
+    bad_calls = [
+        (ConfigError, dict(target_b=True)),
+        (ConfigError, dict(target_b=1.0)),
+        (DimensionError, dict(target_b=-1)),
+        (DimensionError, dict(target_b=12)),
+        (ConfigError, dict(target_b=0)),
+        (ConfigError, dict(n_steps=4)),
+        (ConfigError, dict(n_steps=21.0)),
+        (ConfigError, dict(seed=-1)),
+        (ConfigError, dict(seed=1.5)),
+        (ConfigError, dict(sigma_phi=math.nan)),
+        (ConfigError, dict(background_fraction=math.nan)),
+        (ConfigError, dict(counts_per_step=math.nan)),
+        (ConfigError, dict(sampling="mean")),
+    ]
+    for error, knobs in bad_calls:
+        with pytest.raises(error):
+            scan_fringes(s_true, s_masks, **{"target_a": 0, "target_b": 1, **knobs})
+
+
+def test_scan_memo_keeps_no_matrix_alive():
+    s_true, s_masks = scan_pair(1032)
+    scan = scan_fringes(s_true, s_masks, 3, 4)
+    scan_fringes(s_true, s_true, 3, 4)
+    gc.collect()  # matrices that earlier tests left to the collector leave the memo now, not below
+    patterns = len(tomography._PATTERNS)
+    masks_ref = weakref.ref(s_masks)
+    del s_masks  # the estimate dies while its truth lives on
+    gc.collect()
+    assert masks_ref() is None
+    assert list(tomography._PATTERNS[s_true]) == [s_true]
+    true_ref = weakref.ref(s_true)
+    del s_true
+    gc.collect()
+    assert true_ref() is None
+    assert len(tomography._PATTERNS) == patterns - 1
+    assert scan.counts.sum() > 0  # the scan outlives its matrices
+
+
+def test_scan_memo_keeps_at_most_its_bound_per_matrix_pair():
+    s_true, s_masks = scan_pair(1033, n_in=8, m_out=4)
+    bound = tomography._PATTERNS_PER_PAIR
+    keys = [(a, b, n_steps) for n_steps in range(5, 5 + bound) for a, b in ((0, 1), (2, 3))]
+    for a, b, n_steps in keys:
+        scan_fringes(s_true, s_masks, a, b, n_steps=n_steps, sampling="expected")
+    assert list(stored(s_true, s_masks)) == keys[-bound:]  # the oldest dropped first
+    for pattern in stored(s_true, s_masks).values():
+        assert not any(array.flags.writeable for array in (pattern.phi, pattern.total, pattern.cross))
+    # another pair on one of the matrices has its own patterns
+    scan_fringes(s_true, s_true, 0, 1, sampling="expected")
+    assert list(stored(s_true, s_true)) == [(0, 1, 21)]
+    assert len(stored(s_true, s_masks)) == bound
+
+
+def test_scan_memo_is_safe_from_several_threads():
+    s_true, s_masks = scan_pair(1034, n_in=32, m_out=6)
+    bound = tomography._PATTERNS_PER_PAIR
+    # more keys than the bound, so the threads insert, hit and drop patterns at once
+    calls = [dict(target_a=a, target_b=b, n_steps=n_steps, seed=n_steps, sigma_phi=0.1 * a)
+             for n_steps in range(5, 5 + bound // 2 + 4) for a, b in ((0, 5), (4, 1))]
+    serial = [scan_bytes(scan_fringes(*copies(s_true, s_masks), **call)) for call in calls]
+    results = [None] * 4
+    start = threading.Barrier(len(results))
+
+    def worker(index):
+        start.wait(timeout=60.0)
+        order = list(range(index, len(calls))) + list(range(index))  # each thread starts elsewhere
+        results[index] = [(i, scan_bytes(scan_fringes(s_true, s_masks, **calls[i]))) for i in order + order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(index,)) for index in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for result in results:
+        assert len(result) == 2 * len(calls) and all(scan == serial[i] for i, scan in result)
+    assert len(stored(s_true, s_masks)) <= bound
 
 
 def test_fit_visibility_noiseless_recovery_within_1e6():
