@@ -49,7 +49,7 @@ exact Poisson count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -89,10 +89,9 @@ class CalibrationConfig:
 
 @dataclass(frozen=True)
 class SmEstimate:
-    """Measured matrix, known only up to one complex factor per output row."""
+    """Measured matrix, known only up to one complex factor per output row; rows with no reference are zero."""
 
     matrix: ScatteringMatrix
-    flagged_rows: Tuple[int, ...] = ()
 
 
 def reference_field(n_in: int, cfg: CalibrationConfig) -> np.ndarray:
@@ -110,17 +109,16 @@ def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig, *, first_block:
     require_integer(0, first_block=first_block)
     field = reference_field(s_true.n_in, cfg)
     estimate = np.empty_like(s_true.matrix)
-    reference = np.concatenate(medium.map_row_blocks(
+    medium.map_row_blocks(
         lambda block: estimate_block(medium.row_block(s_true.matrix, block), field, cfg, first_block + block,
                                      medium.row_block(estimate, block)),
-        s_true.m_out))
-    flagged = np.flatnonzero(np.abs(reference) == 0.0)
-    return SmEstimate(matrix=ScatteringMatrix._adopt(estimate), flagged_rows=tuple(int(i) for i in flagged))
+        s_true.m_out)
+    return SmEstimate(matrix=ScatteringMatrix._adopt(estimate))
 
 
 def estimate_block(rows: np.ndarray, field: np.ndarray, cfg: CalibrationConfig, block: int,
-                   out: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """Write the estimate of row block ``block``, true rows ``rows``, into ``out``; return their reference speckle.
+                   out: np.ndarray, scratch: Optional[np.ndarray] = None) -> None:
+    """Write the estimate of row block ``block``, true rows ``rows``, into ``out``.
 
     ``field`` is ``reference_field(n_in, cfg)``. The reference r_m of each
     row is its output under that field. Without noise the estimate is
@@ -139,7 +137,6 @@ def estimate_block(rows: np.ndarray, field: np.ndarray, cfg: CalibrationConfig, 
     else:
         _measure_noisy(rows, reference, cfg, block, out, np.empty((3,) + rows.shape) if scratch is None else scratch)
     out[np.abs(reference) == 0.0, :] = 0.0
-    return reference
 
 
 def _phase_factors(steps: int):

@@ -54,7 +54,7 @@ import os
 import time
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from . import __version__
 # the row-block pass calls its block helpers through their modules: perfbench/tracing.py wraps the
 # names imported here, and its span stack must not be touched from worker threads
 from . import calibration, medium, rng
-from .errors import ConfigError, StatisticsError, require_choice, require_integer, require_nonnegative
+from .errors import ConfigError, require_choice, require_integer, require_nonnegative
 from .medium import ROW_BLOCK, MediumConfig, ScatteringMatrix
 from .slm import apply_mask, conjugate_phases, dual_target_weights, enhancement, random_mask, save_mask_csv
 from .calibration import CalibrationConfig, measure_sm
@@ -131,28 +131,24 @@ def _parse_photons(text: str):
     return float(text)
 
 
+_PARSERS = {int: int, float: float, str: str, Optional[float]: _parse_photons}  # field annotation -> parser
+# The INI sections in file order, each with its keys: INI key -> ExperimentConfig field, or None for the sub-config of
+# the section's name, whose keys are its fields. The file holds no output_dir.
+_SECTIONS = {"medium": None, "calibration": None, "source": None, "targets": {"index_a": "target_a", "index_b": "target_b"},
+             "noise": None, "run": {name: name for name in ("scenario", "n_steps", "counts_per_step", "counts_sampling", "seed")}}
+
+
+def _section_rows(section: str, keys: Optional[dict]) -> list:
+    """One section's rows of ``_FIELDS``, each with the parser of its field's annotation."""
+    owner, prefix = (ExperimentConfig, "") if keys else (get_type_hints(ExperimentConfig)[section], f"{section}.")
+    hints = get_type_hints(owner)
+    return [(section, key, prefix + name, _PARSERS[hints[name]])
+            for key, name in (keys or {field.name: field.name for field in dataclasses.fields(owner)}).items()]
+
+
 # The INI schema, one row per key: (section, key, ExperimentConfig attribute path, parser).
 # Keys a file leaves out take their value from ExperimentConfig(); unknown entries are hard errors.
-_FIELDS = (
-    ("medium", "n_in", "medium.n_in", int),
-    ("medium", "m_out", "medium.m_out", int),
-    ("medium", "transmission", "medium.transmission", float),
-    ("medium", "seed", "medium.seed", int),
-    ("calibration", "phase_steps", "calibration.phase_steps", int),
-    ("calibration", "photons_per_measurement", "calibration.photons_per_measurement", _parse_photons),
-    ("calibration", "reference_seed", "calibration.reference_seed", int),
-    ("calibration", "noise_seed", "calibration.noise_seed", int),
-    *(("source", field.name, f"source.{field.name}", float) for field in dataclasses.fields(SourceConfig)),
-    ("targets", "index_a", "target_a", int),
-    ("targets", "index_b", "target_b", int),
-    *(("noise", field.name, f"noise.{field.name}", float) for field in dataclasses.fields(NoiseConfig)),
-    ("run", "scenario", "scenario", str),
-    ("run", "n_steps", "n_steps", int),
-    ("run", "counts_per_step", "counts_per_step", float),
-    ("run", "counts_sampling", "counts_sampling", str),
-    ("run", "seed", "seed", int),
-)
-_SECTIONS = tuple(dict.fromkeys(section for section, *_ in _FIELDS))
+_FIELDS = tuple(row for section, keys in _SECTIONS.items() for row in _section_rows(section, keys))
 _KEYS = {(section, key): (path, parse) for section, key, path, parse in _FIELDS}
 # sub-seeds a file leaves out are derived from the master seed, one stream each
 _DERIVED_SEEDS = {
@@ -165,7 +161,9 @@ _DERIVED_SEEDS = {
 def parse_config_text(text: str, *, scenario: Optional[str] = None, seed: Optional[int] = None,
                       output_dir: Optional[str] = None) -> ExperimentConfig:
     """Parse an INI config; optional overrides replace file or default values before seed derivation."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name the empty default section, so [DEFAULT] is an ordinary section, and so an unknown one:
+    # configparser would otherwise copy its keys into every section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -205,7 +203,7 @@ def parse_config_text(text: str, *, scenario: Optional[str] = None, seed: Option
 
 def load_config(path, *, scenario: Optional[str] = None, seed: Optional[int] = None,
                 output_dir: Optional[str] = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of the INI text
         return parse_config_text(fh.read(), scenario=scenario, seed=seed, output_dir=output_dir)
 
 
@@ -366,12 +364,8 @@ def _tomo_stage(cfg: ExperimentConfig, out: str, split_output: np.ndarray, fit: 
     _write_json(os.path.join(out, "counts.json"),
                 {**dataclasses.asdict(counts), "config": config_to_dict(cfg)["source"]})
 
-    if counts.n_T <= 0:
-        raise StatisticsError("acquisition produced no trigger counts; cannot estimate the state")
-    raw_p10 = counts.n_AT / counts.n_T
-    raw_p01 = counts.n_BT / counts.n_T
-    d_raw = coherence_from_visibility(fit.visibility, raw_p01, raw_p10)
-    state = estimate_state(counts, d_raw)
+    raw = estimate_state(counts, 0.0)  # the count ratios, before the fringe coherence is known
+    state = estimate_state(counts, coherence_from_visibility(fit.visibility, raw.p01, raw.p10))
     _write_csv(os.path.join(out, "probabilities.csv"), ("quantity", "value", "std_error"),
                ((p, getattr(state, p), getattr(state, f"{p}_err")) for p in _PROBABILITIES))
 

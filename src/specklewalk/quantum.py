@@ -175,9 +175,17 @@ def simulate_counts(q_a: float, q_b: float, cfg: SourceConfig, seed: int) -> Cou
 
 
 def estimate_state(counts: CountRecord, d_mag: float) -> TwoModeState:
-    """Occupation probabilities from count ratios, coherence clamped to the positivity bound."""
+    """Occupation probabilities from count ratios, coherence clamped to the positivity bound.
+
+    p10 = n_AT / n_T, p01 = n_BT / n_T, p11 = n_ABT / n_T and p00 the rest.
+    Raises ``StatisticsError`` without trigger counts, or when the
+    coincidences n_AT + n_BT + n_ABT exceed n_T, which would leave p00 < 0.
+    """
     if counts.n_T <= 0:
         raise StatisticsError("cannot estimate probabilities without trigger counts")
+    coincidences = counts.n_AT + counts.n_BT + counts.n_ABT
+    if coincidences > counts.n_T:
+        raise StatisticsError(f"coincidences n_AT + n_BT + n_ABT = {coincidences} exceed the {counts.n_T} trigger counts")
     require_nonnegative(d_mag=d_mag)
     n_t = counts.n_T
     p10 = counts.n_AT / n_t

@@ -75,13 +75,13 @@ def test_zero_entry_stays_zero_noiseless():
     assert abs(estimate.matrix.matrix[1, 2]) < 1e-14
 
 
-def test_zero_reference_row_flagged_and_zeroed():
+def test_zero_reference_row_zeroed():
     matrix = np.ones((3, 4), dtype=complex)
     matrix[1, :] = 0.0  # this output sees nothing, so its reference is zero
     sm = ScatteringMatrix(matrix)
     estimate = measure_sm(sm, CalibrationConfig(reference_seed=5))
-    assert estimate.flagged_rows == (1,)
     assert np.all(estimate.matrix.matrix[1, :] == 0.0)
+    assert np.all(estimate.matrix.matrix[[0, 2], :] != 0.0)
 
 
 def test_fidelity_reference_cases():
@@ -259,7 +259,7 @@ def test_reused_block_buffers_give_the_bytes_of_the_whole_matrix(steps, ppm, zer
     if steps == 4 and ppm is not None:
         assert 0 < above_floor(sm, cfg).sum() < sm.m_out
     if zero_row is not None:
-        assert whole.flagged_rows == (zero_row,)
+        assert not whole.matrix.matrix[zero_row].any()
     field = reference_field(medium_cfg.n_in, cfg)
     # one set of full-block buffers, holding NaN to begin with and reused for every block
     rows_buffer = np.full((ROW_BLOCK, medium_cfg.n_in), np.nan, dtype=complex)
@@ -273,8 +273,8 @@ def test_reused_block_buffers_give_the_bytes_of_the_whole_matrix(steps, ppm, zer
             == medium.row_block(drawn, block).tobytes()
         np.copyto(rows, medium.row_block(truth, block))
         allocated = np.empty_like(rows)
-        assert calibration.estimate_block(rows, field, cfg, block, est, scratch[:, :size]).tobytes() \
-            == calibration.estimate_block(rows, field, cfg, block, allocated).tobytes()
+        calibration.estimate_block(rows, field, cfg, block, est, scratch[:, :size])
+        calibration.estimate_block(rows, field, cfg, block, allocated)
         assert est.tobytes() == allocated.tobytes() == medium.row_block(whole.matrix.matrix, block).tobytes()
 
 

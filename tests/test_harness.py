@@ -133,6 +133,10 @@ def test_configs_reject_non_integer_counts_indices_and_seeds(owner, name, value)
 def test_parse_rejects_unknown_sections_and_keys():
     with pytest.raises(ConfigError, match="unknown config section"):
         parse_config_text("[warp]\nspeed = 9\n")
+    # configparser would drop a lone [DEFAULT] key, and copy one into [run] or [medium] as their seed
+    for text in ("", "[run]\nscenario = tomo\n", "[medium]\nn_in = 64\n"):
+        with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+            parse_config_text("[DEFAULT]\nseed = 3\n" + text)
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("[medium]\nn_inn = 4\n")
     # where a run writes is a run setting, and the note never entered the computation
@@ -142,6 +146,14 @@ def test_parse_rejects_unknown_sections_and_keys():
         parse_config_text("[medium]\nmean_free_path_note = l* ~ 1-2 um\n")
     with pytest.raises(ConfigError, match="bad value"):
         parse_config_text("[medium]\nn_in = four\n")
+
+
+def test_load_config_reads_past_a_byte_order_mark(tmp_path):
+    small = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "small.ini")
+    path = tmp_path / "bom.ini"
+    with open(small, "rb") as fh:
+        path.write_bytes("\ufeff".encode("utf-8") + fh.read())
+    assert load_config(path) == load_config(small)
 
 
 def test_parse_round_trip_through_ini():
@@ -369,6 +381,16 @@ def test_run_tomo_zero_rates_surface_cleanly(tmp_path):
     with pytest.raises(Exception) as err:
         run_tomo(cfg)
     assert "trigger" in str(err.value).lower()
+
+
+def test_run_tomo_coincidences_beyond_the_triggers_raise_a_statistics_error(tmp_path):
+    # two output modes at unit efficiency: at seed 2 the twofold counts outnumber the 88 triggers
+    cfg = ExperimentConfig(scenario="tomo", medium=MediumConfig(n_in=8, m_out=2, seed=2),
+                           source=SourceConfig(heralding_efficiency=1.0, collection_efficiency=1.0,
+                                               trigger_rate=10.0, acquisition_time=10.0),
+                           target_a=0, target_b=1, output_dir=str(tmp_path), seed=2)
+    with pytest.raises(StatisticsError, match="exceed the 88 trigger counts"):
+        run(cfg)
 
 
 def test_replay_is_byte_identical(tmp_path):

@@ -176,9 +176,14 @@ def test_estimate_state_clamps_excess_coherence():
     assert state.d_mag == pytest.approx(np.sqrt(state.p01 * state.p10))
 
 
-def test_estimate_state_needs_triggers():
-    with pytest.raises(StatisticsError):
-        estimate_state(CountRecord(n_T=0, n_A=0, n_B=0, n_AT=0, n_BT=0, n_ABT=0), 0.0)
+@pytest.mark.parametrize("record, match", [
+    (CountRecord(n_T=0, n_A=0, n_B=0, n_AT=0, n_BT=0, n_ABT=0), "without trigger counts"),
+    # p00 = 1 - (6 + 5 + 0) / 10 would be negative: an outcome of the counts, not a config fault
+    (CountRecord(n_T=10, n_A=6, n_B=5, n_AT=6, n_BT=5, n_ABT=0), "exceed the 10 trigger counts"),
+])
+def test_estimate_state_needs_triggers(record, match):
+    with pytest.raises(StatisticsError, match=match):
+        estimate_state(record, 0.0)
 
 
 @settings(max_examples=100, deadline=None)
