@@ -75,6 +75,20 @@ class FringeScan:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "counts", counts)
 
+    @classmethod
+    def _adopt(cls, phi: np.ndarray, counts: np.ndarray) -> "FringeScan":
+        """Wrap a pattern's checked, read-only phases and a fresh int64 count array; no check, no copy.
+
+        The scan gets a view of ``phi``: numpy refuses to make a view of a
+        read-only array writable, which it would not refuse for ``phi``
+        itself, the memo's own array.
+        """
+        scan = object.__new__(cls)
+        counts.setflags(write=False)
+        object.__setattr__(scan, "phi", phi.view())
+        object.__setattr__(scan, "counts", counts)
+        return scan
+
 
 @dataclass(frozen=True)
 class VisibilityFit:
@@ -136,14 +150,14 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     offset = background_fraction * pattern.mean_total / 2.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN means, which the check rejects
         means = counts_per_step * (port + offset) / (pattern.mean_total * (1.0 + background_fraction))
-        means = np.clip(means, 0.0, None)
+        np.maximum(means, 0.0, out=means)
     rng.check_poisson_mean(means.max(), f"counts_per_step={counts_per_step!r}, background_fraction={background_fraction!r}")
 
     if sampling == "poisson":
         counts = gen.poisson(means)
     else:
         counts = np.rint(means).astype(np.int64)
-    return FringeScan(phi=pattern.phi, counts=counts)
+    return FringeScan._adopt(pattern.phi, counts)
 
 
 class _Pattern(NamedTuple):
@@ -225,46 +239,110 @@ def _unit_phasors(z: np.ndarray) -> np.ndarray:
 def fit_visibility(scan: FringeScan) -> VisibilityFit:
     """Poisson-weighted least-squares fit of counts = offset*(1 + V cos(phi - phase0)).
 
-    The model is linear in (c0, c1, c2) = (offset, offset*V*cos(phase0),
-    offset*V*sin(phase0)), so the weighted optimum is solved in closed
-    form; visibility_err comes from the parameter covariance by the
-    delta method. Visibility is clamped to [0, 1] after the error is
-    computed.
+    The model is linear in c = (c0, c1, c2) = (offset, offset*V*cos(phase0),
+    offset*V*sin(phase0)). With the basis u_j = (1, cos phi_j, sin phi_j),
+    counts y_j and weights w_j = 1/max(y_j, 1), the weighted optimum solves
+    the 3x3 normal equations (sum_j w_j u_j u_j^T) c = sum_j w_j y_j u_j
+    (``_solve_fringe``, by the adjugate of that symmetric matrix). No BLAS
+    or LAPACK routine runs, so the fit's bits do not depend on the host's
+    kernels. visibility_err comes from the parameter covariance, the
+    inverse of the same matrix, by the delta method. Visibility is clamped
+    to [0, 1] after the error is computed; phase0 lies in [0, 2*pi).
+
+    StatisticsError is raised for all-zero counts, for phases that do not
+    span (1, cos phi, sin phi) (for example phases that all fall on 0 and
+    2*pi, or on 0 and pi), and for a fitted mean rate that is not positive.
     """
     counts = scan.counts.astype(np.float64)
-    if counts.sum() <= 0:
-        raise StatisticsError("cannot fit a fringe through all-zero counts")
-    weights = 1.0 / np.maximum(counts, 1.0)
-
-    design = np.column_stack([np.ones_like(scan.phi), np.cos(scan.phi), np.sin(scan.phi)])
-    sqrt_w = np.sqrt(weights)
-    coef, *_ = np.linalg.lstsq(design * sqrt_w[:, None], counts * sqrt_w, rcond=None)
-    c0, c1, c2 = (float(c) for c in coef)
+    (c0, c1, c2), residuals, adjugate, det = _solve_fringe(scan.phi, counts, 1.0 / np.maximum(counts, 1.0))
     if c0 <= 0.0:
         raise StatisticsError("fitted mean rate is not positive")
 
-    try:
-        covariance = np.linalg.inv(design.T @ (weights[:, None] * design))
-    except np.linalg.LinAlgError as exc:
-        raise StatisticsError("fringe scan phases do not span the fit basis") from exc
     amplitude = math.hypot(c1, c2)
     visibility = amplitude / c0
     if amplitude > 0.0:
-        grad = np.array([-amplitude / c0 ** 2, c1 / (amplitude * c0), c2 / (amplitude * c0)])
+        g0, g1, g2 = -amplitude / c0 ** 2, c1 / (amplitude * c0), c2 / (amplitude * c0)
     else:
         # direction-free bound at the cusp of the amplitude surface
-        grad = np.array([0.0, 1.0 / c0, 1.0 / c0])
-    visibility_err = float(np.sqrt(max(grad @ covariance @ grad, 0.0)))
+        g0, g1, g2 = 0.0, 1.0 / c0, 1.0 / c0
+    h0, h1, h2 = _adjugate_solve(adjugate, det, (g0, g1, g2))  # the covariance times the gradient
+    variance = g0 * h0 + g1 * h1 + g2 * h2
 
     phase0 = math.atan2(c2, c1) % TWO_PI if amplitude > 0.0 else 0.0
-    residuals = counts - design @ coef
     return VisibilityFit(
-        visibility=float(min(max(visibility, 0.0), 1.0)),
-        visibility_err=visibility_err,
+        visibility=min(max(visibility, 0.0), 1.0),
+        visibility_err=math.sqrt(max(variance, 0.0)),
         offset=c0,
-        phase0=phase0,
-        residual_rms=float(np.sqrt(np.mean(residuals ** 2))),
+        phase0=0.0 if phase0 == TWO_PI else phase0,  # a tiny negative angle rounds up to exactly 2*pi
+        residual_rms=math.sqrt(float(np.add.reduce(residuals * residuals)) / residuals.size),
     )
+
+
+def _solve_fringe(phases: np.ndarray, counts: np.ndarray, weights: np.ndarray):
+    """Weighted least squares of counts on (1, cos, sin) of the phases: ((c0, c1, c2), residuals, adjugate, det).
+
+    A C-ordered (n, 15) table holds each step's row
+    w * [1, c, s, c^2, cs, s^2, y, yc, ys] followed by the unweighted
+    [1, c, s, c^2, cs, s^2]. One ``np.add.reduce(..., axis=0)`` sums it,
+    adding the rows in order, so the sums do not depend on SIMD width:
+    they are the upper triangle of the normal matrix A, the right-hand
+    side b, and the upper triangle of the phases' own unweighted matrix.
+    The symmetric 3x3 system is solved by its adjugate in Python floats,
+    c = adj(A) b / det(A). It is refined once, by the same solve for
+    sum_j w_j r_j u_j, whose per-step terms take the residuals
+    r_j = y_j - u_j . c before any sum (summed the same way): alone, the
+    rounding of A costs up to cond(A) * eps; refined, the fit agrees with
+    a QR least-squares solve to a few ulps. The covariance of c is
+    adj(A) / det(A).
+
+    Raises StatisticsError for all-zero counts (sum_j w_j y_j is 0); when
+    the phases alone do not span the basis, by their unweighted
+    determinant over n^3 being at most 1e-12 (uniform scans read
+    0.22-0.25), so that no count pattern can cause that refusal; and when
+    det(A) is not positive.
+    """
+    n = phases.size
+    rows = np.empty((9, n))  # the table's first nine columns, unweighted, one per row
+    rows[0] = 1.0
+    cos_phi, sin_phi = np.cos(phases, out=rows[1]), np.sin(phases, out=rows[2])
+    np.multiply(rows[1:3], cos_phi, out=rows[3:5])
+    np.multiply(sin_phi, sin_phi, out=rows[5])
+    np.multiply(rows[:3], counts, out=rows[6:])
+    table = np.empty((n, 15))
+    np.multiply(rows, weights, out=table[:, :9].T)
+    np.copyto(table[:, 9:].T, rows[:6])
+    sums = np.add.reduce(table, axis=0).tolist()
+    if sums[6] <= 0.0:
+        raise StatisticsError("cannot fit a fringe through all-zero counts")
+    if _adjugate(*sums[9:])[1] <= 1e-12 * n ** 3:
+        raise StatisticsError("fringe scan phases do not span the fit basis")
+    adjugate, det = _adjugate(*sums[:6])
+    if not det > 0.0:
+        raise StatisticsError("the weighted normal equations of the fringe fit are singular")
+    c0, c1, c2 = _adjugate_solve(adjugate, det, sums[6:9])
+    residuals = counts - (c0 + c1 * cos_phi + c2 * sin_phi)
+    d0, d1, d2 = _adjugate_solve(adjugate, det, np.add.reduce(table[:, :3] * residuals[:, None], axis=0).tolist())
+    c0, c1, c2 = c0 + d0, c1 + d1, c2 + d2
+    return (c0, c1, c2), counts - (c0 + c1 * cos_phi + c2 * sin_phi), adjugate, det
+
+
+def _adjugate(a00, a01, a02, a11, a12, a22):
+    """The adjugate rows and the determinant of the symmetric 3x3 matrix with this upper triangle."""
+    c00 = a11 * a22 - a12 * a12
+    c01 = a02 * a12 - a01 * a22
+    c02 = a01 * a12 - a02 * a11
+    c11 = a00 * a22 - a02 * a02
+    c12 = a01 * a02 - a00 * a12
+    c22 = a00 * a11 - a01 * a01
+    return ((c00, c01, c02), (c01, c11, c12), (c02, c12, c22)), a00 * c00 + a01 * c01 + a02 * c02
+
+
+def _adjugate_solve(adjugate, det, rhs):
+    """adj @ rhs / det in Python floats."""
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = adjugate
+    b0, b1, b2 = rhs
+    return ((a00 * b0 + a01 * b1 + a02 * b2) / det, (a01 * b0 + a11 * b1 + a12 * b2) / det,
+            (a02 * b0 + a12 * b1 + a22 * b2) / det)
 
 
 def coherence_from_visibility(visibility: float, p01: float, p10: float) -> float:

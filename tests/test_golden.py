@@ -11,13 +11,25 @@ configs/paper.ini (1024 x 4096) at its own seed 12345 is pinned too
 (tests/golden/full_paper.json); that run writes 128 MiB. Any change of output bytes
 fails here. A deliberate change regenerates the golden file from the JSON
 this test prints on failure, bumps the version, and says why in CHANGES.md.
+
+``full`` at seed 1 is also rerun in a child process under OpenBLAS's
+Haswell and Zen kernels (``OPENBLAS_CORETYPE``), which any x86-64 host with
+AVX2 can run, whatever kernels it picks by default; both runs must give the
+stored digests (skipped on other hosts).
 """
 
 import dataclasses
 import hashlib
 import json
 import os
+import platform
+import subprocess
+import sys
 
+import pytest
+from numpy._core._multiarray_umath import __cpu_features__
+
+import specklewalk
 from specklewalk import load_config, run, run_full
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -73,3 +85,25 @@ def test_scenario_output_bytes_match_golden_digests(tmp_path):
 
 def test_full_paper_output_bytes_match_golden_digests(tmp_path):
     assert_golden("full_paper.json", run_full, {"seed12345": load_config(os.path.join(CONFIGS, "paper.ini"))}, tmp_path)
+
+
+def child_digests(extra_env: dict, cwd) -> dict:
+    """The seed-1 ``full`` digests on small.ini from a child process with ``extra_env`` added to its environment."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specklewalk.__file__)))
+    env = {**os.environ, **extra_env, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import hashlib, json, os\n"
+            "from specklewalk import load_config, run_full\n"
+            f"run_full(load_config({CONFIG!r}, seed=1, output_dir='.'))\n"
+            "print(json.dumps({name: hashlib.sha256(open(name, 'rb').read()).hexdigest() for name in os.listdir('.')}))\n")
+    child = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or not __cpu_features__.get("AVX2"),
+                    reason="OpenBLAS's Haswell and Zen kernels need an x86-64 host with AVX2")
+@pytest.mark.parametrize("coretype", ["Haswell", "Zen"])
+def test_full_small_output_bytes_hold_on_other_openblas_kernels(coretype, tmp_path):
+    with open(os.path.join(GOLDEN_DIR, "full_small.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)["seed1"]
+    assert child_digests({"OPENBLAS_CORETYPE": coretype}, tmp_path) == golden

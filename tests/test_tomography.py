@@ -377,6 +377,21 @@ def test_scan_memo_hits_still_check_their_arguments():
             scan_fringes(s_true, s_masks, **{"target_a": 0, "target_b": 1, **knobs})
 
 
+def test_scan_memo_survives_a_caller_writing_to_a_scan():
+    s_true, s_masks = scan_pair(1035)
+    before = scan_bytes(scan_fringes(s_true, s_masks, 1, 6))
+    for scan in (scan_fringes(s_true, s_masks, 1, 6), scan_fringes(s_true, s_masks, 1, 6, sampling="expected")):
+        for array in (scan.phi, scan.counts):
+            try:
+                array.setflags(write=True)
+                array[:] = 3
+            except ValueError:  # numpy refuses to make a view of a read-only array writable
+                pass
+    pattern = stored(s_true, s_masks)[(1, 6, 21)]
+    assert not any(array.flags.writeable for array in (pattern.phi, pattern.total, pattern.cross))
+    assert scan_bytes(scan_fringes(s_true, s_masks, 1, 6)) == before
+
+
 def test_scan_memo_keeps_no_matrix_alive():
     s_true, s_masks = scan_pair(1032)
     scan = scan_fringes(s_true, s_masks, 3, 4)
@@ -479,6 +494,55 @@ def test_fit_visibility_errors():
     phi = 2 * np.pi * np.arange(21) / 20
     with pytest.raises(StatisticsError):
         fit_visibility(FringeScan(phi=phi, counts=np.zeros(21, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e5, 1e7, 1e9])
+@pytest.mark.parametrize("visibility", [0.1, 0.5, 0.78, 1.0])
+def test_fit_visibility_phase0_lies_below_two_pi(offset, visibility):
+    # the fitted angle is a hair below 0, which % 2*pi rounds up to exactly 2*pi
+    fit = fit_visibility(synthetic_scan(offset=offset, visibility=visibility, phase0=0.0))
+    assert 0.0 <= fit.phase0 < 2 * np.pi
+    assert min(fit.phase0, 2 * np.pi - fit.phase0) < 1e-6
+
+
+@pytest.mark.parametrize("other", [0.0, 2 * np.pi, np.pi])
+def test_fit_visibility_refuses_phases_that_do_not_span_the_basis(other):
+    # steps alternating 0 and 2*pi (cos = 1, sin ~ 0) or 0 and pi (sin ~ 0): no sin column to fit
+    phi = np.where(np.arange(21) % 2 == 1, other, 0.0)
+    with pytest.raises(StatisticsError, match="do not span"):
+        fit_visibility(FringeScan(phi=phi, counts=np.arange(100, 241, 7)))
+
+
+def lapack_fit(scan):
+    """The fit by LAPACK least squares on the sqrt-weighted design, and its covariance by inv; V > 0 assumed."""
+    counts = scan.counts.astype(np.float64)
+    weights = 1.0 / np.maximum(counts, 1.0)
+    design = np.column_stack([np.ones_like(scan.phi), np.cos(scan.phi), np.sin(scan.phi)])
+    sqrt_w = np.sqrt(weights)
+    coef = np.linalg.lstsq(design * sqrt_w[:, None], counts * sqrt_w, rcond=None)[0]
+    covariance = np.linalg.inv(design.T @ (weights[:, None] * design))
+    c0, c1, c2 = coef
+    amplitude = math.hypot(c1, c2)
+    grad = np.array([-amplitude / c0 ** 2, c1 / (amplitude * c0), c2 / (amplitude * c0)])
+    return (min(amplitude / c0, 1.0), math.sqrt(grad @ covariance @ grad), c0, math.atan2(c2, c1) % (2 * np.pi),
+            math.sqrt(np.mean((counts - design @ coef) ** 2)))
+
+
+@pytest.mark.parametrize("n_steps", [5, 21, 101])
+@pytest.mark.parametrize("offset,visibility", [(40.0, 0.3), (4000.0, 0.78), (4000.0, 0.99), (1e6, 0.9)])
+def test_fit_visibility_matches_a_lapack_least_squares_reference(n_steps, offset, visibility):
+    # the adjugate solve is refined once, so it agrees with LAPACK to a few ulps; the residuals cancel
+    # counts of size offset, so their rms is compared on that scale
+    rng = np.random.default_rng(n_steps)
+    for _ in range(20):
+        scan = synthetic_scan(offset=offset, visibility=visibility, phase0=2.0, n_steps=n_steps, rng=rng)
+        fit = fit_visibility(scan)
+        v, v_err, c0, phase0, rms = lapack_fit(scan)
+        assert fit.visibility == pytest.approx(v, rel=1e-12)
+        assert fit.visibility_err == pytest.approx(v_err, rel=1e-10)
+        assert fit.offset == pytest.approx(c0, rel=1e-12)
+        assert fit.phase0 == pytest.approx(phase0, abs=1e-12)
+        assert fit.residual_rms == pytest.approx(rms, abs=1e-12 * offset)
 
 
 def test_coherence_from_visibility_reference_values():
