@@ -7,7 +7,7 @@ simulate coincidence counting, and certify the entanglement of the
 resulting two-mode single-photon state through its concurrence.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .errors import (
     ConfigError,
@@ -29,6 +29,7 @@ from .medium import (
 from .slm import (
     apply_mask,
     canonicalize_phases,
+    conjugate_fields,
     conjugate_phases,
     dual_target_weights,
     enhancement,

@@ -3,9 +3,10 @@
 A scenario (selected on the command line or in [run] scenario) runs its
 stages (``PIPELINES``) on one medium and one calibration estimate:
 
-  focus    calibrate, then compare a conjugate focusing mask against a
-           random baseline on a 1-D window of output modes around the
-           target; reports the focused coincidence fraction.
+  focus    calibrate, then count coincidences, dark-count accidentals
+           included, on a 1-D window of output modes around the target
+           for a conjugate focusing field and a random baseline; reports
+           the focused coincidence fraction.
   scan     emit the raw dual-target fringe scan table.
   fringes  fringe scan plus visibility fit.
   tomo     full pipeline to the two-mode state, density matrix,
@@ -24,13 +25,14 @@ own block, with both SMX files open from the start:
   1. The one or two blocks that hold the targets are drawn
      (``medium.draw_block``) and calibrated (``measure_sm`` from the
      block's own noise stream). Their two target rows, true and
-     estimated, give every mask the stages use and the fringe scan. The
+     estimated, give the fringe scan and every field the stages
+     propagate, each conjugate one from ``slm.conjugate_fields``. The
      blocks are then written, scored and propagated, and dropped. The
      fringe scan and its fit run next, on the two target rows alone, so a
      bad scan knob fails before the pass.
   2. One ``medium.map_row_blocks`` pass draws and calibrates every other
      block, computes its row fidelities, writes both SMX blocks at their
-     file offsets, and propagates each mask through the block's rows.
+     file offsets, and propagates each field through the block's rows.
      Each worker does this in one set of block buffers, allocated by the
      calling thread before the pass: temporaries made new for every
      block are mapped and page-faulted in afresh each time.
@@ -64,9 +66,10 @@ from . import __version__
 from . import calibration, medium, rng
 from .errors import ConfigError, require_choice, require_integer, require_nonnegative
 from .medium import ROW_BLOCK, MediumConfig, ScatteringMatrix
-from .slm import apply_mask, conjugate_phases, dual_target_weights, enhancement, random_mask, save_mask_csv
+from .slm import (apply_mask, conjugate_fields, conjugate_phases, dual_target_weights, enhancement, random_mask,
+                  save_mask_csv)
 from .calibration import CalibrationConfig, measure_sm
-from .quantum import SourceConfig, mode_probabilities, simulate_counts, estimate_state
+from .quantum import SourceConfig, estimate_state, mode_probabilities, simulate_counts, twofold_probability
 from .tomography import (SAMPLINGS, VisibilityFit, coherence_from_visibility, concurrence, concurrence_error,
                          concurrence_threshold, fit_visibility, positivity_confidence, scan_fringes)
 
@@ -263,16 +266,18 @@ def _scan(cfg: ExperimentConfig, out: str, pair_true: ScatteringMatrix, pair_est
     return scan
 
 
-def _masks(cfg: ExperimentConfig, pair_estimate: ScatteringMatrix) -> dict:
-    """The masks the scenario's stages propagate, by name, built from the two target rows of the estimate."""
+def _masks_and_fields(cfg: ExperimentConfig, pair_estimate: ScatteringMatrix):
+    """The masks the run writes and the fields its stages propagate, by name; no field is built from a mask's phases."""
     stages = PIPELINES[cfg.scenario]
-    masks = {}
+    masks, fields = {}, {}
     if "focus" in stages:
         masks["focused"] = conjugate_phases(pair_estimate, (0,), [[1.0]])[0]
         masks["random"] = random_mask(cfg.medium.n_in, cfg.seed)
+        fields["focused"] = conjugate_fields(pair_estimate, (0,), [[1.0]])[0]
+        fields["random"] = apply_mask(masks["random"])
     if "tomo" in stages:
-        masks["split"] = conjugate_phases(pair_estimate, (0, 1), dual_target_weights(pair_estimate, 0, 1, [0.0]))[0]
-    return masks
+        fields["split"] = conjugate_fields(pair_estimate, (0, 1), dual_target_weights(pair_estimate, 0, 1, [0.0]))[0]
+    return masks, fields
 
 
 def _target_block(cfg: ExperimentConfig, block: int):
@@ -324,6 +329,7 @@ def _row_pass(cfg: ExperimentConfig, smx_files, fields: list, done: dict):
 
 
 def _focus_stage(cfg: ExperimentConfig, out: str, masks: dict, outputs: dict, fidelities: np.ndarray) -> dict:
+    """Write both masks, and their coincidence scans at the per-trigger ``twofold_probability`` of ``simulate_counts``."""
     m_out = cfg.medium.m_out
     src = cfg.source
     rng.check_poisson_mean(src.trigger_rate * src.acquisition_time, "trigger_rate * acquisition_time")
@@ -339,13 +345,11 @@ def _focus_stage(cfg: ExperimentConfig, out: str, masks: dict, outputs: dict, fi
     for name in ("focused", "random"):
         save_mask_csv(os.path.join(out, f"mask_{name}.csv"), masks[name])
         intensities = np.abs(outputs[name]) ** 2
-        share = intensities / intensities.sum()
-        mean_counts = src.trigger_rate * src.acquisition_time * src.heralding_efficiency \
-            * src.collection_efficiency * share[window]
-        counts = gen.poisson(mean_counts)
+        q = src.collection_efficiency * (intensities / intensities.sum())  # each mode's collected probability
+        counts = gen.poisson(src.trigger_rate * src.acquisition_time * twofold_probability(q[window], src))
         _write_csv(os.path.join(out, f"scan_{name}.csv"), ("mode_index", "counts"),
                    zip(window.tolist(), counts.tolist()))
-        fractions[name] = src.collection_efficiency * float(share[cfg.target_a])
+        fractions[name] = float(q[cfg.target_a])
     return {
         "focused_fraction": fractions["focused"],
         "random_fraction": fractions["random"],
@@ -407,8 +411,8 @@ def run(cfg: ExperimentConfig) -> RunReport:
         # phase 1: the one or two blocks that hold the targets
         blocks = {block: _target_block(cfg, block) for block in sorted({t // ROW_BLOCK for t in targets})}
         pair_true, pair_estimate = _target_pairs(targets, blocks)
-        masks = _masks(cfg, pair_estimate)
-        fields = [apply_mask(mask) for mask in masks.values()]
+        masks, named_fields = _masks_and_fields(cfg, pair_estimate)
+        fields = list(named_fields.values())
         done = {block: _finish_block((smx_true, smx_estimate), fields, block, *pair) for block, pair in blocks.items()}
         del blocks
         # the fringe scan and its fit read only the target rows, so a bad scan knob fails before the pass
@@ -418,7 +422,7 @@ def run(cfg: ExperimentConfig) -> RunReport:
             fit = fit_visibility(scan)
         # phase 2: every other block
         fidelities, block_outputs = _row_pass(cfg, (smx_true, smx_estimate), fields, done)
-    outputs = dict(zip(masks, block_outputs))
+    outputs = dict(zip(named_fields, block_outputs))
     _write_csv(os.path.join(out, "sm_fidelity.csv"), ("row", "fidelity"), enumerate(fidelities.tolist()))
 
     results = {}

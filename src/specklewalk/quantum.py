@@ -10,7 +10,8 @@ Counting over an acquisition is reduced to per-trigger probabilities.
 With trigger count n_T ~ Poisson(trigger_rate * acquisition_time):
 
   * twofold T-X coincidences: p_X = heralding_efficiency * q_X plus an
-    accidental term dark_rate * coincidence_window;
+    accidental term dark_rate * coincidence_window, capped at 1
+    (``twofold_probability``);
   * threefold T-A-B coincidences: genuine triples come only from double
     pairs (mean double_pair_mean extra pairs per heralding window), so
     p_AB = double_pair_mean * heralding_efficiency^2 * q_A * q_B plus
@@ -138,6 +139,16 @@ def mode_probabilities(e_out: np.ndarray, targets: Tuple[int, int],
     return q_a, q_b
 
 
+def twofold_probability(q, cfg: SourceConfig):
+    """Per-trigger probability of a T-X coincidence at a mode whose collected photon probability is ``q``.
+
+    min(heralding_efficiency * q + dark_rate * coincidence_window, 1): the
+    heralded photon detected there, plus an accidental dark count in the
+    coincidence window. ``q`` may be an array, one entry per mode.
+    """
+    return np.minimum(cfg.heralding_efficiency * q + cfg.dark_rate * cfg.coincidence_window, 1.0)
+
+
 def simulate_counts(q_a: float, q_b: float, cfg: SourceConfig, seed: int) -> CountRecord:
     """Draw one acquisition of counts; deterministic per seed.
 
@@ -154,8 +165,7 @@ def simulate_counts(q_a: float, q_b: float, cfg: SourceConfig, seed: int) -> Cou
     genuine_a = cfg.heralding_efficiency * q_a
     genuine_b = cfg.heralding_efficiency * q_b
     accidental = cfg.dark_rate * cfg.coincidence_window
-    p_a = min(genuine_a + accidental, 1.0)
-    p_b = min(genuine_b + accidental, 1.0)
+    p_a, p_b = twofold_probability(q_a, cfg), twofold_probability(q_b, cfg)
     p_ab = (cfg.double_pair_mean * cfg.heralding_efficiency ** 2 * q_a * q_b
             + genuine_a * accidental + genuine_b * accidental + accidental ** 2)
     p_ab = min(p_ab, p_a, p_b)
@@ -191,7 +201,7 @@ def estimate_state(counts: CountRecord, d_mag: float) -> TwoModeState:
     p10 = counts.n_AT / n_t
     p01 = counts.n_BT / n_t
     p11 = counts.n_ABT / n_t
-    p00 = 1.0 - p01 - p10 - p11
+    p00 = max(1.0 - p01 - p10 - p11, 0.0)  # coincidences that use up every trigger can round to -3e-17
 
     def binom_err(p: float) -> float:
         return float(np.sqrt(max(p * (1.0 - p), 0.0) / n_t))

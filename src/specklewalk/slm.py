@@ -7,7 +7,8 @@ this is -arg(S[t, n]) per mode, which rotates every contribution
 S[t, n] * exp(i phase[n]) onto the positive real axis so the target
 amplitudes add coherently. Discarding the amplitude of S^H w costs the
 usual pi/4 factor in enhancement; that penalty is part of the modeled
-device, not something to correct.
+device, not something to correct. ``conjugate_fields`` gives the fields of
+those masks, the unit phasors of S^H w, without computing the phases.
 """
 
 from __future__ import annotations
@@ -86,6 +87,18 @@ def conjugate_phases(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
     return canonicalize_phases(np.angle(_superposition(sm, targets, weights)))
 
 
+def conjugate_fields(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
+    """The fields of the ``conjugate_phases`` masks, built without their phases; one (masks, n) row per weight row.
+
+    Each entry is the unit phasor z/|z| (``_unit_phasors``) of the
+    conjugate superposition z whose argument the mask holds. It lies
+    within about 1e-15 of ``apply_mask`` of the mask, and an entry where
+    z is exactly 0 gets field 1, the mask's phase 0. The arguments and
+    errors are those of ``conjugate_phases``.
+    """
+    return _unit_phasors(_superposition(sm, targets, weights))
+
+
 def _superposition(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
     """The (masks, n) conjugate superpositions whose arguments ``conjugate_phases`` returns, with its checks."""
     targets = list(targets)
@@ -115,6 +128,33 @@ def _superposition(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
     if not np.all(np.any(superposition != 0.0, axis=1)):
         raise DegenerateTargetError("target superposition cancels on every input mode")
     return superposition
+
+
+def _unit_phasors(z: np.ndarray) -> np.ndarray:
+    """Overwrite each entry of the complex array ``z`` with z/|z|, the field exp(i arg z), and return ``z``.
+
+    Only + - * / and sqrt touch the entries, one entry at a time, so an
+    entry's bits depend on nothing else in the array and on no host's
+    math library. Both parts are first divided by max(|Re z|, |Im z|),
+    so that neither a tiny nor a huge entry underflows or overflows in
+    the squared norm. An entry that is exactly zero becomes 1, phase 0.
+    """
+    re, im = z.real, z.imag
+    scale = np.abs(re)
+    norm = np.abs(im)
+    np.maximum(scale, norm, out=scale)
+    zero = scale == 0.0
+    if zero.any():
+        re[zero], im[zero], scale[zero] = 1.0, 0.0, 1.0
+    np.divide(re, scale, out=re)
+    np.divide(im, scale, out=im)
+    np.multiply(re, re, out=norm)
+    np.multiply(im, im, out=scale)
+    norm += scale
+    np.sqrt(norm, out=norm)
+    np.divide(re, norm, out=re)
+    np.divide(im, norm, out=im)
+    return z
 
 
 def _check_row_power(targets: list, powers) -> None:

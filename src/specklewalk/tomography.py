@@ -39,7 +39,7 @@ import numpy as np
 from .errors import (ConfigError, DegenerateFieldError, DimensionError, StatisticsError, require_choice, require_count,
                      require_finite, require_integer, require_nonnegative, require_probability)
 from .medium import ScatteringMatrix, propagate_rows
-from .slm import TWO_PI, _superposition, dual_target_weights
+from .slm import TWO_PI, conjugate_fields, dual_target_weights
 from .quantum import TwoModeState
 from . import rng
 
@@ -107,19 +107,16 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
 
     The scan has two parts. The noise-free pattern depends only on
     (s_true, s_masks, target_a, target_b, n_steps). For each of n_steps
-    phases phi_j = 2*pi*j/(n_steps-1) it programs the dual-target mask
-    ``conjugate_phases(s_masks, (a, b), dual_target_weights(s_masks, a, b, [phi_j]))``
-    of ``s_masks`` (normally the calibration estimate). Its field is
-    built directly as the unit phasor z/|z| of the conjugate
-    superposition z whose argument that mask holds, without computing
-    the phases; it lies within about 1e-15 of ``apply_mask`` of the
-    mask, and an entry where z is exactly 0 gets field 1. The field is
-    propagated through the two target rows of ``s_true`` (the only
-    output amplitudes the scan reads). The pattern keeps each step's
-    total target power |a_a|^2 + |a_b|^2 and cross term
-    Re(conj(a_a) a_b). The fields and their target amplitudes are built
-    for all steps at once, with the bits of each step built alone: one
-    superposition, its unit phasors, and ``propagate`` of that field.
+    phases phi_j = 2*pi*j/(n_steps-1) it programs the field
+    ``conjugate_fields(s_masks, (a, b), dual_target_weights(s_masks, a, b, [phi_j]))``
+    of the dual-target mask that ``conjugate_phases`` would give for
+    ``s_masks`` (normally the calibration estimate), and so computes no
+    phase. The field is propagated through the two target rows of
+    ``s_true`` (the only output amplitudes the scan reads). The pattern
+    keeps each step's total target power |a_a|^2 + |a_b|^2 and cross
+    term Re(conj(a_a) a_b). The fields and their target amplitudes are
+    built for all steps at once, with the bits of each step built alone:
+    one ``conjugate_fields`` row and ``propagate`` of that field.
     The pattern is memoised (module docstring), so repeated scans of one
     matrix pair pay only for the noise model.
 
@@ -191,7 +188,7 @@ def _build_pattern(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a
     """Compute the noise-free pattern of a scan; the checks on the targets' rows and the scan's power run here."""
     phis = np.minimum(TWO_PI * np.arange(n_steps) / (n_steps - 1), TWO_PI)  # the last step can round an ulp above
     weights = dual_target_weights(s_masks, target_a, target_b, phis)
-    fields = _unit_phasors(_superposition(s_masks, (target_a, target_b), weights))
+    fields = conjugate_fields(s_masks, (target_a, target_b), weights)
     amplitudes = propagate_rows(s_true.matrix[[target_a, target_b]], fields[:, None, :])
     total = np.empty(n_steps)
     cross = np.empty(n_steps)
@@ -207,33 +204,6 @@ def _build_pattern(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a
     for array in (phis, total, cross):
         array.setflags(write=False)
     return _Pattern(phis, total, cross, mean_total)
-
-
-def _unit_phasors(z: np.ndarray) -> np.ndarray:
-    """Overwrite each entry of the complex array ``z`` with z/|z|, the field exp(i arg z), and return ``z``.
-
-    Only + - * / and sqrt touch the entries, one entry at a time, so an
-    entry's bits depend on nothing else in the array and on no host's
-    math library. Both parts are first divided by max(|Re z|, |Im z|),
-    so that neither a tiny nor a huge entry underflows or overflows in
-    the squared norm. An entry that is exactly zero becomes 1, phase 0.
-    """
-    re, im = z.real, z.imag
-    scale = np.abs(re)
-    norm = np.abs(im)
-    np.maximum(scale, norm, out=scale)
-    zero = scale == 0.0
-    if zero.any():
-        re[zero], im[zero], scale[zero] = 1.0, 0.0, 1.0
-    np.divide(re, scale, out=re)
-    np.divide(im, scale, out=im)
-    np.multiply(re, re, out=norm)
-    np.multiply(im, im, out=scale)
-    norm += scale
-    np.sqrt(norm, out=norm)
-    np.divide(re, norm, out=re)
-    np.divide(im, norm, out=im)
-    return z
 
 
 def fit_visibility(scan: FringeScan) -> VisibilityFit:

@@ -21,6 +21,7 @@ from specklewalk import (
     coherence_from_visibility,
     concurrence,
     concurrence_threshold,
+    conjugate_fields,
     conjugate_phases,
     dual_target_weights,
     enhancement,
@@ -222,12 +223,12 @@ def test_criterion_09_fringe_pipeline(tmp_path):
 def tomo_certificate(cfg):
     """The concurrence and confidence of ``run_tomo(cfg)``, calibrating only the two target blocks.
 
-    The split mask comes from the target rows of the estimate, and its
-    output field from every block's true rows, as in the run's row pass.
+    The split field is built from the target rows of the estimate, and its
+    output from every block's true rows, as in the run's row pass.
     The scan, fit, counts and state then follow ``harness._tomo_stage``.
     """
     pair, pair_estimate = target_pair(cfg.medium, cfg.calibration, (cfg.target_a, cfg.target_b))
-    field = apply_mask(conjugate_phases(pair_estimate, (0, 1), dual_target_weights(pair_estimate, 0, 1, [0.0]))[0])
+    field = conjugate_fields(pair_estimate, (0, 1), dual_target_weights(pair_estimate, 0, 1, [0.0]))[0]
     m_out, n_in = cfg.medium.m_out, cfg.medium.n_in
     split_output = np.concatenate([
         medium.propagate_rows(medium.draw_block(cfg.medium, block, np.empty(

@@ -45,6 +45,7 @@ from specklewalk import (
     concurrence,
     concurrence_error,
     concurrence_threshold,
+    conjugate_fields,
     conjugate_phases,
     dual_target_weights,
     enhancement,
@@ -85,6 +86,19 @@ COUNTS = CountRecord(n_T=100, n_A=10, n_B=10, n_AT=10, n_BT=10, n_ABT=1)
 SCAN_PHI = np.linspace(0.0, 2.0 * np.pi, 9)
 HUGE_ROW = ScatteringMatrix(SM.matrix[:2] * [[1.0], [1e160]])  # row 1's squared norm overflows float64
 INI = "[medium]\nn_in = 16\nm_out = 64\n\n[targets]\nindex_a = 3\nindex_b = 40\n"
+# the mask builder and the field builder take the same (sm, targets, weights) and make the same checks
+CONJUGATE_BUILDERS = (conjugate_phases, conjugate_fields)
+BAD_CONJUGATIONS = {
+    "no targets": (SM, (), np.ones((1, 0))),
+    "target=1.5": (SM, (1.5,), [[1.0]]),
+    "target=True": (SM, (True,), [[1.0]]),
+    "target out of range": (SM, (M_OUT,), [[1.0]]),
+    "repeated targets": (SM, (1, 1), [[1.0, 1.0]]),
+    "weights shape": (SM, (1, 2), [[1.0]]),
+    "nan weight": (SM, (1,), [[math.nan]]),
+    "zero weights": (SM, (1,), [[0.0]]),
+    "row norm overflows": (HUGE_ROW, (1,), [[1.0]]),
+}
 RUNNERS = {"run": run, "run_focus": run_focus, "run_scan": run_scan, "run_fringes": run_fringes,
            "run_tomo": run_tomo, "run_full": run_full}
 
@@ -126,15 +140,8 @@ ROWS = [
     ("apply_mask", "2-D", lambda tmp: apply_mask([[0.0]])),
     ("apply_mask", "nan", lambda tmp: apply_mask([0.0, math.nan])),
     ("canonicalize_phases", "inf", lambda tmp: canonicalize_phases([0.0, math.inf])),
-    ("conjugate_phases", "no targets", lambda tmp: conjugate_phases(SM, (), np.ones((1, 0)))),
-    ("conjugate_phases", "target=1.5", lambda tmp: conjugate_phases(SM, (1.5,), [[1.0]])),
-    ("conjugate_phases", "target=True", lambda tmp: conjugate_phases(SM, (True,), [[1.0]])),
-    ("conjugate_phases", "target out of range", lambda tmp: conjugate_phases(SM, (M_OUT,), [[1.0]])),
-    ("conjugate_phases", "repeated targets", lambda tmp: conjugate_phases(SM, (1, 1), [[1.0, 1.0]])),
-    ("conjugate_phases", "weights shape", lambda tmp: conjugate_phases(SM, (1, 2), [[1.0]])),
-    ("conjugate_phases", "nan weight", lambda tmp: conjugate_phases(SM, (1,), [[math.nan]])),
-    ("conjugate_phases", "zero weights", lambda tmp: conjugate_phases(SM, (1,), [[0.0]])),
-    ("conjugate_phases", "row norm overflows", lambda tmp: conjugate_phases(HUGE_ROW, (1,), [[1.0]])),
+    *((build.__name__, case, lambda tmp, build=build, args=args: build(*args))
+      for build in CONJUGATE_BUILDERS for case, args in BAD_CONJUGATIONS.items()),
     ("dual_target_weights", "target_b=1.5", lambda tmp: dual_target_weights(SM, 0, 1.5, [0.0])),
     ("dual_target_weights", "target_b out of range", lambda tmp: dual_target_weights(SM, 0, -1, [0.0])),
     ("dual_target_weights", "nan phase", lambda tmp: dual_target_weights(SM, 0, 1, [math.nan])),
@@ -319,7 +326,8 @@ INTEGER_ARGUMENTS = {
     "scan_fringes.n_steps": (lambda v: scan_fringes(SM, SM, 0, 1, n_steps=v), _integer, 5, None),
     "scan_fringes.seed": (lambda v: scan_fringes(SM, SM, 0, 1, seed=v), _integer, 0, None),
     "scan_fringes.target_b": (lambda v: scan_fringes(SM, SM, 0, v), _integer, 1, M_OUT),
-    "conjugate_phases.target": (lambda v: conjugate_phases(SM, (v,), [[1.0]]), _integer, 0, M_OUT),
+    **{f"{build.__name__}.target": (lambda v, build=build: build(SM, (v,), [[1.0]]), _integer, 0, M_OUT)
+       for build in CONJUGATE_BUILDERS},
     "dual_target_weights.target_b": (lambda v: dual_target_weights(SM, 0, v, [0.0]), _integer, 0, M_OUT),
     "enhancement.target": (lambda v: enhancement(FIELD, v), _integer, 0, M_OUT),
     "mode_probabilities.target_b": (lambda v: mode_probabilities(FIELD, (0, v), 1.0), _integer, 0, M_OUT),

@@ -15,7 +15,11 @@ this test prints on failure, bumps the version, and says why in CHANGES.md.
 ``full`` at seed 1 is also rerun in a child process under OpenBLAS's
 Haswell and Zen kernels (``OPENBLAS_CORETYPE``), which any x86-64 host with
 AVX2 can run, whatever kernels it picks by default; both runs must give the
-stored digests (skipped on other hosts).
+stored digests (skipped on other hosts). It is rerun once more with numpy's
+dispatch targets above ``X86_V3`` disabled (``NPY_DISABLE_CPU_FEATURES``),
+alone and under the Haswell kernels: every file but ``mask_focused.csv``,
+whose phases come from ``np.angle``, must keep its stored digest (skipped
+on a host with no such target).
 """
 
 import dataclasses
@@ -27,7 +31,7 @@ import subprocess
 import sys
 
 import pytest
-from numpy._core._multiarray_umath import __cpu_features__
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 import specklewalk
 from specklewalk import load_config, run, run_full
@@ -35,6 +39,10 @@ from specklewalk import load_config, run, run_full
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 CONFIG = os.path.join(CONFIGS, "small.ini")
+X86_64_AVX2 = platform.machine().lower() in ("x86_64", "amd64") and bool(__cpu_features__.get("AVX2"))
+# the dispatch targets above x86-64-v3 that this host runs; numpy refuses to disable a name it does not dispatch
+ABOVE_V3 = [name for name in __cpu_dispatch__[__cpu_dispatch__.index("X86_V3") + 1:] if __cpu_features__.get(name)] \
+    if "X86_V3" in __cpu_dispatch__ else []
 
 
 def output_digests(runner, cfg) -> dict:
@@ -100,10 +108,25 @@ def child_digests(extra_env: dict, cwd) -> dict:
     return json.loads(child.stdout)
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or not __cpu_features__.get("AVX2"),
-                    reason="OpenBLAS's Haswell and Zen kernels need an x86-64 host with AVX2")
+def seed1_digests() -> dict:
+    with open(os.path.join(GOLDEN_DIR, "full_small.json"), encoding="utf-8") as fh:
+        return json.load(fh)["seed1"]
+
+
+@pytest.mark.skipif(not X86_64_AVX2, reason="OpenBLAS's Haswell and Zen kernels need an x86-64 host with AVX2")
 @pytest.mark.parametrize("coretype", ["Haswell", "Zen"])
 def test_full_small_output_bytes_hold_on_other_openblas_kernels(coretype, tmp_path):
-    with open(os.path.join(GOLDEN_DIR, "full_small.json"), encoding="utf-8") as fh:
-        golden = json.load(fh)["seed1"]
-    assert child_digests({"OPENBLAS_CORETYPE": coretype}, tmp_path) == golden
+    assert child_digests({"OPENBLAS_CORETYPE": coretype}, tmp_path) == seed1_digests()
+
+
+@pytest.mark.skipif(not ABOVE_V3, reason="numpy dispatches no target above X86_V3 on this host")
+@pytest.mark.parametrize("coretype", [None, "Haswell"], ids=["default-kernels", "Haswell"])
+def test_full_small_output_bytes_hold_below_numpy_dispatch_above_x86_v3(coretype, tmp_path):
+    if coretype and not X86_64_AVX2:
+        pytest.skip("OpenBLAS's Haswell kernels need an x86-64 host with AVX2")
+    env = {"NPY_DISABLE_CPU_FEATURES": " ".join(ABOVE_V3), **({"OPENBLAS_CORETYPE": coretype} if coretype else {})}
+    digests, golden = child_digests(env, tmp_path), seed1_digests()
+    # the focused mask's phases come from np.angle, whose loops follow the dispatch target
+    assert digests.keys() == golden.keys()
+    del digests["mask_focused.csv"], golden["mask_focused.csv"]
+    assert digests == golden

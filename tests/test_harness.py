@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specklewalk import medium, rng
+from specklewalk import __version__, medium, rng
 from specklewalk import (
     CalibrationConfig,
     ConfigError,
@@ -256,6 +256,18 @@ def test_run_focus_outputs(tmp_path):
     assert doc["scenario"] == "focus"
     assert "wall_time" not in doc
     assert doc["config"]["run"]["seed"] == 42
+
+
+def test_run_focus_scans_count_dark_count_accidentals(tmp_path):
+    # no heralded photon is detected, so every scan count is a dark count in the coincidence window
+    source = SourceConfig(heralding_efficiency=0.0, dark_rate=1000.0)
+    cfg = small_config(tmp_path, scenario="focus", source=source)
+    run_focus(cfg)
+    mean = source.trigger_rate * source.acquisition_time * source.dark_rate * source.coincidence_window  # 2.75e4
+    for name in ("scan_focused.csv", "scan_random.csv"):
+        counts = [int(line.split(",")[1]) for line in (tmp_path / name).read_text().splitlines()[1:]]
+        assert len(counts) == cfg.n_steps
+        assert all(abs(count - mean) < 6.0 * math.sqrt(mean) for count in counts), (name, counts)
 
 
 def test_run_focus_single_input_mode_masks_equivalent(tmp_path):
@@ -610,6 +622,13 @@ def test_console_script_names_the_cli_main():
     with open(PYPROJECT, "rb") as fh:
         assert tomllib.load(fh)["project"]["scripts"] == {"specklewalk": "specklewalk.cli:main"}
     assert callable(main)
+
+
+def test_the_project_version_is_the_package_version():
+    # report.json echoes __version__ as software_version, so a bump that misses either one fails here
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == __version__
 
 
 def test_installed_setuptools_meets_the_declared_build_floor():

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from specklewalk import (
     ConfigError,
@@ -21,6 +21,7 @@ from specklewalk import (
     random_mask,
     simulate_counts,
 )
+from specklewalk.quantum import twofold_probability
 
 PAPER_SOURCE = SourceConfig()  # defaults are the documented reference operating point
 
@@ -123,6 +124,13 @@ def test_simulate_counts_default_double_pair_rate_gives_one_triple():
     assert 0.5 < np.mean(triples) < 1.6
 
 
+def test_twofold_probability_known_answers():
+    cfg = SourceConfig(heralding_efficiency=0.1, dark_rate=10.0, coincidence_window=1e-3)
+    assert twofold_probability(0.3, cfg) == 0.1 * 0.3 + 10.0 * 1e-3
+    np.testing.assert_array_equal(twofold_probability(np.array([0.0, 0.5]), cfg), [10.0 * 1e-3, 0.1 * 0.5 + 10.0 * 1e-3])
+    assert twofold_probability(0.5, SourceConfig(heralding_efficiency=1.0, dark_rate=1e9)) == 1.0  # capped at 1
+
+
 def test_simulate_counts_empirical_means_match_model():
     cfg = SourceConfig(trigger_rate=1e4, heralding_efficiency=0.1, collection_efficiency=1.0,
                        acquisition_time=100.0, double_pair_mean=0.5, dark_rate=10.0)
@@ -193,6 +201,7 @@ def test_estimate_state_needs_triggers(record, match):
     st.integers(min_value=0, max_value=500),
     st.integers(min_value=0, max_value=50),
 )
+@example(257, 71, 136, 50)  # the coincidences use up every trigger, and 1 - p01 - p10 - p11 rounds below 0
 def test_estimate_state_probabilities_always_normalized(n_t, n_at, n_bt, n_abt):
     n_abt = min(n_abt, n_at, n_bt)
     n_at, n_bt = min(n_at, n_t), min(n_bt, n_t)

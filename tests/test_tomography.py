@@ -36,9 +36,9 @@ from specklewalk import (
     scan_fringes,
 )
 from specklewalk.harness import _write_csv
-from specklewalk.slm import _superposition, apply_mask, conjugate_phases, dual_target_weights
+from specklewalk.slm import _unit_phasors, apply_mask, conjugate_fields, conjugate_phases, dual_target_weights
 from specklewalk import tomography
-from specklewalk.tomography import SAMPLINGS, _poisson_cdf, _unit_phasors
+from specklewalk.tomography import SAMPLINGS, _poisson_cdf
 
 
 # --- independent oracle for Poisson upper limits (math module only) ---
@@ -146,12 +146,12 @@ def test_scan_fringes_ideal_shape():
 def scan_fields(s_masks, target_a, target_b, n_steps):
     for phi in 2 * np.pi * np.arange(n_steps) / (n_steps - 1):
         weights = dual_target_weights(s_masks, target_a, target_b, [phi])
-        yield _unit_phasors(_superposition(s_masks, (target_a, target_b), weights))[0]
+        yield conjugate_fields(s_masks, (target_a, target_b), weights)[0]
 
 
 def field_error(s_masks, targets, weights):
     """Largest distance between the unit-phasor fields and apply_mask of the masks, over the weight rows."""
-    fields = _unit_phasors(_superposition(s_masks, targets, weights))
+    fields = conjugate_fields(s_masks, targets, weights)
     masks = conjugate_phases(s_masks, targets, weights)
     return max(float(np.max(np.abs(field - apply_mask(mask)))) for field, mask in zip(fields, masks))
 
@@ -180,7 +180,7 @@ def test_scan_fields_lie_within_1e_15_of_the_masks_fields():
     rows = ScatteringMatrix(rows)
     weights = dual_target_weights(rows, 0, 1, [0.0])
     assert conjugate_phases(rows, (0, 1), weights)[0, 5] == 0.0
-    assert _unit_phasors(_superposition(rows, (0, 1), weights))[0, 5] == 1.0
+    assert conjugate_fields(rows, (0, 1), weights)[0, 5] == 1.0
     assert scan_field_error(rows, 0, 1) <= 1e-15
 
 
