@@ -73,6 +73,7 @@ from .harness import (
     run_full,
     run_scan,
     run_tomo,
+    target_rows,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,9 +22,9 @@ A run never holds a whole matrix. It works in two phases over the row
 blocks of ``medium.ROW_BLOCK`` rows, whose bytes depend only on their
 own block, with both SMX files open from the start:
 
-  1. The one or two blocks that hold the targets are drawn
-     (``medium.draw_block``) and calibrated (``measure_sm`` from the
-     block's own noise stream). Their two target rows, true and
+  1. ``target_rows``: the one or two blocks that hold the targets are
+     drawn (``medium.draw_block``) and calibrated (``measure_sm`` from
+     the block's own noise stream). Their two target rows, true and
      estimated, give the fringe scan and every field the stages
      propagate, each conjugate one from ``slm.conjugate_fields``. The
      blocks are then written, scored and propagated, and dropped. The
@@ -69,7 +69,7 @@ from .medium import ROW_BLOCK, MediumConfig, ScatteringMatrix
 from .slm import (apply_mask, conjugate_fields, conjugate_phases, dual_target_weights, enhancement, random_mask,
                   save_mask_csv)
 from .calibration import CalibrationConfig, measure_sm
-from .quantum import SourceConfig, estimate_state, mode_probabilities, simulate_counts, twofold_probability
+from .quantum import SourceConfig, check_count_means, estimate_state, mode_probabilities, simulate_counts, twofold_probability
 from .tomography import (SAMPLINGS, VisibilityFit, coherence_from_visibility, concurrence, concurrence_error,
                          concurrence_threshold, fit_visibility, positivity_confidence, scan_fringes)
 
@@ -280,17 +280,26 @@ def _masks_and_fields(cfg: ExperimentConfig, pair_estimate: ScatteringMatrix):
     return masks, fields
 
 
-def _target_block(cfg: ExperimentConfig, block: int):
-    """Phase 1 for one block that holds a target: its true rows, drawn, and their estimate through ``measure_sm``."""
-    rows = medium.draw_block(cfg.medium, block, np.empty(
-        (min(ROW_BLOCK, cfg.medium.m_out - block * ROW_BLOCK), cfg.medium.n_in), dtype=np.complex128))
-    return rows, measure_sm(ScatteringMatrix._adopt(rows), cfg.calibration, first_block=block).matrix.matrix
-
-
-def _target_pairs(targets: list, blocks: dict):
-    """The target rows of the truth and of the estimate, copied out of phase 1's blocks, as two-row matrices."""
+def _target_blocks(cfg: ExperimentConfig):
+    """Phase 1: (block -> (its true rows, their estimate by ``measure_sm``) per target block, ``target_rows``' pair)."""
+    targets, blocks = (cfg.target_a, cfg.target_b), {}
+    for block in sorted({t // ROW_BLOCK for t in targets}):
+        rows = medium.draw_block(cfg.medium, block, np.empty(
+            (min(ROW_BLOCK, cfg.medium.m_out - block * ROW_BLOCK), cfg.medium.n_in), dtype=np.complex128))
+        blocks[block] = rows, measure_sm(ScatteringMatrix._adopt(rows), cfg.calibration, first_block=block).matrix.matrix
     rows = [[part[t % ROW_BLOCK] for part in blocks[t // ROW_BLOCK]] for t in targets]  # (true, estimate) per target
-    return tuple(ScatteringMatrix._adopt(np.array(pair)) for pair in zip(*rows))
+    return blocks, tuple(ScatteringMatrix._adopt(np.array(pair)) for pair in zip(*rows))
+
+
+def target_rows(cfg: ExperimentConfig):
+    """Rows (target_a, target_b) of the medium and of its calibration estimate, as two-row ``ScatteringMatrix``es.
+
+    Only the target row blocks are drawn and calibrated. Each block draws
+    from its own streams, so these are the rows of ``generate_medium`` and
+    ``measure_sm`` on the whole medium. Reads no output directory and
+    writes no file.
+    """
+    return _target_blocks(cfg)[1]
 
 
 def _finish_block(smx_files, fields: list, block: int, rows: np.ndarray, est: np.ndarray):
@@ -332,7 +341,6 @@ def _focus_stage(cfg: ExperimentConfig, out: str, masks: dict, outputs: dict, fi
     """Write both masks, and their coincidence scans at the per-trigger ``twofold_probability`` of ``simulate_counts``."""
     m_out = cfg.medium.m_out
     src = cfg.source
-    rng.check_poisson_mean(src.trigger_rate * src.acquisition_time, "trigger_rate * acquisition_time")
 
     half = cfg.n_steps // 2
     lo = max(0, cfg.target_a - half)
@@ -404,13 +412,15 @@ def run(cfg: ExperimentConfig) -> RunReport:
     started = time.perf_counter()
     out = _require_output_dir(cfg)
     m_out, n_in = cfg.medium.m_out, cfg.medium.n_in
-    targets = [cfg.target_a, cfg.target_b]
     stages = PIPELINES[cfg.scenario]
     with medium.create_smx(os.path.join(out, "medium.smx"), m_out, n_in) as smx_true, \
             medium.create_smx(os.path.join(out, "sm_estimate.smx"), m_out, n_in) as smx_estimate:
-        # phase 1: the one or two blocks that hold the targets
-        blocks = {block: _target_block(cfg, block) for block in sorted({t // ROW_BLOCK for t in targets})}
-        pair_true, pair_estimate = _target_pairs(targets, blocks)
+        # the stages that draw counts check their Poisson means first, so a bad source knob fails before phase 1
+        if "focus" in stages:
+            rng.check_poisson_mean(cfg.source.trigger_rate * cfg.source.acquisition_time, "trigger_rate * acquisition_time")
+        if "tomo" in stages:
+            check_count_means(cfg.source)
+        blocks, (pair_true, pair_estimate) = _target_blocks(cfg)  # phase 1: the one or two blocks that hold the targets
         masks, named_fields = _masks_and_fields(cfg, pair_estimate)
         fields = list(named_fields.values())
         done = {block: _finish_block((smx_true, smx_estimate), fields, block, *pair) for block, pair in blocks.items()}

@@ -18,11 +18,14 @@ With trigger count n_T ~ Poisson(trigger_rate * acquisition_time):
     accidental cross terms between each genuine arm and a dark count.
 
 Counts are drawn Poisson at means n_T * p and assembled by additive
-thinning (n_AT = n_ABT + extra), which enforces the ordering invariants
-of a CountRecord by construction. Singles at A and B are the coincident
-clicks plus dark counts over the full acquisition; pairs whose trigger
-went undetected are not modeled because trigger_rate is the detected
-trigger rate.
+thinning (n_AT = n_ABT + extra), then clipped to n_T, which keeps the
+orderings a CountRecord checks. It does not keep n_AT + n_BT + n_ABT <=
+n_T: the twofolds are drawn apart, not as exclusive outcomes of one
+trigger, and ``estimate_state`` refuses such counts with
+``StatisticsError``. Singles at A and B are the coincident clicks plus
+dark counts over the full acquisition; pairs whose trigger went
+undetected are not modeled because trigger_rate is the detected trigger
+rate.
 """
 
 from __future__ import annotations
@@ -149,15 +152,23 @@ def twofold_probability(q, cfg: SourceConfig):
     return np.minimum(cfg.heralding_efficiency * q + cfg.dark_rate * cfg.coincidence_window, 1.0)
 
 
+def check_count_means(cfg: SourceConfig) -> None:
+    """Raise ConfigError when a Poisson mean that ``simulate_counts`` draws at is beyond the sampler."""
+    rng.check_poisson_mean(max(cfg.trigger_rate, cfg.dark_rate) * cfg.acquisition_time, "trigger_rate or dark_rate")
+
+
 def simulate_counts(q_a: float, q_b: float, cfg: SourceConfig, seed: int) -> CountRecord:
     """Draw one acquisition of counts; deterministic per seed.
 
     Draw order is fixed: n_T, triples, extra twofolds (A then B), dark
-    singles (A then B).
+    singles (A then B). The record passes CountRecord's checks, but
+    n_AT + n_BT + n_ABT may exceed n_T, and ``estimate_state`` then
+    raises ``StatisticsError``: the twofolds are not yet drawn as
+    exclusive outcomes of each trigger.
     """
     require_probability(q_a=q_a, q_b=q_b)
     require_probability(**{"q_a + q_b": q_a + q_b})  # the photon lands in A or in B, never both
-    rng.check_poisson_mean(max(cfg.trigger_rate, cfg.dark_rate) * cfg.acquisition_time, "trigger_rate or dark_rate")
+    check_count_means(cfg)
     gen = rng.generator(seed, rng.COUNTS)
 
     n_t = int(gen.poisson(cfg.trigger_rate * cfg.acquisition_time))

@@ -9,28 +9,23 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from specklewalk import calibration, medium
+from specklewalk import harness, medium
 from specklewalk import (
     CalibrationConfig,
     ExperimentConfig,
     MediumConfig,
     NoiseConfig,
-    ScatteringMatrix,
     SourceConfig,
     apply_mask,
     coherence_from_visibility,
     concurrence,
     concurrence_threshold,
-    conjugate_fields,
     conjugate_phases,
-    dual_target_weights,
     enhancement,
-    estimate_state,
     fit_visibility,
     generate_medium,
     load_smx,
     measure_sm,
-    mode_probabilities,
     poisson_upper_limit,
     positivity_confidence,
     propagate,
@@ -40,9 +35,9 @@ from specklewalk import (
     run_full,
     run_tomo,
     scan_fringes,
-    simulate_counts,
     sm_fidelity,
     speckle_contrast,
+    target_rows,
 )
 
 P00 = 1 - 8.4e-5
@@ -158,25 +153,6 @@ def test_criterion_08_speckle_statistics():
     check(8, ok, f"speckle contrast {contrast:.4f} (1.00 +-0.05); KS distance to exponential {ks:.4f} (< 0.03)")
 
 
-def target_pair(medium_cfg, cal_cfg, targets):
-    """The true and estimated rows of ``targets``, drawn and calibrated from their own row blocks only.
-
-    Each row block draws from its own streams, so these rows are those of
-    ``generate_medium`` and ``measure_sm`` on the whole medium.
-    """
-    field = calibration.reference_field(medium_cfg.n_in, cal_cfg)
-    true_rows, estimated_rows = [], []
-    for target in targets:
-        block, row = divmod(target, medium.ROW_BLOCK)
-        shape = (min(medium.ROW_BLOCK, medium_cfg.m_out - block * medium.ROW_BLOCK), medium_cfg.n_in)
-        rows = medium.draw_block(medium_cfg, block, np.empty(shape, dtype=np.complex128))
-        estimate = np.empty_like(rows)
-        calibration.estimate_block(rows, field, cal_cfg, block, estimate)
-        true_rows.append(rows[row])
-        estimated_rows.append(estimate[row])
-    return ScatteringMatrix(np.array(true_rows)), ScatteringMatrix(np.array(estimated_rows))
-
-
 def test_criterion_09_fringe_pipeline(tmp_path):
     noiseless_cfg = ExperimentConfig(
         scenario="fringes",
@@ -195,7 +171,8 @@ def test_criterion_09_fringe_pipeline(tmp_path):
     for s in range(100):
         medium_cfg = MediumConfig(n_in=256, m_out=1024, seed=4600 + s)
         cal_cfg = CalibrationConfig(photons_per_measurement=1e4, reference_seed=4700 + s, noise_seed=4800 + s)
-        pair, pair_estimate = target_pair(medium_cfg, cal_cfg, (96, 288))
+        pair, pair_estimate = target_rows(ExperimentConfig(medium=medium_cfg, calibration=cal_cfg,
+                                                           target_a=96, target_b=288))
         scan = scan_fringes(pair, pair_estimate, 0, 1, counts_per_step=4000.0,
                             seed=4900 + s, sigma_phi=NoiseConfig().sigma_phi)
         if s == 0:  # the pair is rows 96 and 288 of the whole medium and its estimate, and scans alike
@@ -223,28 +200,19 @@ def test_criterion_09_fringe_pipeline(tmp_path):
 def tomo_certificate(cfg):
     """The concurrence and confidence of ``run_tomo(cfg)``, calibrating only the two target blocks.
 
-    The split field is built from the target rows of the estimate, and its
-    output from every block's true rows, as in the run's row pass.
-    The scan, fit, counts and state then follow ``harness._tomo_stage``.
+    The split field is the run's, from the target rows of the estimate, and
+    its output comes from every block's true rows, on the row pass's pool.
+    The scan and the tomo stage are the run's own, writing into the output dir.
     """
-    pair, pair_estimate = target_pair(cfg.medium, cfg.calibration, (cfg.target_a, cfg.target_b))
-    field = conjugate_fields(pair_estimate, (0, 1), dual_target_weights(pair_estimate, 0, 1, [0.0]))[0]
+    pair, pair_estimate = target_rows(cfg)
+    field = harness._masks_and_fields(cfg, pair_estimate)[1]["split"]
     m_out, n_in = cfg.medium.m_out, cfg.medium.n_in
-    split_output = np.concatenate([
-        medium.propagate_rows(medium.draw_block(cfg.medium, block, np.empty(
-            (min(medium.ROW_BLOCK, m_out - block * medium.ROW_BLOCK), n_in), dtype=np.complex128)), field)
-        for block in range(-(-m_out // medium.ROW_BLOCK))])
-    scan = scan_fringes(pair, pair_estimate, 0, 1, n_steps=cfg.n_steps, counts_per_step=cfg.counts_per_step,
-                        seed=cfg.seed, sigma_phi=cfg.noise.sigma_phi,
-                        background_fraction=cfg.noise.background_fraction, sampling=cfg.counts_sampling)
-    fit = fit_visibility(scan)
-    q_a, q_b = mode_probabilities(split_output, (cfg.target_a, cfg.target_b), cfg.source.collection_efficiency)
-    counts = simulate_counts(q_a, q_b, cfg.source, cfg.seed)
-    d_raw = coherence_from_visibility(fit.visibility, counts.n_BT / counts.n_T, counts.n_AT / counts.n_T)
-    state = estimate_state(counts, d_raw)
-    threshold = concurrence_threshold(counts.n_T, state.d_mag, state.p00)
-    confidence = positivity_confidence(counts.n_ABT, threshold) if threshold >= 0 else 0.0
-    return concurrence(state.p00, state.p11, state.d_mag), confidence
+    split_output = np.concatenate(medium.map_row_blocks(
+        lambda block: medium.propagate_rows(medium.draw_block(cfg.medium, block, np.empty(
+            (min(medium.ROW_BLOCK, m_out - block * medium.ROW_BLOCK), n_in), dtype=np.complex128)), field), m_out))
+    fit = fit_visibility(harness._scan(cfg, cfg.output_dir, pair, pair_estimate))
+    result = harness._tomo_stage(cfg, cfg.output_dir, split_output, fit)
+    return result["concurrence"], result["confidence"]
 
 
 def test_criterion_10_tomography_monte_carlo(tmp_path):

@@ -73,6 +73,7 @@ from specklewalk import (
     simulate_counts,
     sm_fidelity,
     speckle_contrast,
+    target_rows,
 )
 
 TYPED = (ConfigError, DimensionError, DegenerateTargetError, DegenerateFieldError, StatisticsError, FormatError)
@@ -261,6 +262,8 @@ ROWS = [
     ("parse_config_text", "unknown section", lambda tmp: parse_config_text("[lens]\n")),
     ("parse_config_text", "bad value", lambda tmp: parse_config_text("[medium]\nn_in = many\n")),
     ("parse_config_text", "seed=-1", lambda tmp: parse_config_text("[run]\nseed = -1\n")),
+    ("target_rows", "photons beyond the sampler",
+     lambda tmp: target_rows(_experiment(calibration=CalibrationConfig(photons_per_measurement=1e30)))),
     *((name, "missing output_dir", lambda tmp, runner=runner: runner(parse_config_text(INI, output_dir=str(tmp / "no"))))
       for name, runner in RUNNERS.items()),
 ]

@@ -38,6 +38,7 @@ from specklewalk import (
     run_tomo,
     scan_fringes,
     sm_fidelity,
+    target_rows,
 )
 from specklewalk.calibration import reference_field
 from specklewalk.cli import main
@@ -505,8 +506,9 @@ def test_run_bytes_independent_of_worker_count(tmp_path, monkeypatch):
     assert digests[0] == digests[1]
 
 
-def test_run_rejects_a_photon_budget_beyond_the_sampler_past_the_prefix(tmp_path):
-    # targets (0, 1) lie in row block 0; the budget fits it but not the block with the largest bound
+def budget_beyond_the_sampler_past_the_prefix(out_dir):
+    """A run whose targets (0, 1) lie in row block 0, with a photon budget that fits it but not the block with the
+    largest bound."""
     medium_cfg = MediumConfig(n_in=8, m_out=256, seed=39)
     sm = generate_medium(medium_cfg)
     r = propagate(sm, reference_field(8, CalibrationConfig(reference_seed=39)))
@@ -515,9 +517,14 @@ def test_run_rejects_a_photon_budget_beyond_the_sampler_past_the_prefix(tmp_path
     assert max(terms) > terms[0]
     ppm = rng.POISSON_LAM_MAX / math.sqrt(max(terms) * terms[0])
     calibration = CalibrationConfig(photons_per_measurement=ppm, reference_seed=39, noise_seed=40)
-    measure_sm(generate_medium(dataclasses.replace(medium_cfg, m_out=medium.ROW_BLOCK)), calibration)
+    return small_config(out_dir, medium=medium_cfg, calibration=calibration, target_a=0, target_b=1)
+
+
+def test_run_rejects_a_photon_budget_beyond_the_sampler_past_the_prefix(tmp_path):
+    cfg = budget_beyond_the_sampler_past_the_prefix(tmp_path)
+    measure_sm(generate_medium(dataclasses.replace(cfg.medium, m_out=medium.ROW_BLOCK)), cfg.calibration)
     with pytest.raises(ConfigError, match="Poisson"):
-        run(small_config(tmp_path, medium=medium_cfg, calibration=calibration, target_a=0, target_b=1))
+        run(cfg)
 
 
 def test_run_over_earlier_outputs_gives_the_fresh_directory_bytes(tmp_path):
@@ -549,18 +556,44 @@ def test_run_failing_on_a_scan_knob_fails_before_the_row_pass(tmp_path):
     assert not (tmp_path / "sm_fidelity.csv").exists()
 
 
+@pytest.mark.parametrize("scenario,knob", [("focus", "trigger_rate * acquisition_time"),
+                                           ("tomo", "trigger_rate or dark_rate"),
+                                           ("full", "trigger_rate * acquisition_time")])  # focus runs first
+def test_run_failing_on_a_source_knob_fails_before_the_row_pass(tmp_path, scenario, knob):
+    cfg = small_config(tmp_path, scenario=scenario, medium=MediumConfig(n_in=64, m_out=256, seed=1281),
+                       target_a=3, target_b=90, source=SourceConfig(trigger_rate=1e300))
+    with pytest.raises(ConfigError, match=re.escape(f"{knob} gives a Poisson mean")):
+        run(cfg)
+    for name in ("medium.smx", "sm_estimate.smx"):
+        assert (tmp_path / name).stat().st_size == 0
+    assert not (tmp_path / "sm_fidelity.csv").exists()
+    assert not (tmp_path / "fringes.csv").exists()
+
+
+@pytest.mark.parametrize("photons", [None, 1e4], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("m_out,targets", [
+    (256, (3, 40)),  # one block
+    (256, (3, 150)),  # two blocks
+    (1000, (970, 999)),  # the partial last block
+    (1000, (999, 5)),  # reverse order, one of them in the partial last block
+    (256, (40, 3)),  # reverse order in one block
+])
+def test_target_rows_are_rows_of_the_whole_medium_and_estimate(tmp_path, monkeypatch, photons, m_out, targets):
+    cfg = ExperimentConfig(medium=MediumConfig(n_in=16, m_out=m_out, seed=7),
+                           calibration=CalibrationConfig(photons_per_measurement=photons, reference_seed=8, noise_seed=9),
+                           target_a=targets[0], target_b=targets[1], output_dir=str(tmp_path / "missing"))
+    monkeypatch.chdir(tmp_path)
+    pair_true, pair_estimate = target_rows(cfg)
+    sm = generate_medium(cfg.medium)
+    assert np.array_equal(pair_true.matrix, sm.matrix[list(targets)])
+    assert np.array_equal(pair_estimate.matrix, measure_sm(sm, cfg.calibration).matrix.matrix[list(targets)])
+    assert os.listdir(tmp_path) == []  # no output directory needed, no file written
+
+
 def test_run_failing_in_the_row_pass_leaves_empty_smx_files(tmp_path):
-    # the setup of test_run_rejects_a_photon_budget_beyond_the_sampler_past_the_prefix
-    medium_cfg = MediumConfig(n_in=8, m_out=256, seed=39)
-    sm = generate_medium(medium_cfg)
-    r = propagate(sm, reference_field(8, CalibrationConfig(reference_seed=39)))
-    terms = [(np.max(np.abs(medium.row_block(r, block))) + np.max(np.abs(medium.row_block(sm.matrix, block)))) ** 2
-             for block in range(256 // medium.ROW_BLOCK)]
-    calibration = CalibrationConfig(photons_per_measurement=rng.POISSON_LAM_MAX / math.sqrt(max(terms) * terms[0]),
-                                    reference_seed=39, noise_seed=40)
-    cfg = small_config(tmp_path, medium=medium_cfg, calibration=calibration, target_a=0, target_b=1)
+    cfg = budget_beyond_the_sampler_past_the_prefix(tmp_path)
     # a good run of the same shape leaves SMX files of the failing run's length
-    run(dataclasses.replace(cfg, calibration=dataclasses.replace(calibration, photons_per_measurement=1e4)))
+    run(dataclasses.replace(cfg, calibration=dataclasses.replace(cfg.calibration, photons_per_measurement=1e4)))
     with pytest.raises(ConfigError, match="Poisson"):
         run(cfg)
     for name in ("medium.smx", "sm_estimate.smx"):
