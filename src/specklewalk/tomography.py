@@ -19,8 +19,10 @@ seed) that reads it. The pattern is memoised: the memo is keyed on the
 identity of the two ``ScatteringMatrix`` objects, held by weak reference
 so that it keeps no matrix alive, and then on (target_a, target_b,
 n_steps). Each matrix pair keeps at most ``_PATTERNS_PER_PAIR`` patterns,
-the oldest dropped first. A stored pattern holds read-only arrays that
-refer to no matrix, and it relies on the matrices being immutable
+the oldest dropped first. A pattern also keeps its phases' fit constants
+and the expected counts of up to ``_MEANS_PER_PATTERN`` noise settings,
+again the oldest dropped first. A stored pattern holds read-only arrays
+that refer to no matrix, and it relies on the matrices being immutable
 (``ScatteringMatrix``). A hit gives the same bytes as a miss, every
 argument check runs on every call, and the memo is safe to use from
 several threads.
@@ -32,6 +34,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -50,10 +53,11 @@ _PATTERNS_PER_PAIR = 64
 # s_true -> s_masks -> {(target_a, target_b, n_steps): _Pattern}, with weak keys so that no matrix is kept alive
 _PATTERNS = weakref.WeakKeyDictionary()
 _PATTERNS_LOCK = threading.Lock()
+_MEANS_PER_PATTERN = 32  # expected-count arrays kept per pattern, one per noise setting; the oldest is dropped first
 
 @dataclass(frozen=True)
 class FringeScan:
-    """Counts at one splitter port versus the programmed relative phase; every step lasts unit time."""
+    """Counts at one splitter port per programmed relative phase (unit-time steps); ``_basis``: ``_fit_basis(phi)``."""
 
     phi: np.ndarray
     counts: np.ndarray
@@ -67,17 +71,19 @@ class FringeScan:
             raise ConfigError("phi and counts must have identical shapes")
         if not np.all((phi >= 0.0) & (phi <= TWO_PI)):  # written so that NaN fails it
             raise ConfigError("phases must lie within [0, 2*pi]")
-        if np.any(counts < 0) or not np.issubdtype(counts.dtype, np.integer):
-            raise ConfigError("counts must have an integer dtype and no negative entry")
+        # the dtype first, as strings or objects cannot be compared with 0; a uint64 count above int64 would wrap
+        if counts.dtype.kind not in "iu" or np.any(counts < 0) or np.any(counts > np.iinfo(np.int64).max):
+            raise ConfigError("counts must have an integer dtype and lie within [0, 2**63 - 1]")
         phi.setflags(write=False)
         counts = counts.astype(np.int64)
         counts.setflags(write=False)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_basis", _fit_basis(phi))
 
     @classmethod
-    def _adopt(cls, phi: np.ndarray, counts: np.ndarray) -> "FringeScan":
-        """Wrap a pattern's checked, read-only phases and a fresh int64 count array; no check, no copy.
+    def _adopt(cls, phi: np.ndarray, basis: tuple, counts: np.ndarray) -> "FringeScan":
+        """Wrap a pattern's checked, read-only phases and basis and a fresh int64 count array; no check, no copy.
 
         The scan gets a view of ``phi``: numpy refuses to make a view of a
         read-only array writable, which it would not refuse for ``phi``
@@ -87,6 +93,7 @@ class FringeScan:
         counts.setflags(write=False)
         object.__setattr__(scan, "phi", phi.view())
         object.__setattr__(scan, "counts", counts)
+        object.__setattr__(scan, "_basis", basis)
         return scan
 
 
@@ -117,8 +124,8 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     term Re(conj(a_a) a_b). The fields and their target amplitudes are
     built for all steps at once, with the bits of each step built alone:
     one ``conjugate_fields`` row and ``propagate`` of that field.
-    The pattern is memoised (module docstring), so repeated scans of one
-    matrix pair pay only for the noise model.
+    The pattern is memoised (module docstring), and with it the expected
+    counts of each noise setting, so a repeated scan pays only for its seed.
 
     The noise model combines the two target amplitudes on a balanced
     splitter. Phase jitter of width sigma_phi (radians) is averaged
@@ -143,27 +150,50 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     s_masks.check_output_index(target_b)
 
     pattern = _pattern(s_true, s_masks, target_a, target_b, n_steps)
+    # the types are part of the key, as float32(0.7) equals float(float32(0.7)) but squares in float32
+    knobs = (counts_per_step, sigma_phi, background_fraction,
+             type(counts_per_step), type(sigma_phi), type(background_fraction))
+    means = pattern.means.get(knobs)  # one dict lookup is atomic; inserts and drops hold the lock
+    if means is None:
+        means = _port_means(pattern, counts_per_step, sigma_phi, background_fraction)  # raises before any store
+        with _PATTERNS_LOCK:
+            _store(pattern.means, knobs, means, _MEANS_PER_PATTERN)
+
+    if sampling == "poisson":
+        counts = gen.poisson(means)
+    else:
+        counts = np.rint(means).astype(np.int64)
+    return FringeScan._adopt(pattern.phi, pattern.basis, counts)
+
+
+class _Pattern(NamedTuple):
+    """A scan's noise-free part: phases, each step's total power and cross term, fit basis, means per noise setting."""
+
+    phi: np.ndarray
+    total: np.ndarray
+    cross: np.ndarray
+    mean_total: float
+    basis: tuple
+    means: dict
+
+
+def _port_means(pattern: _Pattern, counts_per_step: float, sigma_phi: float, background_fraction: float):
+    """The noise model: each step's expected count at the port, read-only; ConfigError beyond the Poisson sampler."""
     port = pattern.total / 2.0 + math.exp(-0.5 * sigma_phi ** 2) * pattern.cross
     offset = background_fraction * pattern.mean_total / 2.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN means, which the check rejects
         means = counts_per_step * (port + offset) / (pattern.mean_total * (1.0 + background_fraction))
         np.maximum(means, 0.0, out=means)
     rng.check_poisson_mean(means.max(), f"counts_per_step={counts_per_step!r}, background_fraction={background_fraction!r}")
-
-    if sampling == "poisson":
-        counts = gen.poisson(means)
-    else:
-        counts = np.rint(means).astype(np.int64)
-    return FringeScan._adopt(pattern.phi, counts)
+    means.setflags(write=False)
+    return means
 
 
-class _Pattern(NamedTuple):
-    """A fringe scan's noise-free part: its phases, and each step's total target power and cross term."""
-
-    phi: np.ndarray
-    total: np.ndarray
-    cross: np.ndarray
-    mean_total: float
+def _store(table: dict, key, value, bound: int) -> None:
+    """table[key] = value, first dropping the oldest entry of a full table; the caller holds ``_PATTERNS_LOCK``."""
+    if key not in table and len(table) >= bound:
+        del table[next(iter(table))]
+    table[key] = value
 
 
 def _pattern(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: int, target_b: int,
@@ -176,10 +206,8 @@ def _pattern(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: int,
         return pattern
     pattern = _build_pattern(s_true, s_masks, target_a, target_b, n_steps)
     with _PATTERNS_LOCK:
-        patterns = _PATTERNS.setdefault(s_true, weakref.WeakKeyDictionary()).setdefault(s_masks, {})
-        if key not in patterns and len(patterns) >= _PATTERNS_PER_PAIR:
-            del patterns[next(iter(patterns))]  # the oldest
-        patterns[key] = pattern
+        _store(_PATTERNS.setdefault(s_true, weakref.WeakKeyDictionary()).setdefault(s_masks, {}), key, pattern,
+               _PATTERNS_PER_PAIR)
     return pattern
 
 
@@ -203,7 +231,7 @@ def _build_pattern(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a
         raise DegenerateFieldError("no power reaches either target across the scan")
     for array in (phis, total, cross):
         array.setflags(write=False)
-    return _Pattern(phis, total, cross, mean_total)
+    return _Pattern(phis, total, cross, mean_total, _fit_basis(phis), {})
 
 
 def fit_visibility(scan: FringeScan) -> VisibilityFit:
@@ -213,18 +241,19 @@ def fit_visibility(scan: FringeScan) -> VisibilityFit:
     offset*V*sin(phase0)). With the basis u_j = (1, cos phi_j, sin phi_j),
     counts y_j and weights w_j = 1/max(y_j, 1), the weighted optimum solves
     the 3x3 normal equations (sum_j w_j u_j u_j^T) c = sum_j w_j y_j u_j
-    (``_solve_fringe``, by the adjugate of that symmetric matrix). No BLAS
-    or LAPACK routine runs, so the fit's bits do not depend on the host's
-    kernels. visibility_err comes from the parameter covariance, the
-    inverse of the same matrix, by the delta method. Visibility is clamped
-    to [0, 1] after the error is computed; phase0 lies in [0, 2*pi).
+    (``_solve_fringe``: sums in Python floats over the scan's ``_basis``, then the
+    adjugate). No BLAS or LAPACK routine runs, so the fit's bits do not depend on
+    the host's kernels. visibility_err comes from the parameter covariance, the
+    inverse of the same matrix, by the delta method. Visibility is clamped to
+    [0, 1] after the error is computed; phase0 lies in [0, 2*pi).
 
     StatisticsError is raised for all-zero counts, for phases that do not
     span (1, cos phi, sin phi) (for example phases that all fall on 0 and
     2*pi, or on 0 and pi), and for a fitted mean rate that is not positive.
     """
-    counts = scan.counts.astype(np.float64)
-    (c0, c1, c2), residuals, adjugate, det = _solve_fringe(scan.phi, counts, 1.0 / np.maximum(counts, 1.0))
+    counts = scan.counts.astype(np.float64).tolist()
+    weights = [1.0 / y if y > 1.0 else 1.0 for y in counts]  # 1 / max(y, 1)
+    (c0, c1, c2), residuals, adjugate, det = _solve_fringe(scan._basis, counts, weights)
     if c0 <= 0.0:
         raise StatisticsError("fitted mean rate is not positive")
 
@@ -248,52 +277,48 @@ def fit_visibility(scan: FringeScan) -> VisibilityFit:
     )
 
 
-def _solve_fringe(phases: np.ndarray, counts: np.ndarray, weights: np.ndarray):
+def _fit_basis(phi: np.ndarray) -> tuple:
+    """Per-step columns cos, sin, cos^2, sin*cos, sin^2 of the phases in Python floats, and whether they span
+    (1, cos, sin): their own normal determinant, summed in step order, exceeds 1e-12 n^3 (uniform scans read
+    0.22-0.25 n^3), so that no count pattern can cause that refusal."""
+    c, s = np.cos(phi), np.sin(phi)
+    columns = [tuple(array.tolist()) for array in (c, s, c * c, s * c, s * s)]
+    det = _adjugate(float(phi.size), *(reduce(float.__add__, column, -0.0) for column in columns))[1]
+    return (*columns, not det <= 1e-12 * phi.size ** 3)
+
+
+def _solve_fringe(basis: tuple, counts: list, weights: list):
     """Weighted least squares of counts on (1, cos, sin) of the phases: ((c0, c1, c2), residuals, adjugate, det).
 
-    A C-ordered (n, 15) table holds each step's row
-    w * [1, c, s, c^2, cs, s^2, y, yc, ys] followed by the unweighted
-    [1, c, s, c^2, cs, s^2]. One ``np.add.reduce(..., axis=0)`` sums it,
-    adding the rows in order, so the sums do not depend on SIMD width:
-    they are the upper triangle of the normal matrix A, the right-hand
-    side b, and the upper triangle of the phases' own unweighted matrix.
-    The symmetric 3x3 system is solved by its adjugate in Python floats,
-    c = adj(A) b / det(A). It is refined once, by the same solve for
-    sum_j w_j r_j u_j, whose per-step terms take the residuals
-    r_j = y_j - u_j . c before any sum (summed the same way): alone, the
-    rounding of A costs up to cond(A) * eps; refined, the fit agrees with
-    a QR least-squares solve to a few ulps. The covariance of c is
-    adj(A) / det(A).
-
-    Raises StatisticsError for all-zero counts (sum_j w_j y_j is 0); when
-    the phases alone do not span the basis, by their unweighted
-    determinant over n^3 being at most 1e-12 (uniform scans read
-    0.22-0.25), so that no count pattern can cause that refusal; and when
-    det(A) is not positive.
+    ``basis`` is ``_fit_basis(phases)``; counts y_j and weights w_j are Python floats. One pass sums, in Python
+    floats and in step order, w * [1, c, s, c^2, sc, s^2] (A's upper triangle) and w * [y, cy, sy] (b), so no sum
+    depends on a SIMD width; c = adj(A) b / det(A) is refined once by the same solve for sum_j w_j r_j u_j, the
+    residuals r_j = y_j - u_j . c taken per step (A's rounding alone costs up to cond(A) * eps; refined, the fit
+    is within a few ulps of a QR solve). The covariance is adj(A) / det(A). StatisticsError for all-zero counts
+    (sum_j w_j y_j is 0), then for phases that do not span the basis, then for det(A) not positive.
     """
-    n = phases.size
-    rows = np.empty((9, n))  # the table's first nine columns, unweighted, one per row
-    rows[0] = 1.0
-    cos_phi, sin_phi = np.cos(phases, out=rows[1]), np.sin(phases, out=rows[2])
-    np.multiply(rows[1:3], cos_phi, out=rows[3:5])
-    np.multiply(sin_phi, sin_phi, out=rows[5])
-    np.multiply(rows[:3], counts, out=rows[6:])
-    table = np.empty((n, 15))
-    np.multiply(rows, weights, out=table[:, :9].T)
-    np.copyto(table[:, 9:].T, rows[:6])
-    sums = np.add.reduce(table, axis=0).tolist()
-    if sums[6] <= 0.0:
+    cos_phi, sin_phi, cos_cos, sin_cos, sin_sin, spans = basis
+    # -0.0 is the exact identity of +, so each sum equals the one that starts from step 0's term
+    a00 = a01 = a02 = a11 = a12 = a22 = b0 = b1 = b2 = d0 = d1 = d2 = -0.0
+    for c, s, cc, sc, ss, y, w in zip(cos_phi, sin_phi, cos_cos, sin_cos, sin_sin, counts, weights):
+        a00, a01, a02 = a00 + w, a01 + w * c, a02 + w * s
+        a11, a12, a22 = a11 + w * cc, a12 + w * sc, a22 + w * ss
+        b0, b1, b2 = b0 + w * y, b1 + w * (c * y), b2 + w * (s * y)
+    if b0 <= 0.0:
         raise StatisticsError("cannot fit a fringe through all-zero counts")
-    if _adjugate(*sums[9:])[1] <= 1e-12 * n ** 3:
+    if not spans:
         raise StatisticsError("fringe scan phases do not span the fit basis")
-    adjugate, det = _adjugate(*sums[:6])
+    adjugate, det = _adjugate(a00, a01, a02, a11, a12, a22)
     if not det > 0.0:
         raise StatisticsError("the weighted normal equations of the fringe fit are singular")
-    c0, c1, c2 = _adjugate_solve(adjugate, det, sums[6:9])
-    residuals = counts - (c0 + c1 * cos_phi + c2 * sin_phi)
-    d0, d1, d2 = _adjugate_solve(adjugate, det, np.add.reduce(table[:, :3] * residuals[:, None], axis=0).tolist())
+    c0, c1, c2 = _adjugate_solve(adjugate, det, (b0, b1, b2))
+    for c, s, y, w in zip(cos_phi, sin_phi, counts, weights):
+        r = y - (c0 + c1 * c + c2 * s)
+        d0, d1, d2 = d0 + w * r, d1 + w * c * r, d2 + w * s * r
+    d0, d1, d2 = _adjugate_solve(adjugate, det, (d0, d1, d2))
     c0, c1, c2 = c0 + d0, c1 + d1, c2 + d2
-    return (c0, c1, c2), counts - (c0 + c1 * cos_phi + c2 * sin_phi), adjugate, det
+    residuals = np.array([y - (c0 + c1 * c + c2 * s) for c, s, y in zip(cos_phi, sin_phi, counts)])
+    return (c0, c1, c2), residuals, adjugate, det
 
 
 def _adjugate(a00, a01, a02, a11, a12, a22):

@@ -207,6 +207,10 @@ ROWS = [
     ("FringeScan", "nan phase", lambda tmp: FringeScan(phi=np.append(SCAN_PHI[:8], math.nan), counts=np.ones(9, dtype=int))),
     ("FringeScan", "negative count", lambda tmp: FringeScan(phi=SCAN_PHI, counts=-np.ones(9, dtype=np.int64))),
     ("FringeScan", "float counts", lambda tmp: FringeScan(phi=SCAN_PHI, counts=np.ones(9))),
+    ("FringeScan", "uint64 counts beyond int64",
+     lambda tmp: FringeScan(phi=SCAN_PHI, counts=np.full(9, 2 ** 63, dtype=np.uint64))),
+    ("FringeScan", "string counts", lambda tmp: FringeScan(phi=SCAN_PHI, counts=np.array(["1"] * 9))),
+    ("FringeScan", "object counts", lambda tmp: FringeScan(phi=SCAN_PHI, counts=np.full(9, None, dtype=object))),
     ("fit_visibility", "zero counts",
      lambda tmp: fit_visibility(FringeScan(phi=SCAN_PHI, counts=np.zeros(9, dtype=np.int64)))),
     ("coherence_from_visibility", "visibility=1.5", lambda tmp: coherence_from_visibility(1.5, 0.1, 0.1)),

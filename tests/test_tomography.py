@@ -346,6 +346,11 @@ def test_scan_memo_hits_give_the_bytes_of_misses(monkeypatch):
                     assert dataclasses.astuple(fit_visibility(hit)) == dataclasses.astuple(fit_visibility(miss))
     assert all(args[0] is not s_true for args in builds)  # 36 hits, and a build for every miss
     assert len(builds) == 36
+    # float32(0.7) equals its float64 value, but the noise model squares it in float32: a noise setting of its own
+    for sigma_phi in (np.float32(0.7), float(np.float32(0.7)), np.float64(0.7), 0.7):
+        knobs = dict(sigma_phi=sigma_phi, sampling="expected", counts_per_step=2.0 ** 51)
+        assert scan_bytes(scan_fringes(s_true, s_masks, 2, 9, **knobs)) \
+            == scan_bytes(scan_fringes(*copies(s_true, s_masks), 2, 9, **knobs))
     # one pair's targets in either order, and other step counts, are patterns of their own
     for a, b, n_steps in ((9, 2, 21), (2, 9, 5), (2, 9, 22)):
         hit = scan_fringes(s_true, s_masks, a, b, n_steps=n_steps)
@@ -375,6 +380,12 @@ def test_scan_memo_hits_still_check_their_arguments():
     for error, knobs in bad_calls:
         with pytest.raises(error):
             scan_fringes(s_true, s_masks, **{"target_a": 0, "target_b": 1, **knobs})
+    means = stored(s_true, s_masks)[(0, 1, 21)].means
+    settings = list(means)
+    for sampling in SAMPLINGS + SAMPLINGS:  # a budget beyond the Poisson sampler fails on every call
+        with pytest.raises(ConfigError, match="sampler"):
+            scan_fringes(s_true, s_masks, 0, 1, counts_per_step=1e300, sampling=sampling)
+    assert list(means) == settings
 
 
 def test_scan_memo_survives_a_caller_writing_to_a_scan():
@@ -389,6 +400,7 @@ def test_scan_memo_survives_a_caller_writing_to_a_scan():
                 pass
     pattern = stored(s_true, s_masks)[(1, 6, 21)]
     assert not any(array.flags.writeable for array in (pattern.phi, pattern.total, pattern.cross))
+    assert len(pattern.means) == 1 and not any(means.flags.writeable for means in pattern.means.values())
     assert scan_bytes(scan_fringes(s_true, s_masks, 1, 6)) == before
 
 
@@ -424,6 +436,15 @@ def test_scan_memo_keeps_at_most_its_bound_per_matrix_pair():
     scan_fringes(s_true, s_true, 0, 1, sampling="expected")
     assert list(stored(s_true, s_true)) == [(0, 1, 21)]
     assert len(stored(s_true, s_masks)) == bound
+    # a pattern keeps the expected counts of its newest noise settings
+    means_bound = tomography._MEANS_PER_PATTERN
+    settings = [(4000.0, 0.01 * i, 0.05 * (i % 3)) for i in range(means_bound + 5)]
+    for counts_per_step, sigma_phi, background_fraction in settings:
+        scan_fringes(s_true, s_masks, 2, 3, n_steps=4 + bound, counts_per_step=counts_per_step, sigma_phi=sigma_phi,
+                     background_fraction=background_fraction)
+    means = stored(s_true, s_masks)[(2, 3, 4 + bound)].means
+    assert [key[:3] for key in means] == settings[-means_bound:]  # the oldest dropped first
+    assert not any(array.flags.writeable for array in means.values())
 
 
 def test_scan_memo_is_safe_from_several_threads():
@@ -432,6 +453,9 @@ def test_scan_memo_is_safe_from_several_threads():
     # more keys than the bound, so the threads insert, hit and drop patterns at once
     calls = [dict(target_a=a, target_b=b, n_steps=n_steps, seed=n_steps, sigma_phi=0.1 * a)
              for n_steps in range(5, 5 + bound // 2 + 4) for a, b in ((0, 5), (4, 1))]
+    # and more noise settings on one pattern than it keeps, so that they insert, hit and drop its means at once
+    means_bound = tomography._MEANS_PER_PATTERN
+    calls += [dict(target_a=0, target_b=5, n_steps=5, seed=i, sigma_phi=0.02 * i) for i in range(means_bound + 8)]
     serial = [scan_bytes(scan_fringes(*copies(s_true, s_masks), **call)) for call in calls]
     results = [None] * 4
     start = threading.Barrier(len(results))
@@ -455,6 +479,7 @@ def test_scan_memo_is_safe_from_several_threads():
     for result in results:
         assert len(result) == 2 * len(calls) and all(scan == serial[i] for i, scan in result)
     assert len(stored(s_true, s_masks)) <= bound
+    assert all(len(pattern.means) <= means_bound for pattern in stored(s_true, s_masks).values())
 
 
 def test_fit_visibility_noiseless_recovery_within_1e6():
@@ -509,8 +534,78 @@ def test_fit_visibility_phase0_lies_below_two_pi(offset, visibility):
 def test_fit_visibility_refuses_phases_that_do_not_span_the_basis(other):
     # steps alternating 0 and 2*pi (cos = 1, sin ~ 0) or 0 and pi (sin ~ 0): no sin column to fit
     phi = np.where(np.arange(21) % 2 == 1, other, 0.0)
+    scan = FringeScan(phi=phi, counts=np.arange(100, 241, 7))  # the constructor takes them; the fit refuses them
     with pytest.raises(StatisticsError, match="do not span"):
-        fit_visibility(FringeScan(phi=phi, counts=np.arange(100, 241, 7)))
+        fit_visibility(scan)
+
+
+def table_solve(phases, counts, weights):
+    """The fit's solve as a C-ordered (n, 15) table summed by one row-ordered np.add.reduce: the reference bits."""
+    n = phases.size
+    rows = np.empty((9, n))  # the table's first nine columns, unweighted, one per row
+    rows[0] = 1.0
+    cos_phi, sin_phi = np.cos(phases, out=rows[1]), np.sin(phases, out=rows[2])
+    np.multiply(rows[1:3], cos_phi, out=rows[3:5])
+    np.multiply(sin_phi, sin_phi, out=rows[5])
+    np.multiply(rows[:3], counts, out=rows[6:])
+    table = np.empty((n, 15))
+    np.multiply(rows, weights, out=table[:, :9].T)
+    np.copyto(table[:, 9:].T, rows[:6])
+    sums = np.add.reduce(table, axis=0).tolist()
+    if sums[6] <= 0.0:
+        raise StatisticsError("cannot fit a fringe through all-zero counts")
+    if tomography._adjugate(*sums[9:])[1] <= 1e-12 * n ** 3:
+        raise StatisticsError("fringe scan phases do not span the fit basis")
+    adjugate, det = tomography._adjugate(*sums[:6])
+    if not det > 0.0:
+        raise StatisticsError("the weighted normal equations of the fringe fit are singular")
+    c0, c1, c2 = tomography._adjugate_solve(adjugate, det, sums[6:9])
+    residuals = counts - (c0 + c1 * cos_phi + c2 * sin_phi)
+    d0, d1, d2 = tomography._adjugate_solve(adjugate, det,
+                                            np.add.reduce(table[:, :3] * residuals[:, None], axis=0).tolist())
+    c0, c1, c2 = c0 + d0, c1 + d1, c2 + d2
+    return (c0, c1, c2), counts - (c0 + c1 * cos_phi + c2 * sin_phi), adjugate, det
+
+
+def outcome(call, *args):
+    """A call's result (a fit as its tuple), or its error's type and message."""
+    try:
+        result = call(*args)
+    except StatisticsError as error:
+        return type(error), str(error)
+    return dataclasses.astuple(result) if isinstance(result, tomography.VisibilityFit) else result
+
+
+def test_fit_keeps_the_bits_of_the_row_ordered_table_solve(monkeypatch):
+    s_true, s_masks = scan_pair(1036, n_in=8, m_out=4)
+    rng = np.random.default_rng(1036)
+    scans = []
+    for case in range(240):
+        n_steps = int(rng.integers(5, 102))
+        counts = rng.integers(0, int(10 ** rng.uniform(0, 6)), n_steps, endpoint=True)
+        counts[rng.random(n_steps) < 0.2] = 0
+        if case % 40 == 0:
+            counts[:] = 0
+        if case % 3 == 2:  # uneven phases, and sometimes phases that do not span the basis
+            phi = np.sort(rng.uniform(0.0, 2 * np.pi, n_steps)) if case % 2 else np.where(counts % 2 == 1, np.pi, 0.0)
+            scans.append(FringeScan(phi, counts))
+        else:  # the same scan built both ways: public, and a memo scan with the pattern's own phases and basis
+            memo = scan_fringes(s_true, s_masks, 0, 1, n_steps=n_steps, sampling="expected")
+            scans += [FringeScan(memo.phi, counts), FringeScan._adopt(memo.phi, memo._basis, counts)]
+    for scan in scans:
+        counts = scan.counts.astype(np.float64)
+        weights = 1.0 / np.maximum(counts, 1.0)
+        expected = outcome(table_solve, scan.phi, counts, weights)
+        solved = outcome(tomography._solve_fringe, scan._basis, counts.tolist(), weights.tolist())
+        if isinstance(expected[0], type):
+            assert solved == expected
+        else:
+            assert solved[0] == expected[0] and solved[2:] == expected[2:]
+            assert solved[1].tobytes() == expected[1].tobytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(tomography, "_solve_fringe", lambda basis, y, w: table_solve(scan.phi, counts, weights))
+            reference = outcome(fit_visibility, scan)
+        assert outcome(fit_visibility, scan) == reference
 
 
 def lapack_fit(scan):
