@@ -207,7 +207,11 @@ def parse_config_text(text: str, *, scenario: Optional[str] = None, seed: Option
 def load_config(path, *, scenario: Optional[str] = None, seed: Optional[int] = None,
                 output_dir: Optional[str] = None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is not part of the INI text
-        return parse_config_text(fh.read(), scenario=scenario, seed=seed, output_dir=output_dir)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return parse_config_text(text, scenario=scenario, seed=seed, output_dir=output_dir)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -101,7 +101,7 @@ class ScatteringMatrix:
     not reach the matrix. Arrays the package has just made for the matrix
     alone are taken over without a copy (``_adopt``).
 
-    ``tomography.scan_fringes`` memoises its noise-free pattern per pair
+    ``tomography.scan_fringes`` memoises its expected counts per pair
     of matrix objects and relies on this immutability: a caller that
     re-enables writes on ``.matrix`` and then changes it breaks that
     contract, and later scans of the object may return stale counts.

@@ -201,16 +201,20 @@ def save_mask_csv(path, mask: np.ndarray) -> None:
 
 
 def load_mask_csv(path) -> np.ndarray:
-    values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{line_no}: not a phase value: {text!r}") from exc
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    values = []
+    for line_no, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            values.append(float(text))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{line_no}: not a phase value: {text!r}") from exc
     if not values:
         raise FormatError(f"{path}: empty mask file")
     arr = np.asarray(values, dtype=np.float64)

@@ -12,20 +12,18 @@ positive iff the state is certified entangled. Confidence in C > 0 uses
 exact Poisson tail statistics on the triple-coincidence count, the one
 number whose fluctuation can erase positivity.
 
-A fringe scan (``scan_fringes``) splits into a noise-free pattern, which
-depends only on the two matrices, the target pair and the step count,
-and a noise model (phase jitter, background, count budget, sampling,
-seed) that reads it. The pattern is memoised: the memo is keyed on the
-identity of the two ``ScatteringMatrix`` objects, held by weak reference
-so that it keeps no matrix alive, and then on (target_a, target_b,
-n_steps). Each matrix pair keeps at most ``_PATTERNS_PER_PAIR`` patterns,
-the oldest dropped first. A pattern also keeps its phases' fit constants
-and the expected counts of up to ``_MEANS_PER_PATTERN`` noise settings,
-again the oldest dropped first. A stored pattern holds read-only arrays
-that refer to no matrix, and it relies on the matrices being immutable
-(``ScatteringMatrix``). A hit gives the same bytes as a miss, every
-argument check runs on every call, and the memo is safe to use from
-several threads.
+A fringe scan (``scan_fringes``) splits into its expected counts, which
+depend on every argument but the seed and the sampling, and the draw that
+reads them. The expected counts are memoised with the scan's phases and
+their fit constants: the memo is keyed on the identity of the two
+``ScatteringMatrix`` objects, held by weak reference so that it keeps no
+matrix alive, and then on (target_a, target_b, n_steps, counts_per_step,
+sigma_phi, background_fraction) and the types of the last three. Each
+matrix pair keeps at most ``_SCANS_PER_PAIR`` entries, the oldest dropped
+first. An entry holds read-only arrays that refer to no matrix, and it
+relies on the matrices being immutable (``ScatteringMatrix``). A hit gives
+the same bytes as a miss, every argument check runs on every call, and the
+memo is safe to use from several threads.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,14 +45,13 @@ from . import rng
 
 SAMPLINGS = ("poisson", "expected")
 
-# noise-free patterns kept per (s_true, s_masks) pair; the oldest is dropped first
-_PATTERNS_PER_PAIR = 64
-# s_true -> s_masks -> {(target_a, target_b, n_steps): _Pattern}, with weak keys so that no matrix is kept alive
-_PATTERNS = weakref.WeakKeyDictionary()
-_PATTERNS_LOCK = threading.Lock()
-_MEANS_PER_PATTERN = 32  # expected-count arrays kept per pattern, one per noise setting; the oldest is dropped first
+# expected scans kept per (s_true, s_masks) pair; the oldest is dropped first
+_SCANS_PER_PAIR = 64
+# s_true -> s_masks -> {scan key: (phi, _fit_basis(phi), means)}, with weak keys so that no matrix is kept alive
+_SCANS = weakref.WeakKeyDictionary()
+_SCANS_LOCK = threading.Lock()
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FringeScan:
     """Counts at one splitter port per programmed relative phase (unit-time steps); ``_basis``: ``_fit_basis(phi)``."""
 
@@ -83,7 +79,7 @@ class FringeScan:
 
     @classmethod
     def _adopt(cls, phi: np.ndarray, basis: tuple, counts: np.ndarray) -> "FringeScan":
-        """Wrap a pattern's checked, read-only phases and basis and a fresh int64 count array; no check, no copy.
+        """Wrap a memo entry's checked, read-only phases and basis and a fresh int64 count array; no check, no copy.
 
         The scan gets a view of ``phi``: numpy refuses to make a view of a
         read-only array writable, which it would not refuse for ``phi``
@@ -112,20 +108,20 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
                  sampling: str = "poisson") -> FringeScan:
     """Scan the dual-target relative phase over [0, 2*pi] and count one port.
 
-    The scan has two parts. The noise-free pattern depends only on
-    (s_true, s_masks, target_a, target_b, n_steps). For each of n_steps
-    phases phi_j = 2*pi*j/(n_steps-1) it programs the field
+    The expected counts depend on every argument but the seed and the
+    sampling. For each of n_steps phases phi_j = 2*pi*j/(n_steps-1) the
+    scan programs the field
     ``conjugate_fields(s_masks, (a, b), dual_target_weights(s_masks, a, b, [phi_j]))``
     of the dual-target mask that ``conjugate_phases`` would give for
     ``s_masks`` (normally the calibration estimate), and so computes no
     phase. The field is propagated through the two target rows of
-    ``s_true`` (the only output amplitudes the scan reads). The pattern
-    keeps each step's total target power |a_a|^2 + |a_b|^2 and cross
-    term Re(conj(a_a) a_b). The fields and their target amplitudes are
-    built for all steps at once, with the bits of each step built alone:
-    one ``conjugate_fields`` row and ``propagate`` of that field.
-    The pattern is memoised (module docstring), and with it the expected
-    counts of each noise setting, so a repeated scan pays only for its seed.
+    ``s_true`` (the only output amplitudes the scan reads), which gives
+    each step's total target power |a_a|^2 + |a_b|^2 and cross term
+    Re(conj(a_a) a_b). The fields and their target amplitudes are built
+    for all steps at once, with the bits of each step built alone: one
+    ``conjugate_fields`` row and ``propagate`` of that field. The
+    expected counts are memoised (module docstring), so a repeated scan
+    pays only for its seed and sampling.
 
     The noise model combines the two target amplitudes on a balanced
     splitter. Phase jitter of width sigma_phi (radians) is averaged
@@ -145,75 +141,38 @@ def scan_fringes(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: 
     if s_true.matrix.shape != s_masks.matrix.shape:
         raise DimensionError(f"mask matrix shape {s_masks.matrix.shape} does not match true shape {s_true.matrix.shape}")
     # the indices are checked before the lookup, as True and 1.0 equal a stored key 1; the checks that need
-    # the rows run on a miss, and a pattern is stored only for arguments that pass them
+    # the rows run on a miss, and an entry is stored only for arguments that pass them
     s_masks.check_output_index(target_a)
     s_masks.check_output_index(target_b)
 
-    pattern = _pattern(s_true, s_masks, target_a, target_b, n_steps)
     # the types are part of the key, as float32(0.7) equals float(float32(0.7)) but squares in float32
-    knobs = (counts_per_step, sigma_phi, background_fraction,
-             type(counts_per_step), type(sigma_phi), type(background_fraction))
-    means = pattern.means.get(knobs)  # one dict lookup is atomic; inserts and drops hold the lock
-    if means is None:
-        means = _port_means(pattern, counts_per_step, sigma_phi, background_fraction)  # raises before any store
-        with _PATTERNS_LOCK:
-            _store(pattern.means, knobs, means, _MEANS_PER_PATTERN)
+    key = (target_a, target_b, n_steps, counts_per_step, sigma_phi, background_fraction,
+           type(counts_per_step), type(sigma_phi), type(background_fraction))
+    with _SCANS_LOCK:
+        entry = _SCANS.get(s_true, {}).get(s_masks, {}).get(key)
+    if entry is None:
+        entry = _expected_scan(s_true, s_masks, target_a, target_b, n_steps, counts_per_step, sigma_phi,
+                               background_fraction)  # raises before anything is stored
+        with _SCANS_LOCK:
+            table = _SCANS.setdefault(s_true, weakref.WeakKeyDictionary()).setdefault(s_masks, {})
+            if key not in table and len(table) >= _SCANS_PER_PAIR:
+                del table[next(iter(table))]
+            table[key] = entry
+    phi, basis, means = entry
 
     if sampling == "poisson":
         counts = gen.poisson(means)
     else:
         counts = np.rint(means).astype(np.int64)
-    return FringeScan._adopt(pattern.phi, pattern.basis, counts)
+    return FringeScan._adopt(phi, basis, counts)
 
 
-class _Pattern(NamedTuple):
-    """A scan's noise-free part: phases, each step's total power and cross term, fit basis, means per noise setting."""
+def _expected_scan(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: int, target_b: int, n_steps: int,
+                   counts_per_step: float, sigma_phi: float, background_fraction: float) -> tuple:
+    """(phi, _fit_basis(phi), means) of a scan whose arguments ``scan_fringes`` has checked, all read-only.
 
-    phi: np.ndarray
-    total: np.ndarray
-    cross: np.ndarray
-    mean_total: float
-    basis: tuple
-    means: dict
-
-
-def _port_means(pattern: _Pattern, counts_per_step: float, sigma_phi: float, background_fraction: float):
-    """The noise model: each step's expected count at the port, read-only; ConfigError beyond the Poisson sampler."""
-    port = pattern.total / 2.0 + math.exp(-0.5 * sigma_phi ** 2) * pattern.cross
-    offset = background_fraction * pattern.mean_total / 2.0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN means, which the check rejects
-        means = counts_per_step * (port + offset) / (pattern.mean_total * (1.0 + background_fraction))
-        np.maximum(means, 0.0, out=means)
-    rng.check_poisson_mean(means.max(), f"counts_per_step={counts_per_step!r}, background_fraction={background_fraction!r}")
-    means.setflags(write=False)
-    return means
-
-
-def _store(table: dict, key, value, bound: int) -> None:
-    """table[key] = value, first dropping the oldest entry of a full table; the caller holds ``_PATTERNS_LOCK``."""
-    if key not in table and len(table) >= bound:
-        del table[next(iter(table))]
-    table[key] = value
-
-
-def _pattern(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: int, target_b: int,
-             n_steps: int) -> _Pattern:
-    """The memoised noise-free pattern of a scan whose arguments ``scan_fringes`` has checked."""
-    key = (target_a, target_b, n_steps)
-    with _PATTERNS_LOCK:
-        pattern = _PATTERNS.get(s_true, {}).get(s_masks, {}).get(key)
-    if pattern is not None:
-        return pattern
-    pattern = _build_pattern(s_true, s_masks, target_a, target_b, n_steps)
-    with _PATTERNS_LOCK:
-        _store(_PATTERNS.setdefault(s_true, weakref.WeakKeyDictionary()).setdefault(s_masks, {}), key, pattern,
-               _PATTERNS_PER_PAIR)
-    return pattern
-
-
-def _build_pattern(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a: int, target_b: int,
-                   n_steps: int) -> _Pattern:
-    """Compute the noise-free pattern of a scan; the checks on the targets' rows and the scan's power run here."""
+    The checks on the targets' rows, the scan's power and the Poisson sampler's range run here.
+    """
     phis = np.minimum(TWO_PI * np.arange(n_steps) / (n_steps - 1), TWO_PI)  # the last step can round an ulp above
     weights = dual_target_weights(s_masks, target_a, target_b, phis)
     fields = conjugate_fields(s_masks, (target_a, target_b), weights)
@@ -229,9 +188,17 @@ def _build_pattern(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a
         raise ConfigError(f"the scan's power at true target rows {[target_a, target_b]} is beyond float64 range")
     if mean_total <= 0.0:
         raise DegenerateFieldError("no power reaches either target across the scan")
-    for array in (phis, total, cross):
-        array.setflags(write=False)
-    return _Pattern(phis, total, cross, mean_total, _fit_basis(phis), {})
+
+    # the noise model: each step's expected count at the port
+    port = total / 2.0 + math.exp(-0.5 * sigma_phi ** 2) * cross
+    offset = background_fraction * mean_total / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN means, which the check rejects
+        means = counts_per_step * (port + offset) / (mean_total * (1.0 + background_fraction))
+        np.maximum(means, 0.0, out=means)
+    rng.check_poisson_mean(means.max(), f"counts_per_step={counts_per_step!r}, background_fraction={background_fraction!r}")
+    phis.setflags(write=False)
+    means.setflags(write=False)
+    return phis, _fit_basis(phis), means
 
 
 def fit_visibility(scan: FringeScan) -> VisibilityFit:

@@ -154,6 +154,7 @@ ROWS = [
     ("load_mask_csv", "not a number", lambda tmp: load_mask_csv(_file(tmp, "mask.csv", "abc\n"))),
     ("load_mask_csv", "empty", lambda tmp: load_mask_csv(_file(tmp, "mask.csv", "\n"))),
     ("load_mask_csv", "not canonical", lambda tmp: load_mask_csv(_file(tmp, "mask.csv", "7.0\n"))),
+    ("load_mask_csv", "not UTF-8", lambda tmp: load_mask_csv(_file(tmp, "mask.csv", b"0.5\n\xff\n"))),
     ("random_mask", "n=0", lambda tmp: random_mask(0, 1)),
     ("random_mask", "n=1.5", lambda tmp: random_mask(1.5, 1)),
     ("random_mask", "seed=-1", lambda tmp: random_mask(4, -1)),
@@ -262,6 +263,7 @@ ROWS = [
     ("NoiseConfig", "background=nan", lambda tmp: NoiseConfig(background_fraction=math.nan)),
     ("NoiseConfig", "sigma_phi=None", lambda tmp: NoiseConfig(sigma_phi=None)),
     ("load_config", "unknown key", lambda tmp: load_config(_file(tmp, "c.ini", "[run]\nspeed = 1\n"))),
+    ("load_config", "not UTF-8", lambda tmp: load_config(_file(tmp, "c.ini", b"[run]\nseed = 1\n# \xff\n"))),
     ("parse_config_text", "not INI", lambda tmp: parse_config_text("n_in = 4\n")),
     ("parse_config_text", "unknown section", lambda tmp: parse_config_text("[lens]\n")),
     ("parse_config_text", "bad value", lambda tmp: parse_config_text("[medium]\nn_in = many\n")),

@@ -92,6 +92,15 @@ def test_fringe_scan_leaves_the_callers_arrays_writable():
     assert scan.phi[0] == 0.0
 
 
+def test_fringe_scans_compare_and_hash_by_identity():
+    # as ScatteringMatrix does: comparing the array fields raised ValueError, and hashing them TypeError
+    phi = np.linspace(0, 2 * np.pi, 21)
+    counts = np.arange(21)
+    scan, twin = FringeScan(phi=phi, counts=counts), FringeScan(phi=phi, counts=counts)
+    assert scan == scan and scan != twin
+    assert hash(scan) == hash(scan) and len({scan, twin, scan}) == 2
+
+
 @pytest.mark.parametrize("field,value", [("phi", math.nan)])
 def test_fringe_scan_rejects_nonfinite_entries(field, value):
     arrays = {"phi": np.linspace(0, 2 * np.pi, 21), "counts": np.ones(21, dtype=np.int64)}
@@ -306,7 +315,7 @@ def test_scan_fringes_background_reduces_visibility():
     assert dirty.visibility < clean.visibility
 
 
-# --- the memo of noise-free scan patterns ---
+# --- the memo of expected scans ---
 
 def scan_pair(seed, n_in=64, m_out=12):
     """A medium and its noisy calibration estimate, as (s_true, s_masks)."""
@@ -320,7 +329,20 @@ def copies(*matrices):
 
 
 def stored(s_true, s_masks):
-    return tomography._PATTERNS[s_true][s_masks]
+    return tomography._SCANS[s_true][s_masks]
+
+
+def scan_key(a, b, n_steps=21, counts_per_step=4000.0, sigma_phi=0.0, background_fraction=0.0):
+    """The memo key of a scan whose knobs are Python floats."""
+    return a, b, n_steps, counts_per_step, sigma_phi, background_fraction, float, float, float
+
+
+def count_builds(monkeypatch):
+    """The argument tuples of every memo miss from now on."""
+    builds = []
+    build = tomography._expected_scan
+    monkeypatch.setattr(tomography, "_expected_scan", lambda *args: builds.append(args) or build(*args))
+    return builds
 
 
 def scan_bytes(scan):
@@ -330,10 +352,9 @@ def scan_bytes(scan):
 def test_scan_memo_hits_give_the_bytes_of_misses(monkeypatch):
     s_true, s_masks = scan_pair(1030)
     scan_fringes(s_true, s_masks, 2, 9)
-    assert list(stored(s_true, s_masks)) == [(2, 9, 21)]
-    builds = []
-    build = tomography._build_pattern
-    monkeypatch.setattr(tomography, "_build_pattern", lambda *args: builds.append(args) or build(*args))
+    assert list(stored(s_true, s_masks)) == [scan_key(2, 9)]
+    builds = count_builds(monkeypatch)
+    settings = []
     for sigma_phi in (0.0, 0.7, 1.3):
         for background_fraction in (0.0, 0.25):
             for sampling in SAMPLINGS:
@@ -344,24 +365,29 @@ def test_scan_memo_hits_give_the_bytes_of_misses(monkeypatch):
                     miss = scan_fringes(*copies(s_true, s_masks), 2, 9, **knobs)
                     assert scan_bytes(hit) == scan_bytes(miss)
                     assert dataclasses.astuple(fit_visibility(hit)) == dataclasses.astuple(fit_visibility(miss))
-    assert all(args[0] is not s_true for args in builds)  # 36 hits, and a build for every miss
-    assert len(builds) == 36
+                setting = (knobs["counts_per_step"], sigma_phi, background_fraction)
+                if setting != (4000.0, 0.0, 0.0):
+                    settings.append(setting)
+    # a build for every miss, and on the stored pair one per new noise setting: no seed or sampling builds
+    assert sum(args[0] is not s_true for args in builds) == 36
+    assert [args[5:8] for args in builds if args[0] is s_true] == settings
     # float32(0.7) equals its float64 value, but the noise model squares it in float32: a noise setting of its own
     for sigma_phi in (np.float32(0.7), float(np.float32(0.7)), np.float64(0.7), 0.7):
         knobs = dict(sigma_phi=sigma_phi, sampling="expected", counts_per_step=2.0 ** 51)
         assert scan_bytes(scan_fringes(s_true, s_masks, 2, 9, **knobs)) \
             == scan_bytes(scan_fringes(*copies(s_true, s_masks), 2, 9, **knobs))
-    # one pair's targets in either order, and other step counts, are patterns of their own
+    # one pair's targets in either order, and other step counts, are entries of their own
     for a, b, n_steps in ((9, 2, 21), (2, 9, 5), (2, 9, 22)):
         hit = scan_fringes(s_true, s_masks, a, b, n_steps=n_steps)
         miss = scan_fringes(*copies(s_true, s_masks), a, b, n_steps=n_steps)
         assert scan_bytes(hit) == scan_bytes(miss)
+        assert scan_key(a, b, n_steps) in stored(s_true, s_masks)
 
 
 def test_scan_memo_hits_still_check_their_arguments():
     s_true, s_masks = scan_pair(1031)
     scan_fringes(s_true, s_masks, 0, 1)
-    assert (0, 1, 21) in stored(s_true, s_masks)
+    assert scan_key(0, 1) in stored(s_true, s_masks)
     bad_calls = [
         (ConfigError, dict(target_b=True)),
         (ConfigError, dict(target_b=1.0)),
@@ -380,12 +406,11 @@ def test_scan_memo_hits_still_check_their_arguments():
     for error, knobs in bad_calls:
         with pytest.raises(error):
             scan_fringes(s_true, s_masks, **{"target_a": 0, "target_b": 1, **knobs})
-    means = stored(s_true, s_masks)[(0, 1, 21)].means
-    settings = list(means)
+    keys = list(stored(s_true, s_masks))
     for sampling in SAMPLINGS + SAMPLINGS:  # a budget beyond the Poisson sampler fails on every call
         with pytest.raises(ConfigError, match="sampler"):
             scan_fringes(s_true, s_masks, 0, 1, counts_per_step=1e300, sampling=sampling)
-    assert list(means) == settings
+    assert list(stored(s_true, s_masks)) == keys
 
 
 def test_scan_memo_survives_a_caller_writing_to_a_scan():
@@ -398,9 +423,9 @@ def test_scan_memo_survives_a_caller_writing_to_a_scan():
                 array[:] = 3
             except ValueError:  # numpy refuses to make a view of a read-only array writable
                 pass
-    pattern = stored(s_true, s_masks)[(1, 6, 21)]
-    assert not any(array.flags.writeable for array in (pattern.phi, pattern.total, pattern.cross))
-    assert len(pattern.means) == 1 and not any(means.flags.writeable for means in pattern.means.values())
+    assert list(stored(s_true, s_masks)) == [scan_key(1, 6)]
+    phi, _, means = stored(s_true, s_masks)[scan_key(1, 6)]
+    assert not phi.flags.writeable and not means.flags.writeable
     assert scan_bytes(scan_fringes(s_true, s_masks, 1, 6)) == before
 
 
@@ -409,53 +434,62 @@ def test_scan_memo_keeps_no_matrix_alive():
     scan = scan_fringes(s_true, s_masks, 3, 4)
     scan_fringes(s_true, s_true, 3, 4)
     gc.collect()  # matrices that earlier tests left to the collector leave the memo now, not below
-    patterns = len(tomography._PATTERNS)
+    pairs = len(tomography._SCANS)
     masks_ref = weakref.ref(s_masks)
     del s_masks  # the estimate dies while its truth lives on
     gc.collect()
     assert masks_ref() is None
-    assert list(tomography._PATTERNS[s_true]) == [s_true]
+    assert list(tomography._SCANS[s_true]) == [s_true]
     true_ref = weakref.ref(s_true)
     del s_true
     gc.collect()
     assert true_ref() is None
-    assert len(tomography._PATTERNS) == patterns - 1
+    assert len(tomography._SCANS) == pairs - 1
     assert scan.counts.sum() > 0  # the scan outlives its matrices
 
 
 def test_scan_memo_keeps_at_most_its_bound_per_matrix_pair():
     s_true, s_masks = scan_pair(1033, n_in=8, m_out=4)
-    bound = tomography._PATTERNS_PER_PAIR
-    keys = [(a, b, n_steps) for n_steps in range(5, 5 + bound) for a, b in ((0, 1), (2, 3))]
-    for a, b, n_steps in keys:
+    bound = tomography._SCANS_PER_PAIR
+    keys = [scan_key(a, b, n_steps) for n_steps in range(5, 5 + bound) for a, b in ((0, 1), (2, 3))]
+    for a, b, n_steps, *_ in keys:
         scan_fringes(s_true, s_masks, a, b, n_steps=n_steps, sampling="expected")
     assert list(stored(s_true, s_masks)) == keys[-bound:]  # the oldest dropped first
-    for pattern in stored(s_true, s_masks).values():
-        assert not any(array.flags.writeable for array in (pattern.phi, pattern.total, pattern.cross))
-    # another pair on one of the matrices has its own patterns
+    for phi, _, means in stored(s_true, s_masks).values():
+        assert not phi.flags.writeable and not means.flags.writeable
+    # another pair on one of the matrices has its own entries
     scan_fringes(s_true, s_true, 0, 1, sampling="expected")
-    assert list(stored(s_true, s_true)) == [(0, 1, 21)]
+    assert list(stored(s_true, s_true)) == [scan_key(0, 1)]
     assert len(stored(s_true, s_masks)) == bound
-    # a pattern keeps the expected counts of its newest noise settings
-    means_bound = tomography._MEANS_PER_PATTERN
-    settings = [(4000.0, 0.01 * i, 0.05 * (i % 3)) for i in range(means_bound + 5)]
+    # noise settings on one target pair share the same bound
+    settings = [(4000.0, 0.01 * i, 0.05 * (i % 3)) for i in range(bound + 5)]
     for counts_per_step, sigma_phi, background_fraction in settings:
         scan_fringes(s_true, s_masks, 2, 3, n_steps=4 + bound, counts_per_step=counts_per_step, sigma_phi=sigma_phi,
                      background_fraction=background_fraction)
-    means = stored(s_true, s_masks)[(2, 3, 4 + bound)].means
-    assert [key[:3] for key in means] == settings[-means_bound:]  # the oldest dropped first
-    assert not any(array.flags.writeable for array in means.values())
+    assert list(stored(s_true, s_masks)) == [scan_key(2, 3, 4 + bound, *setting) for setting in settings[-bound:]]
+
+
+def test_scan_memo_builds_once_per_setting_of_the_scan_sweep_ladder(monkeypatch):
+    # scan_sweep's traffic: 4 target pairs x 4 sigma_phi, each op with its own seed; the sampling varies here too
+    s_true, s_masks = scan_pair(1037, n_in=16, m_out=8)
+    pairs = ((0, 1), (5, 2), (3, 7), (6, 4))
+    sigmas = (0.0, 0.4, 0.7, 1.0)
+    builds = count_builds(monkeypatch)
+    for index in range(2001):
+        a, b = pairs[(index // len(sigmas)) % len(pairs)]
+        scan_fringes(s_true, s_masks, a, b, seed=index, sigma_phi=sigmas[index % len(sigmas)],
+                     sampling=SAMPLINGS[(index // 3) % 2])
+    assert len(builds) == 16  # 1985 hits
+    assert list(stored(s_true, s_masks)) == [scan_key(a, b, sigma_phi=sigma) for a, b in pairs for sigma in sigmas]
 
 
 def test_scan_memo_is_safe_from_several_threads():
     s_true, s_masks = scan_pair(1034, n_in=32, m_out=6)
-    bound = tomography._PATTERNS_PER_PAIR
-    # more keys than the bound, so the threads insert, hit and drop patterns at once
+    bound = tomography._SCANS_PER_PAIR
+    # more keys than the bound, so the threads insert, hit and drop entries at once: step counts and noise settings
     calls = [dict(target_a=a, target_b=b, n_steps=n_steps, seed=n_steps, sigma_phi=0.1 * a)
              for n_steps in range(5, 5 + bound // 2 + 4) for a, b in ((0, 5), (4, 1))]
-    # and more noise settings on one pattern than it keeps, so that they insert, hit and drop its means at once
-    means_bound = tomography._MEANS_PER_PATTERN
-    calls += [dict(target_a=0, target_b=5, n_steps=5, seed=i, sigma_phi=0.02 * i) for i in range(means_bound + 8)]
+    calls += [dict(target_a=0, target_b=5, n_steps=5, seed=i, sigma_phi=0.02 * i) for i in range(40)]
     serial = [scan_bytes(scan_fringes(*copies(s_true, s_masks), **call)) for call in calls]
     results = [None] * 4
     start = threading.Barrier(len(results))
@@ -479,7 +513,6 @@ def test_scan_memo_is_safe_from_several_threads():
     for result in results:
         assert len(result) == 2 * len(calls) and all(scan == serial[i] for i, scan in result)
     assert len(stored(s_true, s_masks)) <= bound
-    assert all(len(pattern.means) <= means_bound for pattern in stored(s_true, s_masks).values())
 
 
 def test_fit_visibility_noiseless_recovery_within_1e6():
@@ -589,7 +622,7 @@ def test_fit_keeps_the_bits_of_the_row_ordered_table_solve(monkeypatch):
         if case % 3 == 2:  # uneven phases, and sometimes phases that do not span the basis
             phi = np.sort(rng.uniform(0.0, 2 * np.pi, n_steps)) if case % 2 else np.where(counts % 2 == 1, np.pi, 0.0)
             scans.append(FringeScan(phi, counts))
-        else:  # the same scan built both ways: public, and a memo scan with the pattern's own phases and basis
+        else:  # the same scan built both ways: public, and a memo scan with the memo's own phases and basis
             memo = scan_fringes(s_true, s_masks, 0, 1, n_steps=n_steps, sampling="expected")
             scans += [FringeScan(memo.phi, counts), FringeScan._adopt(memo.phi, memo._basis, counts)]
     for scan in scans:
