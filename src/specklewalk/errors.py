@@ -3,6 +3,8 @@
 import math
 import numbers
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """A configuration value or file violates its contract."""
@@ -80,6 +82,23 @@ def require_count(minimum: int = 0, **counts: float) -> None:
 
 def _whole(minimum: int) -> str:
     return {0: "a nonnegative integer", 1: "a positive integer"}.get(minimum, f"an integer >= {minimum}")
+
+
+def as_array(value, dtype, name: str, error: type = ConfigError) -> np.ndarray:
+    """``value`` as a ``dtype`` array (no copy if it is one); ``error`` naming ``name`` unless its entries cast to it in kind."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # a ragged nesting
+        raise error(f"{name} must be a rectangular array of numbers") from exc
+    if not np.can_cast(arr.dtype, dtype, "same_kind"):
+        raise error(f"{name} must be numbers of a kind that casts to {np.dtype(dtype)}, got dtype {arr.dtype}")
+    return arr.astype(dtype, copy=False)
+
+
+def require_all_finite(array: np.ndarray, message: str, error: type = ConfigError) -> None:
+    """Raise ``error(message)`` unless every entry of ``array`` is finite."""
+    if not np.all(np.isfinite(array)):
+        raise error(message)
 
 
 def require_choice(choices: tuple, **knobs: str) -> None:

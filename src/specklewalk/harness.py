@@ -55,7 +55,6 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -139,26 +138,18 @@ _PARSERS = {int: int, float: float, str: str, Optional[float]: _parse_photons}  
 # the section's name, whose keys are its fields. The file holds no output_dir.
 _SECTIONS = {"medium": None, "calibration": None, "source": None, "targets": {"index_a": "target_a", "index_b": "target_b"},
              "noise": None, "run": {name: name for name in ("scenario", "n_steps", "counts_per_step", "counts_sampling", "seed")}}
+_HINTS = get_type_hints(ExperimentConfig)  # ExperimentConfig field -> annotation; a sub-config's is its class
 
-
-def _section_rows(section: str, keys: Optional[dict]) -> list:
-    """One section's rows of ``_FIELDS``, each with the parser of its field's annotation."""
-    owner, prefix = (ExperimentConfig, "") if keys else (get_type_hints(ExperimentConfig)[section], f"{section}.")
-    hints = get_type_hints(owner)
-    return [(section, key, prefix + name, _PARSERS[hints[name]])
-            for key, name in (keys or {field.name: field.name for field in dataclasses.fields(owner)}).items()]
-
-
-# The INI schema, one row per key: (section, key, ExperimentConfig attribute path, parser).
+# The INI schema in file order: (section, key) -> (owner, field, parser of the field's annotation), where owner is the
+# ExperimentConfig field that holds the field's sub-config, or "" for ExperimentConfig's own fields.
 # Keys a file leaves out take their value from ExperimentConfig(); unknown entries are hard errors.
-_FIELDS = tuple(row for section, keys in _SECTIONS.items() for row in _section_rows(section, keys))
-_KEYS = {(section, key): (path, parse) for section, key, path, parse in _FIELDS}
+_KEYS = {(section, key): (owner, field, _PARSERS[hints[field]])
+         for section, keys in _SECTIONS.items()
+         for owner, hints in [("", _HINTS) if keys else (section, get_type_hints(_HINTS[section]))]
+         for key, field in (keys or {name: name for name in hints}).items()}
 # sub-seeds a file leaves out are derived from the master seed, one stream each
-_DERIVED_SEEDS = {
-    "medium.seed": rng.MEDIUM,
-    "calibration.reference_seed": rng.REFERENCE,
-    "calibration.noise_seed": rng.CALIBRATION_NOISE,
-}
+_DERIVED_SEEDS = {("medium", "seed"): rng.MEDIUM, ("calibration", "reference_seed"): rng.REFERENCE,
+                  ("calibration", "noise_seed"): rng.CALIBRATION_NOISE}
 
 
 def parse_config_text(text: str, *, scenario: Optional[str] = None, seed: Optional[int] = None,
@@ -172,7 +163,7 @@ def parse_config_text(text: str, *, scenario: Optional[str] = None, seed: Option
     except configparser.Error as exc:
         raise ConfigError(f"config file is not valid INI: {exc}") from exc
 
-    given = {}  # attribute path -> value
+    given = {owner: {} for owner, _, _ in _KEYS.values()}  # owner -> field -> value, owners in table order
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]; known sections: {sorted(_SECTIONS)}")
@@ -180,28 +171,22 @@ def parse_config_text(text: str, *, scenario: Optional[str] = None, seed: Option
             if (section, key) not in _KEYS:
                 known = sorted(k for s, k in _KEYS if s == section)
                 raise ConfigError(f"unknown key {key!r} in section [{section}]; known keys: {known}")
-            path, parse = _KEYS[section, key]
+            owner, field, parse = _KEYS[section, key]
             try:
-                given[path] = parse(raw)
+                given[owner][field] = parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
-    overrides = {"scenario": scenario, "seed": seed, "output_dir": output_dir}
-    given.update((path, value) for path, value in overrides.items() if value is not None)
-    defaults = ExperimentConfig()
-    master_seed = given.get("seed", defaults.seed)
-    for path, stream in _DERIVED_SEEDS.items():
-        given.setdefault(path, rng.child_seed(master_seed, stream))
-
-    # every field, grouped under the sub-config that owns it; sub-configs are built, and so checked, in table order.
     # output_dir is a run setting: the file does not hold it and report.json does not echo it
-    owners = {}
-    for path in (*(path for _, _, path, _ in _FIELDS), "output_dir"):
-        owner, _, name = path.rpartition(".")
-        owners.setdefault(owner, {})[name] = given.get(path, attrgetter(path)(defaults))
-    top = owners.pop("")
-    return ExperimentConfig(**top, **{owner: dataclasses.replace(getattr(defaults, owner), **fields)
-                                      for owner, fields in owners.items()})
+    overrides = {"scenario": scenario, "seed": seed, "output_dir": output_dir}
+    top = given.pop("")
+    top.update((name, value) for name, value in overrides.items() if value is not None)
+    master_seed = top.get("seed", ExperimentConfig.seed)  # a dataclass keeps each field's default on the class
+    for (owner, field), stream in _DERIVED_SEEDS.items():
+        given[owner].setdefault(field, rng.child_seed(master_seed, stream))
+    # sub-configs are built, and so checked, in table order; ExperimentConfig last
+    return ExperimentConfig(**top, **{owner: dataclasses.replace(getattr(ExperimentConfig, owner), **fields)
+                                      for owner, fields in given.items()})
 
 
 def load_config(path, *, scenario: Optional[str] = None, seed: Optional[int] = None,
@@ -216,8 +201,8 @@ def load_config(path, *, scenario: Optional[str] = None, seed: Optional[int] = N
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     doc = {section: {} for section in _SECTIONS}
-    for section, key, path, _ in _FIELDS:
-        doc[section][key] = attrgetter(path)(cfg)
+    for (section, key), (owner, field, _) in _KEYS.items():
+        doc[section][key] = getattr(getattr(cfg, owner) if owner else cfg, field)
     return doc
 
 

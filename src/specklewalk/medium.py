@@ -40,7 +40,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError, StatisticsError, require_finite, require_integer
+from .errors import (ConfigError, DimensionError, FormatError, StatisticsError, as_array, require_all_finite, require_finite,
+                     require_integer)
 from . import rng
 
 SMX_MAGIC = b"SMX1"
@@ -110,7 +111,7 @@ class ScatteringMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        self._freeze(np.array(self.matrix, dtype=np.complex128, order="C"))
+        self._freeze(as_array(self.matrix, np.complex128, "scattering matrix entries").copy())  # C-ordered
 
     @classmethod
     def _adopt(cls, entries: np.ndarray) -> "ScatteringMatrix":
@@ -122,8 +123,7 @@ class ScatteringMatrix:
     def _freeze(self, m: np.ndarray) -> None:
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise DimensionError(f"scattering matrix must be 2-D and nonempty, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ConfigError("scattering matrix entries must be finite")
+        require_all_finite(m, "scattering matrix entries must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -141,8 +141,8 @@ class ScatteringMatrix:
 
 
 def as_output_field(e_out, *targets: int) -> np.ndarray:
-    """``e_out`` as an array; raise DimensionError unless it is 1-D and each target names one of its modes."""
-    field = np.asarray(e_out)
+    """``e_out`` as a complex128 array (``as_array``); DimensionError unless it is 1-D and each target names one of its modes."""
+    field = as_array(e_out, np.complex128, "output field amplitudes")
     if field.ndim != 1:
         raise DimensionError(f"output field must be 1-D, got shape {field.shape}")
     for target in targets:
@@ -201,11 +201,10 @@ def draw_block(config: MediumConfig, block: int, rows: np.ndarray, scratch: Opti
 
 def propagate(sm: ScatteringMatrix, e_in: np.ndarray) -> np.ndarray:
     """Apply E_out = S @ E_in for a single input field, one dot product per row."""
-    vec = np.asarray(e_in, dtype=np.complex128)
+    vec = as_array(e_in, np.complex128, "input field amplitudes")
     if vec.ndim != 1 or vec.shape[0] != sm.n_in:
         raise DimensionError(f"input field length {vec.shape} does not match n_in={sm.n_in}")
-    if not np.all(np.isfinite(vec)):
-        raise ConfigError("input field amplitudes must be finite")
+    require_all_finite(vec, "input field amplitudes must be finite")
     return propagate_rows(sm.matrix, vec)
 
 
@@ -220,7 +219,7 @@ def speckle_contrast(intensities: np.ndarray) -> float:
     Fully developed speckle has exponential intensity statistics, hence
     contrast 1; a uniform field has contrast 0.
     """
-    arr = np.asarray(intensities, dtype=np.float64)
+    arr = as_array(intensities, np.float64, "intensities", StatisticsError)
     if arr.size == 0:
         raise StatisticsError("speckle contrast of an empty sample is undefined")
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateTargetError, DimensionError, FormatError, require_integer
+from .errors import (ConfigError, DegenerateTargetError, DimensionError, FormatError, as_array, require_all_finite,
+                     require_integer)
 from .medium import ScatteringMatrix, as_output_field
 from . import rng
 
@@ -23,18 +24,11 @@ TWO_PI = 2.0 * np.pi
 
 
 def canonicalize_phases(phases: np.ndarray) -> np.ndarray:
-    """Fold phases into [0, 2*pi); idempotent."""
-    arr = np.asarray(phases, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError("phases must be finite")
-    # on (-2*pi, 2*pi), np.mod(x, 2*pi) adds 2*pi to the negatives and maps -0.0 to 0.0
-    folded = np.add(arr, TWO_PI, where=arr < 0.0, out=arr + 0.0)
-    outside = np.abs(arr) >= TWO_PI
-    if outside.any():
-        folded[outside] = np.mod(arr[outside], TWO_PI)
-    # both round tiny negatives up to exactly 2*pi
-    folded[folded >= TWO_PI] = 0.0
-    return folded
+    """Fold phases, an array of any shape (0-d too), into [0, 2*pi); idempotent."""
+    arr = as_array(phases, np.float64, "phases")
+    require_all_finite(arr, "phases must be finite")
+    folded = np.mod(arr, TWO_PI)
+    return np.where(folded >= TWO_PI, 0.0, folded)  # np.mod can round tiny negatives up to exactly 2*pi
 
 
 def dual_target_weights(sm: ScatteringMatrix, target_a: int, target_b: int, relative_phases) -> np.ndarray:
@@ -55,9 +49,8 @@ def dual_target_weights(sm: ScatteringMatrix, target_a: int, target_b: int, rela
     _check_row_power([target_a, target_b], [norm_a, norm_b])
     if norm_a == 0.0 or norm_b == 0.0:
         raise DegenerateTargetError("dual target rows must both carry coupling")
-    phis = np.asarray(relative_phases, dtype=np.float64)
-    if not np.all(np.isfinite(phis)):  # the inverse norms are finite, so finite phases give finite weights
-        raise ConfigError("relative phases must be finite")
+    phis = as_array(relative_phases, np.float64, "relative phases")
+    require_all_finite(phis, "relative phases must be finite")  # the norms are finite, so the weights are too
     weights = np.empty((phis.size, 2), dtype=np.complex128)
     weights[:, 0] = 1.0 / norm_a
     weights[:, 1] = np.exp(1j * phis) / norm_b
@@ -108,11 +101,10 @@ def _superposition(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
         sm.check_output_index(index)
     if len(set(targets)) != len(targets):
         raise ConfigError(f"target indices must be distinct, got {targets}")
-    weights = np.asarray(weights, dtype=np.complex128)
+    weights = as_array(weights, np.complex128, "target weights")
     if weights.ndim != 2 or weights.shape[1] != len(targets):
         raise ConfigError(f"weights of shape {weights.shape} do not match {len(targets)} targets")
-    if not np.all(np.isfinite(weights)):
-        raise ConfigError("target weights must be finite")
+    require_all_finite(weights, "target weights must be finite")
     if not np.all(np.any(weights != 0, axis=1)):
         raise ConfigError("at least one target weight must be nonzero")
     rows = sm.matrix[targets]
@@ -164,14 +156,18 @@ def _check_row_power(targets: list, powers) -> None:
         raise ConfigError(f"target rows {overflowed} have a squared norm beyond float64 range")
 
 
-def apply_mask(mask: np.ndarray) -> np.ndarray:
-    """Unit-amplitude field exp(i * mask) of a phase-only modulator; power = n."""
-    phases = np.asarray(mask, dtype=np.float64)
+def _mask_phases(mask) -> np.ndarray:
+    """``mask`` as float64 phases; ConfigError unless it is a nonempty 1-D sequence of finite phases."""
+    phases = as_array(mask, np.float64, "mask phases")
     if phases.ndim != 1 or phases.size == 0:
         raise ConfigError("mask must be a nonempty 1-D phase sequence")
-    if not np.all(np.isfinite(phases)):
-        raise ConfigError("mask phases must be finite")
-    return np.exp(1j * phases)
+    require_all_finite(phases, "mask phases must be finite")
+    return phases
+
+
+def apply_mask(mask: np.ndarray) -> np.ndarray:
+    """Unit-amplitude field exp(i * mask) of a phase-only modulator; power = n."""
+    return np.exp(1j * _mask_phases(mask))
 
 
 def enhancement(e_out: np.ndarray, target: int) -> float:
@@ -193,8 +189,8 @@ def enhancement(e_out: np.ndarray, target: int) -> float:
 
 
 def save_mask_csv(path, mask: np.ndarray) -> None:
-    """One phase per line, radians, 17 significant digits (lossless for float64)."""
-    phases = canonicalize_phases(mask)
+    """One phase per line, radians, 17 significant digits (lossless for float64); refuses what ``apply_mask`` does."""
+    phases = canonicalize_phases(_mask_phases(mask))  # checked before the file is opened
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for value in phases:
             fh.write(f"{value:.17g}\n")

@@ -36,8 +36,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (ConfigError, DegenerateFieldError, DimensionError, StatisticsError, require_choice, require_count,
-                     require_finite, require_integer, require_nonnegative, require_probability)
+from .errors import (ConfigError, DegenerateFieldError, DimensionError, StatisticsError, as_array, require_choice,
+                     require_count, require_finite, require_integer, require_nonnegative, require_probability)
 from .medium import ScatteringMatrix, propagate_rows
 from .slm import TWO_PI, conjugate_fields, dual_target_weights
 from .quantum import TwoModeState
@@ -59,7 +59,7 @@ class FringeScan:
     counts: np.ndarray
 
     def __post_init__(self):
-        phi = np.array(self.phi, dtype=np.float64)  # a copy: the read-only flag below must not reach the caller
+        phi = as_array(self.phi, np.float64, "phases").copy()  # a copy: the read-only flag below must not reach the caller
         counts = np.asarray(self.counts)
         if phi.ndim != 1 or phi.size < 5:
             raise ConfigError(f"a fringe scan needs at least 5 points, got {phi.size}")

@@ -97,6 +97,7 @@ BAD_CONJUGATIONS = {
     "repeated targets": (SM, (1, 1), [[1.0, 1.0]]),
     "weights shape": (SM, (1, 2), [[1.0]]),
     "nan weight": (SM, (1,), [[math.nan]]),
+    "string weight": (SM, (1,), [["a"]]),
     "zero weights": (SM, (1,), [[0.0]]),
     "row norm overflows": (HUGE_ROW, (1,), [[1.0]]),
 }
@@ -128,29 +129,41 @@ ROWS = [
     ("MediumConfig", "transmission=nan", lambda tmp: MediumConfig(n_in=4, m_out=4, transmission=math.nan)),
     ("ScatteringMatrix", "empty", lambda tmp: ScatteringMatrix(np.zeros((0, 3)))),
     ("ScatteringMatrix", "nan entry", lambda tmp: ScatteringMatrix(np.array([[1.0, math.nan]]))),
+    ("ScatteringMatrix", "string entry", lambda tmp: ScatteringMatrix(np.array([["a"]]))),
     ("load_smx", "bad magic", lambda tmp: load_smx(_file(tmp, "m.smx", b"SMX2" + bytes(16)))),
     ("load_smx", "truncated", lambda tmp: load_smx(_file(tmp, "m.smx", b"SMX1"))),
     ("propagate", "wrong length", lambda tmp: propagate(SM, np.ones(N_IN + 1))),
     ("propagate", "nan field", lambda tmp: propagate(SM, np.full(N_IN, math.nan))),
+    ("propagate", "string entry", lambda tmp: propagate(SM, ["a"] * N_IN)),
+    ("propagate", "object entries", lambda tmp: propagate(SM, [{}, 1, 2])),
     ("speckle_contrast", "empty", lambda tmp: speckle_contrast([])),
     ("speckle_contrast", "negative", lambda tmp: speckle_contrast([1.0, -1.0])),
     ("speckle_contrast", "nan", lambda tmp: speckle_contrast([1.0, math.nan])),
     ("speckle_contrast", "zero mean", lambda tmp: speckle_contrast([0.0, 0.0])),
     ("speckle_contrast", "overflow", lambda tmp: speckle_contrast([1e308, 1.0])),
+    ("speckle_contrast", "complex", lambda tmp: speckle_contrast(np.array([1.0, 1j]))),
+    ("speckle_contrast", "string entry", lambda tmp: speckle_contrast([1.0, "a"])),
     ("apply_mask", "empty", lambda tmp: apply_mask([])),
     ("apply_mask", "2-D", lambda tmp: apply_mask([[0.0]])),
     ("apply_mask", "nan", lambda tmp: apply_mask([0.0, math.nan])),
+    ("apply_mask", "complex", lambda tmp: apply_mask(np.array([0.0, 1j]))),
+    ("apply_mask", "string entry", lambda tmp: apply_mask([0.0, "a"])),
     ("canonicalize_phases", "inf", lambda tmp: canonicalize_phases([0.0, math.inf])),
+    ("canonicalize_phases", "complex", lambda tmp: canonicalize_phases(np.array([0.0, 1j]))),
+    ("canonicalize_phases", "string entry", lambda tmp: canonicalize_phases([0.0, "a"])),
     *((build.__name__, case, lambda tmp, build=build, args=args: build(*args))
       for build in CONJUGATE_BUILDERS for case, args in BAD_CONJUGATIONS.items()),
     ("dual_target_weights", "target_b=1.5", lambda tmp: dual_target_weights(SM, 0, 1.5, [0.0])),
     ("dual_target_weights", "target_b out of range", lambda tmp: dual_target_weights(SM, 0, -1, [0.0])),
     ("dual_target_weights", "nan phase", lambda tmp: dual_target_weights(SM, 0, 1, [math.nan])),
+    ("dual_target_weights", "complex phase", lambda tmp: dual_target_weights(SM, 0, 1, np.array([1j]))),
+    ("dual_target_weights", "string phase", lambda tmp: dual_target_weights(SM, 0, 1, ["a"])),
     ("dual_target_weights", "row norm overflows", lambda tmp: dual_target_weights(HUGE_ROW, 0, 1, [0.0])),
     ("enhancement", "target=1.5", lambda tmp: enhancement(FIELD, 1.5)),
     ("enhancement", "target out of range", lambda tmp: enhancement(FIELD, M_OUT)),
     ("enhancement", "2-D field", lambda tmp: enhancement(FIELD[None, :], 0)),
     ("enhancement", "one mode", lambda tmp: enhancement(FIELD[:1], 0)),
+    ("enhancement", "string entry", lambda tmp: enhancement(np.array(["a"] * M_OUT), 0)),
     ("load_mask_csv", "not a number", lambda tmp: load_mask_csv(_file(tmp, "mask.csv", "abc\n"))),
     ("load_mask_csv", "empty", lambda tmp: load_mask_csv(_file(tmp, "mask.csv", "\n"))),
     ("load_mask_csv", "not canonical", lambda tmp: load_mask_csv(_file(tmp, "mask.csv", "7.0\n"))),
@@ -162,6 +175,9 @@ ROWS = [
     ("random_mask", "seed=nan", lambda tmp: random_mask(4, math.nan)),
     ("random_mask", "seed=True", lambda tmp: random_mask(4, True)),
     ("save_mask_csv", "nan phase", lambda tmp: save_mask_csv(tmp / "mask.csv", [0.0, math.nan])),
+    ("save_mask_csv", "2-D", lambda tmp: save_mask_csv(tmp / "mask.csv", [[0.5]])),
+    ("save_mask_csv", "0-d", lambda tmp: save_mask_csv(tmp / "mask.csv", 0.5)),
+    ("save_mask_csv", "empty", lambda tmp: save_mask_csv(tmp / "mask.csv", [])),
     ("CalibrationConfig", "phase_steps=2", lambda tmp: CalibrationConfig(phase_steps=2)),
     ("CalibrationConfig", "phase_steps=4.5", lambda tmp: CalibrationConfig(phase_steps=4.5)),
     ("CalibrationConfig", "photons=0", lambda tmp: CalibrationConfig(photons_per_measurement=0.0)),
@@ -197,6 +213,7 @@ ROWS = [
     ("mode_probabilities", "collection=2", lambda tmp: mode_probabilities(FIELD, (0, 1), 2.0)),
     ("mode_probabilities", "dark field", lambda tmp: mode_probabilities(np.zeros(M_OUT), (0, 1), 1.0)),
     ("mode_probabilities", "one target", lambda tmp: mode_probabilities(FIELD, (0,), 1.0)),
+    ("mode_probabilities", "string entry", lambda tmp: mode_probabilities(np.array(["a"] * M_OUT), (0, 1), 1.0)),
     ("simulate_counts", "q_a=nan", lambda tmp: simulate_counts(math.nan, 0.1, SourceConfig(), 1)),
     ("simulate_counts", "q_a + q_b > 1", lambda tmp: simulate_counts(0.6, 0.6, SourceConfig(), 1)),
     ("simulate_counts", "q_a='a'", lambda tmp: simulate_counts("a", 0.1, SourceConfig(), 1)),
@@ -206,6 +223,8 @@ ROWS = [
      lambda tmp: simulate_counts(0.1, 0.1, SourceConfig(trigger_rate=1e30), 1)),
     ("FringeScan", "4 points", lambda tmp: FringeScan(phi=SCAN_PHI[:4], counts=np.ones(4, dtype=np.int64))),
     ("FringeScan", "nan phase", lambda tmp: FringeScan(phi=np.append(SCAN_PHI[:8], math.nan), counts=np.ones(9, dtype=int))),
+    ("FringeScan", "complex phase", lambda tmp: FringeScan(phi=SCAN_PHI + 0j, counts=np.ones(9, dtype=int))),
+    ("FringeScan", "string phase", lambda tmp: FringeScan(phi=np.array(["a"] * 9), counts=np.ones(9, dtype=int))),
     ("FringeScan", "negative count", lambda tmp: FringeScan(phi=SCAN_PHI, counts=-np.ones(9, dtype=np.int64))),
     ("FringeScan", "float counts", lambda tmp: FringeScan(phi=SCAN_PHI, counts=np.ones(9))),
     ("FringeScan", "uint64 counts beyond int64",

@@ -229,6 +229,22 @@ def test_parse_overrides_take_precedence():
     assert cfg.scenario == "tomo" and cfg.seed == 2 and cfg.output_dir == "b"
 
 
+def test_sub_configs_are_checked_in_table_order_whatever_the_file_order():
+    # the file names [calibration] first, but the medium is built, and so checked, first
+    with pytest.raises(ConfigError, match="^n_in must be"):
+        parse_config_text("[calibration]\nphase_steps = 2\n[medium]\nn_in = 0\n")
+    # the source before the noise, and both before ExperimentConfig
+    with pytest.raises(ConfigError, match="^dark_rate must be"):
+        parse_config_text("[noise]\nsigma_phi = -1\n[source]\ndark_rate = -1\n[run]\nn_steps = 3\n")
+
+
+def test_an_override_seed_derives_the_sub_seeds_the_file_leaves_out():
+    cfg = parse_config_text("[run]\nseed = 1\n[medium]\nseed = 5\n", seed=2)
+    assert cfg.seed == 2 and cfg.medium.seed == 5
+    assert cfg.calibration.reference_seed == rng.child_seed(2, rng.REFERENCE)
+    assert cfg.calibration.noise_seed == rng.child_seed(2, rng.CALIBRATION_NOISE)
+
+
 def test_missing_output_dir_fails_before_computation(tmp_path):
     cfg = small_config(tmp_path / "nope", scenario="focus")
     with pytest.raises(ConfigError, match="output_dir"):

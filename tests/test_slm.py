@@ -220,6 +220,19 @@ def test_canonicalize_matches_the_mod_reference_bit_for_bit():
     assert folded.tobytes() == canonicalize_phases(values.reshape(2, -1)).tobytes()
 
 
+def test_canonicalize_folds_a_0d_array():
+    folded = canonicalize_phases(-0.5)
+    assert folded.shape == () and folded == np.mod(-0.5, TWO_PI)
+
+
+@pytest.mark.parametrize("mask", [[[0.5]], 0.5, []], ids=["2-D", "0-d", "empty"])
+def test_save_mask_csv_refuses_a_mask_that_load_mask_csv_would_refuse_before_opening_the_file(tmp_path, mask):
+    path = tmp_path / "mask.csv"
+    with pytest.raises(ConfigError, match="nonempty 1-D"):
+        save_mask_csv(path, mask)
+    assert not path.exists()
+
+
 def test_mask_csv_round_trip(tmp_path):
     mask = random_mask(257, seed=31)
     path = tmp_path / "mask.csv"
