@@ -95,10 +95,10 @@ def as_array(value, dtype, name: str, error: type = ConfigError) -> np.ndarray:
     return arr.astype(dtype, copy=False)
 
 
-def require_all_finite(array: np.ndarray, message: str, error: type = ConfigError) -> None:
-    """Raise ``error(message)`` unless every entry of ``array`` is finite."""
+def require_all_finite(array: np.ndarray, name: str) -> None:
+    """Raise ConfigError naming ``name`` unless every entry of ``array`` is finite."""
     if not np.all(np.isfinite(array)):
-        raise error(message)
+        raise ConfigError(f"{name} must be finite")
 
 
 def require_choice(choices: tuple, **knobs: str) -> None:

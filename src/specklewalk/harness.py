@@ -140,16 +140,19 @@ _SECTIONS = {"medium": None, "calibration": None, "source": None, "targets": {"i
              "noise": None, "run": {name: name for name in ("scenario", "n_steps", "counts_per_step", "counts_sampling", "seed")}}
 _HINTS = get_type_hints(ExperimentConfig)  # ExperimentConfig field -> annotation; a sub-config's is its class
 
-# The INI schema in file order: (section, key) -> (owner, field, parser of the field's annotation), where owner is the
-# ExperimentConfig field that holds the field's sub-config, or "" for ExperimentConfig's own fields.
+# The INI schema: (section, key) -> (owner, field, parser of the field's annotation), where owner is the ExperimentConfig
+# field that holds the field's sub-config, or "" for its own fields; the sub-configs' sections first, keys in file order.
 # Keys a file leaves out take their value from ExperimentConfig(); unknown entries are hard errors.
-_KEYS = {(section, key): (owner, field, _PARSERS[hints[field]])
-         for section, keys in _SECTIONS.items()
-         for owner, hints in [("", _HINTS) if keys else (section, get_type_hints(_HINTS[section]))]
-         for key, field in (keys or {name: name for name in hints}).items()}
+_KEYS = {(section, field): (section, field, _PARSERS[hint]) for section, keys in _SECTIONS.items() if keys is None
+         for field, hint in get_type_hints(_HINTS[section]).items()}
+_KEYS.update(((section, key), ("", field, _PARSERS[_HINTS[field]])) for section, keys in _SECTIONS.items() if keys
+             for key, field in keys.items())
 # sub-seeds a file leaves out are derived from the master seed, one stream each
-_DERIVED_SEEDS = {("medium", "seed"): rng.MEDIUM, ("calibration", "reference_seed"): rng.REFERENCE,
-                  ("calibration", "noise_seed"): rng.CALIBRATION_NOISE}
+_DERIVED_SEEDS = {
+    ("medium", "seed"): rng.MEDIUM,
+    ("calibration", "reference_seed"): rng.REFERENCE,
+    ("calibration", "noise_seed"): rng.CALIBRATION_NOISE,
+}
 
 
 def parse_config_text(text: str, *, scenario: Optional[str] = None, seed: Optional[int] = None,

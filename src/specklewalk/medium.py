@@ -123,7 +123,7 @@ class ScatteringMatrix:
     def _freeze(self, m: np.ndarray) -> None:
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise DimensionError(f"scattering matrix must be 2-D and nonempty, got shape {m.shape}")
-        require_all_finite(m, "scattering matrix entries must be finite")
+        require_all_finite(m, "scattering matrix entries")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -204,7 +204,7 @@ def propagate(sm: ScatteringMatrix, e_in: np.ndarray) -> np.ndarray:
     vec = as_array(e_in, np.complex128, "input field amplitudes")
     if vec.ndim != 1 or vec.shape[0] != sm.n_in:
         raise DimensionError(f"input field length {vec.shape} does not match n_in={sm.n_in}")
-    require_all_finite(vec, "input field amplitudes must be finite")
+    require_all_finite(vec, "input field amplitudes")
     return propagate_rows(sm.matrix, vec)
 
 

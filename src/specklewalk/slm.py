@@ -26,7 +26,7 @@ TWO_PI = 2.0 * np.pi
 def canonicalize_phases(phases: np.ndarray) -> np.ndarray:
     """Fold phases, an array of any shape (0-d too), into [0, 2*pi); idempotent."""
     arr = as_array(phases, np.float64, "phases")
-    require_all_finite(arr, "phases must be finite")
+    require_all_finite(arr, "phases")
     folded = np.mod(arr, TWO_PI)
     return np.where(folded >= TWO_PI, 0.0, folded)  # np.mod can round tiny negatives up to exactly 2*pi
 
@@ -50,7 +50,7 @@ def dual_target_weights(sm: ScatteringMatrix, target_a: int, target_b: int, rela
     if norm_a == 0.0 or norm_b == 0.0:
         raise DegenerateTargetError("dual target rows must both carry coupling")
     phis = as_array(relative_phases, np.float64, "relative phases")
-    require_all_finite(phis, "relative phases must be finite")  # the norms are finite, so the weights are too
+    require_all_finite(phis, "relative phases")  # the norms are finite, so the weights are too
     weights = np.empty((phis.size, 2), dtype=np.complex128)
     weights[:, 0] = 1.0 / norm_a
     weights[:, 1] = np.exp(1j * phis) / norm_b
@@ -104,7 +104,7 @@ def _superposition(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
     weights = as_array(weights, np.complex128, "target weights")
     if weights.ndim != 2 or weights.shape[1] != len(targets):
         raise ConfigError(f"weights of shape {weights.shape} do not match {len(targets)} targets")
-    require_all_finite(weights, "target weights must be finite")
+    require_all_finite(weights, "target weights")
     if not np.all(np.any(weights != 0, axis=1)):
         raise ConfigError("at least one target weight must be nonzero")
     rows = sm.matrix[targets]
@@ -161,7 +161,7 @@ def _mask_phases(mask) -> np.ndarray:
     phases = as_array(mask, np.float64, "mask phases")
     if phases.ndim != 1 or phases.size == 0:
         raise ConfigError("mask must be a nonempty 1-D phase sequence")
-    require_all_finite(phases, "mask phases must be finite")
+    require_all_finite(phases, "mask phases")
     return phases
 
 
