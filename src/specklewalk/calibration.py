@@ -48,6 +48,7 @@ exact Poisson count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,8 +96,15 @@ class SmEstimate:
 
 
 def reference_field(n_in: int, cfg: CalibrationConfig) -> np.ndarray:
-    """The fixed unit-amplitude reference input held during probing."""
-    return apply_mask(random_mask(n_in, cfg.reference_seed))
+    """The fixed unit-amplitude reference input held during probing; read-only, built once per (n_in, reference_seed)."""
+    return _reference_field(n_in, cfg.reference_seed)
+
+
+@functools.lru_cache(maxsize=16)  # a run's phase-1 calibrations and its row pass share one field
+def _reference_field(n_in: int, reference_seed: int) -> np.ndarray:
+    field = apply_mask(random_mask(n_in, reference_seed))
+    field.setflags(write=False)
+    return field
 
 
 def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig, *, first_block: int = 0) -> SmEstimate:

@@ -23,8 +23,10 @@ blocks of ``medium.ROW_BLOCK`` rows, whose bytes depend only on their
 own block, with both SMX files open from the start:
 
   1. ``target_rows``: the one or two blocks that hold the targets are
-     drawn (``medium.draw_block``) and calibrated (``measure_sm`` from
-     the block's own noise stream). Their two target rows, true and
+     drawn together on the row-block pool (``medium.draw_block``, into
+     arrays this thread allocates), then calibrated one after
+     the other in this thread (``measure_sm`` from the block's own noise
+     stream). Their two target rows, true and
      estimated, give the fringe scan and every field the stages
      propagate, each conjugate one from ``slm.conjugate_fields``. The
      blocks are then written, scored and propagated, and dropped. The
@@ -44,13 +46,18 @@ targets are: two target blocks, then one set of block buffers per worker.
 Every run table (``sm_fidelity.csv``, ``scan_*.csv``, ``fringes.csv``,
 ``probabilities.csv``) goes through ``_write_csv`` and every JSON file
 through ``_write_json``. Only the two formats with a loader live with
-their types: ``medium.save_smx`` and ``slm.save_mask_csv``.
+their types: ``medium.save_smx`` and ``slm.save_mask_csv``. Every output
+file is rewritten in place, as a run's directory usually holds the last
+run's files: the SMX files through ``medium.create_smx``, every text file
+through the one writer ``medium.write_text``. Neither truncates on open;
+each cuts the file where its bytes end, or to 0 bytes if it fails.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import itertools
 import json
 import os
 import time
@@ -227,18 +234,17 @@ def _require_output_dir(cfg: ExperimentConfig) -> str:
     return path
 
 
+# Output files go through medium.write_text, called through its module like the block helpers, so a traced run
+# counts the writing in the harness's own time.
 def _write_json(path, document: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(document, fh, sort_keys=True, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)  # json.dump's encoder for these options
+    medium.write_text(path, itertools.chain(encoder.iterencode(document), ["\n"]))
 
 
 def _write_csv(path, header, rows) -> None:
     """One run table: the header line, then one line per tuple of Python scalars (``%s`` is the shortest repr)."""
     line = ",".join(["%s"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write("".join([line % row for row in rows]))
+    medium.write_text(path, itertools.chain([",".join(header) + "\n"], (line % row for row in rows)))
 
 
 def _scan(cfg: ExperimentConfig, out: str, pair_true: ScatteringMatrix, pair_estimate: ScatteringMatrix):
@@ -273,12 +279,22 @@ def _masks_and_fields(cfg: ExperimentConfig, pair_estimate: ScatteringMatrix):
 
 
 def _target_blocks(cfg: ExperimentConfig):
-    """Phase 1: (block -> (its true rows, their estimate by ``measure_sm``) per target block, ``target_rows``' pair)."""
-    targets, blocks = (cfg.target_a, cfg.target_b), {}
-    for block in sorted({t // ROW_BLOCK for t in targets}):
-        rows = medium.draw_block(cfg.medium, block, np.empty(
-            (min(ROW_BLOCK, cfg.medium.m_out - block * ROW_BLOCK), cfg.medium.n_in), dtype=np.complex128))
-        blocks[block] = rows, measure_sm(ScatteringMatrix._adopt(rows), cfg.calibration, first_block=block).matrix.matrix
+    """Phase 1: (block -> (its true rows, their estimate by ``measure_sm``) per target block, ``target_rows``' pair).
+
+    The target blocks are drawn together on the pool, into arrays that
+    this thread allocates. ``measure_sm`` then runs in this thread, once
+    per block, where the benchmark's tracer sees it.
+    """
+    targets, n_in = (cfg.target_a, cfg.target_b), cfg.medium.n_in
+    ids = sorted({t // ROW_BLOCK for t in targets})
+    drawn = [np.empty((min(ROW_BLOCK, cfg.medium.m_out - block * ROW_BLOCK), n_in), dtype=np.complex128) for block in ids]
+
+    def draw(i):  # block i of the pass is target block ids[i]
+        medium.draw_block(cfg.medium, ids[i], drawn[i])
+
+    medium.map_row_blocks(draw, len(ids) * ROW_BLOCK)
+    blocks = {block: (rows, measure_sm(ScatteringMatrix._adopt(rows), cfg.calibration, first_block=block).matrix.matrix)
+              for block, rows in zip(ids, drawn)}
     rows = [[part[t % ROW_BLOCK] for part in blocks[t // ROW_BLOCK]] for t in targets]  # (true, estimate) per target
     return blocks, tuple(ScatteringMatrix._adopt(np.array(pair)) for pair in zip(*rows))
 

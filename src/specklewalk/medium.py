@@ -9,7 +9,10 @@ output mode shows fully developed speckle (exponential intensity
 statistics, unit contrast).
 
 Matrix-sized work runs in blocks of ROW_BLOCK output rows on a thread
-pool (``map_row_blocks``). ``draw_block`` draws block b from its own
+pool (``map_row_blocks``). The process has one pool, made on first use and
+reused by every pass, so a pass does not pay for starting threads; a pass
+called from inside a block runs inline, and a forked child makes its own
+pool. ``draw_block`` draws block b from its own
 stream, (MEDIUM, b) in ``rng``, so the matrix bytes do not depend on how
 many workers run the blocks, nor on whether the blocks are drawn into one
 matrix (``generate_medium``) or one at a time by a caller that never holds
@@ -25,7 +28,9 @@ with ``os.pwrite``, so blocks may land in any order and from any thread.
 an existing file in place rather than truncating it on open: freeing a
 large file's blocks can stall the run's next file opens behind the
 filesystem's journal. A failure inside ``create_smx`` leaves the file
-empty, never a full-size file with an earlier run's rows.
+empty, never a full-size file with an earlier run's rows. ``write_text``
+writes every other output file the same way: in place, then cut to the
+text's length, or to nothing if the text fails.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -52,33 +57,85 @@ ROW_BLOCK = 64
 
 
 def map_row_blocks(fn: Callable[..., object], n_rows: int, per_worker: Optional[Callable[[], object]] = None) -> list:
-    """Return [fn(block) for every block of ROW_BLOCK rows], run on a thread pool.
+    """Return [fn(block) for every block of ROW_BLOCK rows], run on the process's thread pool.
 
-    The pool has one worker per usable core, and no more than there are
-    blocks; the results keep block order. With one worker the blocks run
-    in the calling thread.
+    The pass has one worker per usable core, and no more than there are
+    blocks; the results keep block order. With one worker, or when called
+    from a block of another pass, the blocks run in the calling thread.
+    Each worker takes the next block not yet taken until none is left.
 
     With ``per_worker``, the calling thread calls it once per worker before
     the pass, and each block runs as fn(block, state) with the state of the
     worker that runs it: a worker can reuse one set of buffers for all its
     blocks.
+
+    If blocks raise, the workers take no further block once one has, and
+    the call raises the exception of the lowest such block after every
+    block it started has finished: every lower block was taken before it.
     """
     blocks = range(-(-n_rows // ROW_BLOCK))
-    workers = min(len(blocks), _cpu_count())
-    if per_worker is not None:
-        states = [per_worker() for _ in range(workers)]
-        local = threading.local()
+    workers = 1 if getattr(_pool_thread, "marked", False) else min(len(blocks), _cpu_count())
+    run_block = fn if per_worker is not None else lambda block, state: fn(block)
+    states = [per_worker() if per_worker is not None else None for _ in range(workers)]
+    if workers <= 1:
+        return [run_block(block, state) for state in states for block in blocks]  # one state, none without blocks
+    results = [None] * len(blocks)
+    failures = {}  # block -> the exception it raised
+    pending = iter(blocks)  # shared by the workers; next() on it is one atomic step
 
-        def task(block):
-            if not hasattr(local, "state"):  # the worker's first block
-                local.state = states.pop()
-            return fn(block, local.state)
-    else:
-        task = fn
-    if workers == 1:
-        return [task(block) for block in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, blocks))
+    def work(state):
+        for block in pending:
+            try:
+                results[block] = run_block(block, state)
+            except BaseException as exc:
+                failures[block] = exc
+            if failures:
+                return
+
+    with _pool_lock:
+        futures = [_pool_for(workers).submit(work, state) for state in states]
+    try:
+        for future in futures:
+            future.result()  # a block's exception is kept in failures, not raised here
+    except BaseException:  # interrupted, or a worker failed outside its blocks: let no block outlive the call
+        failures[len(blocks)] = None  # a key past every block: the workers take no further block
+        wait(futures)
+        raise
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+# One thread pool per process, made on first use and shared by every pass; its threads are marked, so a pass
+# called from a block runs inline rather than wait on the pool it occupies. A forked child starts without it.
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_size = 0
+_pool_lock = threading.Lock()
+_pool_thread = threading.local()
+
+
+def _pool_for(workers: int) -> ThreadPoolExecutor:
+    """The process's pool, made or grown to at least ``workers`` threads; call with ``_pool_lock`` held."""
+    global _pool, _pool_size
+    if _pool is None or _pool_size < workers:
+        if _pool is not None:
+            _pool.shutdown(wait=False)  # its threads finish what they hold, then exit
+        _pool_size = max(workers, _cpu_count())
+        _pool = ThreadPoolExecutor(_pool_size, thread_name_prefix="specklewalk-rows", initializer=_mark_pool_thread)
+    return _pool
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.marked = True
+
+
+def _drop_pool_in_child() -> None:
+    # the parent's pool threads do not exist in a forked child, though its executor would wait on them
+    global _pool, _pool_size, _pool_lock
+    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool_in_child)
 
 
 def row_block(array: np.ndarray, block: int) -> np.ndarray:
@@ -237,6 +294,24 @@ def save_smx(path, sm: ScatteringMatrix) -> None:
     """Write the bit-exact SMX1 container of ``sm`` (layout: ``create_smx``)."""
     with create_smx(path, sm.m_out, sm.n_in) as fh:
         write_smx_rows(fh, 0, sm.matrix)
+
+
+def write_text(path, chunks) -> None:
+    """Write the UTF-8 text joined from the strings ``chunks`` into the file ``path``, overwriting it in place.
+
+    Like ``create_smx``, the file is not truncated on open. The chunks are
+    joined after the open, and the file is then cut where the text ends, or
+    to 0 bytes if a chunk or the write raised, so no byte of an earlier
+    file survives.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as fh:
+        length = 0
+        try:
+            data = "".join(chunks).encode("utf-8")
+            _pwrite_all(fh, data, 0)
+            length = len(data)
+        finally:
+            os.ftruncate(fh.fileno(), length)
 
 
 @contextmanager

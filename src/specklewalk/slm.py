@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateTargetError, DimensionError, FormatError, as_array, require_all_finite,
                      require_integer)
-from .medium import ScatteringMatrix, as_output_field
+from .medium import ScatteringMatrix, as_output_field, write_text
 from . import rng
 
 TWO_PI = 2.0 * np.pi
@@ -191,9 +191,7 @@ def enhancement(e_out: np.ndarray, target: int) -> float:
 def save_mask_csv(path, mask: np.ndarray) -> None:
     """One phase per line, radians, 17 significant digits (lossless for float64); refuses what ``apply_mask`` does."""
     phases = canonicalize_phases(_mask_phases(mask))  # checked before the file is opened
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for value in phases:
-            fh.write(f"{value:.17g}\n")
+    write_text(path, (f"{value:.17g}\n" for value in phases.tolist()))
 
 
 def load_mask_csv(path) -> np.ndarray:

@@ -16,6 +16,7 @@ from specklewalk import (
     generate_medium,
     measure_sm,
     propagate,
+    random_mask,
     sm_fidelity,
 )
 from specklewalk.calibration import _GAUSSIAN_FLOOR, SmEstimate, reference_field
@@ -29,6 +30,20 @@ def test_config_requires_three_steps():
     with pytest.raises(ConfigError):
         CalibrationConfig(photons_per_measurement=0.0)
     assert CalibrationConfig(phase_steps=3).noiseless
+
+
+def test_reference_field_is_built_once_read_only_with_a_fresh_fields_bytes():
+    cfg = CalibrationConfig(photons_per_measurement=1e4, reference_seed=71, noise_seed=72)
+    field = reference_field(24, cfg)
+    assert reference_field(24, CalibrationConfig(reference_seed=71)) is field
+    assert field.tobytes() == apply_mask(random_mask(24, 71)).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        field[0] = 0.0
+    # measure_sm calibrates against the shared field: its estimate is the one a fresh, writable field gives
+    sm = generate_medium(MediumConfig(n_in=24, m_out=ROW_BLOCK, seed=70))
+    expected = np.empty_like(sm.matrix)
+    calibration.estimate_block(sm.matrix, apply_mask(random_mask(24, 71)), cfg, 0, expected)
+    assert measure_sm(sm, cfg).matrix.matrix.tobytes() == expected.tobytes()
 
 
 def test_noiseless_rows_equal_conj_reference_times_truth():

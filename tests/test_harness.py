@@ -42,7 +42,7 @@ from specklewalk import (
 )
 from specklewalk.calibration import reference_field
 from specklewalk.cli import main
-from specklewalk.harness import SCENARIOS
+from specklewalk.harness import SCENARIOS, _write_csv, _write_json
 
 
 def small_config(out_dir, scenario="full", seed=42, **overrides):
@@ -560,6 +560,29 @@ def test_run_over_earlier_outputs_gives_the_fresh_directory_bytes(tmp_path):
     for name in fresh:
         (tmp_path / name).write_bytes(b"\xff" * 2**21)
     assert run_with(1000) == fresh
+
+
+def test_full_run_over_longer_junk_gives_a_fresh_directorys_bytes(tmp_path):
+    small = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "small.ini")
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    run(load_config(small, output_dir=str(fresh)))
+    written = digest_dir(fresh)
+    for name in written:  # every output file, each longer than what the run writes into it
+        (reused / name).write_bytes(b"\xff" * ((fresh / name).stat().st_size + 4096))
+    run(load_config(small, output_dir=str(reused)))
+    assert digest_dir(reused) == written
+
+
+@pytest.mark.parametrize("write", [lambda path: _write_csv(path, ("a", "b"), [(1, 2), (3,)]),
+                                   lambda path: _write_json(path, {"a": 1, "b": {2}})], ids=["csv row", "json value"])
+def test_an_output_file_whose_text_fails_to_format_is_left_empty(tmp_path, write):
+    path = tmp_path / "table"
+    path.write_bytes(b"\xff" * 4096)
+    with pytest.raises(TypeError):
+        write(path)
+    assert path.stat().st_size == 0
 
 
 def test_run_failing_on_a_scan_knob_fails_before_the_row_pass(tmp_path):

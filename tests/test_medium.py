@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import os
 import sys
 import threading
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specklewalk import rng
+from specklewalk import medium, rng
 from specklewalk import (
     ConfigError,
     DimensionError,
@@ -107,6 +108,116 @@ def test_row_blocks_give_each_worker_one_state_made_by_the_calling_thread(monkey
     assert made_by == {threading.get_ident()} and len(states) == 8
     assert sum(state["blocks"] for state in states) == 65
     assert all(len(state["threads"]) <= 1 for state in states)
+
+
+@pytest.fixture
+def own_pool(monkeypatch):
+    """The test makes the process's pool afresh, and shuts it down afterwards; the earlier pool is kept aside."""
+    monkeypatch.setattr(medium, "_pool", None)
+    monkeypatch.setattr(medium, "_pool_size", 0)
+    yield
+    medium._pool.shutdown()
+
+
+def test_row_blocks_run_a_nested_pass_inline_in_block_order(monkeypatch, own_pool):
+    monkeypatch.setattr(medium, "_cpu_count", lambda: 4)
+
+    def outer(block):
+        return block, map_row_blocks(lambda inner: (inner, threading.get_ident()), 3 * ROW_BLOCK), threading.get_ident()
+
+    passes = map_row_blocks(outer, 8 * ROW_BLOCK)
+    assert [block for block, _, _ in passes] == list(range(8))
+    for _, inner, thread in passes:
+        assert inner == [(0, thread), (1, thread), (2, thread)]  # the nested blocks ran in the thread of the outer one
+
+
+def test_row_blocks_make_one_state_per_worker_of_the_pass_not_of_the_pool(monkeypatch, own_pool):
+    monkeypatch.setattr(medium, "_cpu_count", lambda: 8)
+    map_row_blocks(lambda block: sum(range(2000)), 64 * ROW_BLOCK)  # the pool now holds at least 8 threads
+    monkeypatch.setattr(medium, "_cpu_count", lambda: 2)
+    states, made_by = [], set()
+
+    def per_worker():
+        made_by.add(threading.get_ident())
+        states.append({"busy": False, "threads": set(), "blocks": 0})
+        return states[-1]
+
+    def fn(block, state):
+        assert not state["busy"]
+        state["busy"] = True
+        state["threads"].add(threading.get_ident())
+        sum(range(2000))
+        state["blocks"] += 1
+        state["busy"] = False
+        return block
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert map_row_blocks(fn, 64 * ROW_BLOCK + 1, per_worker=per_worker) == list(range(65))
+    finally:
+        sys.setswitchinterval(interval)
+    assert made_by == {threading.get_ident()} and len(states) == 2
+    assert sum(state["blocks"] for state in states) == 65
+    assert all(len(state["threads"]) <= 1 for state in states)
+
+
+def test_row_blocks_reuse_the_pool_threads_pass_after_pass(monkeypatch, own_pool):
+    monkeypatch.setattr(medium, "_cpu_count", lambda: 2)
+
+    def two_worker_pass():
+        barrier = threading.Barrier(2, timeout=60)
+
+        def fn(block, met):
+            if not met:  # the worker's first block waits for the other worker's: the pass runs on two threads
+                met.append(barrier.wait())
+            return block
+
+        assert map_row_blocks(fn, 8 * ROW_BLOCK, per_worker=list) == list(range(8))
+
+    two_worker_pass()
+    threads = threading.active_count()
+    for _ in range(49):
+        two_worker_pass()
+    assert threading.active_count() <= threads
+
+
+def test_row_blocks_raise_the_lowest_failing_block_after_the_pass(monkeypatch, own_pool):
+    monkeypatch.setattr(medium, "_cpu_count", lambda: 4)
+    finished = []
+
+    def fn(block):
+        if block in (5, 9):
+            raise ValueError(f"block {block}")
+        sum(range(2000))
+        finished.append(block)
+        return block
+
+    with pytest.raises(ValueError, match="block 5"):
+        map_row_blocks(fn, 40 * ROW_BLOCK)
+    assert set(range(5)) <= set(finished)  # every block below the failure ran
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_draws_the_medium_on_its_own_pool(monkeypatch, tmp_path, own_pool):
+    monkeypatch.setattr(medium, "_cpu_count", lambda: 2)  # two workers in the parent and, by the copy, in the child
+    cfg = MediumConfig(n_in=16, m_out=4 * ROW_BLOCK, seed=103)
+    parent = generate_medium(cfg).matrix.tobytes()  # the parent's pool now exists, its threads idle
+    path = tmp_path / "child.sha256"
+
+    def child():
+        path.write_text(hashlib.sha256(generate_medium(cfg).matrix.tobytes()).hexdigest())
+
+    process = multiprocessing.get_context("fork").Process(target=child)
+    process.start()
+    process.join(timeout=30)
+    if process.is_alive():  # the child waits on pool threads it does not have
+        process.kill()
+        process.join()
+        pytest.fail("the forked child hung drawing the medium")
+    assert process.exitcode == 0
+    assert path.read_text() == hashlib.sha256(parent).hexdigest()
 
 
 def test_medium_independent_of_worker_count(monkeypatch):
