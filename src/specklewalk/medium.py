@@ -9,10 +9,10 @@ output mode shows fully developed speckle (exponential intensity
 statistics, unit contrast).
 
 Matrix-sized work runs in blocks of ROW_BLOCK output rows on a thread
-pool (``map_row_blocks``). The process has one pool, made on first use and
-reused by every pass, so a pass does not pay for starting threads; a pass
-called from inside a block runs inline, and a forked child makes its own
-pool. ``draw_block`` draws block b from its own
+pool (``map_row_blocks``). The process has one pool and one worker count,
+the cores it may run on, both fixed at import, so a pass does not pay for
+starting threads; a pass called from inside a block runs inline, and a
+forked child builds its own pool. ``draw_block`` draws block b from its own
 stream, (MEDIUM, b) in ``rng``, so the matrix bytes do not depend on how
 many workers run the blocks, nor on whether the blocks are drawn into one
 matrix (``generate_medium``) or one at a time by a caller that never holds
@@ -59,10 +59,11 @@ ROW_BLOCK = 64
 def map_row_blocks(fn: Callable[..., object], n_rows: int, per_worker: Optional[Callable[[], object]] = None) -> list:
     """Return [fn(block) for every block of ROW_BLOCK rows], run on the process's thread pool.
 
-    The pass has one worker per usable core, and no more than there are
-    blocks; the results keep block order. With one worker, or when called
-    from a block of another pass, the blocks run in the calling thread.
-    Each worker takes the next block not yet taken until none is left.
+    The pass has one worker per usable core, counted once at import, and
+    no more than there are blocks; the results keep block order. With one
+    worker, or when called from a block of another pass, the blocks run in
+    the calling thread. Each worker takes the next block not yet taken
+    until none is left.
 
     With ``per_worker``, the calling thread calls it once per worker before
     the pass, and each block runs as fn(block, state) with the state of the
@@ -74,7 +75,7 @@ def map_row_blocks(fn: Callable[..., object], n_rows: int, per_worker: Optional[
     block it started has finished: every lower block was taken before it.
     """
     blocks = range(-(-n_rows // ROW_BLOCK))
-    workers = 1 if getattr(_pool_thread, "marked", False) else min(len(blocks), _cpu_count())
+    workers = 1 if getattr(_pool_thread, "marked", False) else min(len(blocks), _WORKERS)
     run_block = fn if per_worker is not None else lambda block, state: fn(block)
     states = [per_worker() if per_worker is not None else None for _ in range(workers)]
     if workers <= 1:
@@ -92,8 +93,7 @@ def map_row_blocks(fn: Callable[..., object], n_rows: int, per_worker: Optional[
             if failures:
                 return
 
-    with _pool_lock:
-        futures = [_pool_for(workers).submit(work, state) for state in states]
+    futures = [_pool.submit(work, state) for state in states]
     try:
         for future in futures:
             future.result()  # a block's exception is kept in failures, not raised here
@@ -106,48 +106,34 @@ def map_row_blocks(fn: Callable[..., object], n_rows: int, per_worker: Optional[
     return results
 
 
-# One thread pool per process, made on first use and shared by every pass; its threads are marked, so a pass
-# called from a block runs inline rather than wait on the pool it occupies. A forked child starts without it.
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_size = 0
-_pool_lock = threading.Lock()
+# The process's worker count, the cores it may run on (every core where there is no CPU affinity), and its one thread
+# pool, both fixed at import and shared by every pass; the pool's threads are marked, so a pass called from a block
+# runs inline rather than wait on the pool it occupies.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool_thread = threading.local()
-
-
-def _pool_for(workers: int) -> ThreadPoolExecutor:
-    """The process's pool, made or grown to at least ``workers`` threads; call with ``_pool_lock`` held."""
-    global _pool, _pool_size
-    if _pool is None or _pool_size < workers:
-        if _pool is not None:
-            _pool.shutdown(wait=False)  # its threads finish what they hold, then exit
-        _pool_size = max(workers, _cpu_count())
-        _pool = ThreadPoolExecutor(_pool_size, thread_name_prefix="specklewalk-rows", initializer=_mark_pool_thread)
-    return _pool
 
 
 def _mark_pool_thread() -> None:
     _pool_thread.marked = True
 
 
-def _drop_pool_in_child() -> None:
+def _new_pool() -> ThreadPoolExecutor:  # its threads start as passes first need them
+    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="specklewalk-rows", initializer=_mark_pool_thread)
+
+
+def _new_pool_in_child() -> None:
     # the parent's pool threads do not exist in a forked child, though its executor would wait on them
-    global _pool, _pool_size, _pool_lock
-    _pool, _pool_size, _pool_lock = None, 0, threading.Lock()
+    global _pool
+    _pool = _new_pool()
 
 
-os.register_at_fork(after_in_child=_drop_pool_in_child)
+_pool = _new_pool()
+os.register_at_fork(after_in_child=_new_pool_in_child)
 
 
 def row_block(array: np.ndarray, block: int) -> np.ndarray:
     """The rows of ``array`` that belong to ``block``."""
     return array[block * ROW_BLOCK:(block + 1) * ROW_BLOCK]
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,10 +184,14 @@ class ScatteringMatrix:
 
 
 def as_output_field(e_out, *targets: int) -> np.ndarray:
-    """``e_out`` as a complex128 array (``as_array``); DimensionError unless it is 1-D and each target names one of its modes."""
+    """``e_out`` as a complex128 array (``as_array``) of finite entries (ConfigError otherwise).
+
+    DimensionError unless it is 1-D and each target names one of its modes.
+    """
     field = as_array(e_out, np.complex128, "output field amplitudes")
     if field.ndim != 1:
         raise DimensionError(f"output field must be 1-D, got shape {field.shape}")
+    require_all_finite(field, "output field amplitudes")
     for target in targets:
         _check_index(target, field.shape[0])
     return field

@@ -133,8 +133,11 @@ def mode_probabilities(e_out: np.ndarray, targets: Tuple[int, int],
         raise ConfigError(f"targets must hold exactly two indices, got {targets!r}") from None
     field = as_output_field(e_out, target_a, target_b)
     require_probability(collection_efficiency=collection_efficiency)
-    intensities = np.abs(field) ** 2
-    total = float(intensities.sum())
+    with np.errstate(over="ignore"):  # a power beyond float64 range is refused below, not warned about
+        intensities = np.abs(field) ** 2
+        total = float(intensities.sum())
+    if not np.isfinite(total):
+        raise ConfigError("output field power is beyond float64 range")
     if total <= 0.0:
         raise DegenerateFieldError("output field carries zero total power")
     q_a = collection_efficiency * float(intensities[target_a]) / total

@@ -181,8 +181,12 @@ def enhancement(e_out: np.ndarray, target: int) -> float:
     m_out = field.shape[0]
     if m_out < 2:
         raise DimensionError("enhancement needs at least two output modes for a background")
-    intensities = np.abs(field) ** 2
-    background = (float(intensities.sum()) - float(intensities[target])) / (m_out - 1)
+    with np.errstate(over="ignore"):  # a power beyond float64 range is refused below, not warned about
+        intensities = np.abs(field) ** 2
+        total = float(intensities.sum())
+    if not np.isfinite(total):
+        raise ConfigError("output field power is beyond float64 range")
+    background = (total - float(intensities[target])) / (m_out - 1)
     if background == 0.0:
         raise DegenerateTargetError("background intensity is exactly zero")
     return float(intensities[target]) / background

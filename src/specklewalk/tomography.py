@@ -189,8 +189,10 @@ def _expected_scan(s_true: ScatteringMatrix, s_masks: ScatteringMatrix, target_a
     if mean_total <= 0.0:
         raise DegenerateFieldError("no power reaches either target across the scan")
 
-    # the noise model: each step's expected count at the port
-    port = total / 2.0 + math.exp(-0.5 * sigma_phi ** 2) * cross
+    # the noise model: each step's expected count at the port. The damping exp(-sigma_phi^2 / 2) underflows to
+    # exactly 0.0 from sigma_phi ~38.6 on, so it is not squared there: a larger sigma_phi's square can overflow
+    damping = 0.0 if sigma_phi >= 39.0 else math.exp(-0.5 * sigma_phi ** 2)
+    port = total / 2.0 + damping * cross
     offset = background_fraction * mean_total / 2.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN means, which the check rejects
         means = counts_per_step * (port + offset) / (mean_total * (1.0 + background_fraction))

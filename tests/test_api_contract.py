@@ -86,6 +86,8 @@ STATE = TwoModeState(p00=0.5, p01=0.25, p10=0.25, p11=0.0, d_mag=0.1)
 COUNTS = CountRecord(n_T=100, n_A=10, n_B=10, n_AT=10, n_BT=10, n_ABT=1)
 SCAN_PHI = np.linspace(0.0, 2.0 * np.pi, 9)
 HUGE_ROW = ScatteringMatrix(SM.matrix[:2] * [[1.0], [1e160]])  # row 1's squared norm overflows float64
+# an output field entry that is not finite, or whose square overflows float64, at a mode that is no target
+BAD_FIELDS = {f"{entry!r} entry": np.where(np.arange(M_OUT) == 2, entry, FIELD) for entry in (math.nan, math.inf, 1e200)}
 INI = "[medium]\nn_in = 16\nm_out = 64\n\n[targets]\nindex_a = 3\nindex_b = 40\n"
 # the mask builder and the field builder take the same (sm, targets, weights) and make the same checks
 CONJUGATE_BUILDERS = (conjugate_phases, conjugate_fields)
@@ -164,6 +166,7 @@ ROWS = [
     ("enhancement", "2-D field", lambda tmp: enhancement(FIELD[None, :], 0)),
     ("enhancement", "one mode", lambda tmp: enhancement(FIELD[:1], 0)),
     ("enhancement", "string entry", lambda tmp: enhancement(np.array(["a"] * M_OUT), 0)),
+    *(("enhancement", case, lambda tmp, field=field: enhancement(field, 0)) for case, field in BAD_FIELDS.items()),
     ("load_mask_csv", "not a number", lambda tmp: load_mask_csv(_file(tmp, "mask.csv", "abc\n"))),
     ("load_mask_csv", "empty", lambda tmp: load_mask_csv(_file(tmp, "mask.csv", "\n"))),
     ("load_mask_csv", "not canonical", lambda tmp: load_mask_csv(_file(tmp, "mask.csv", "7.0\n"))),
@@ -214,6 +217,8 @@ ROWS = [
     ("mode_probabilities", "dark field", lambda tmp: mode_probabilities(np.zeros(M_OUT), (0, 1), 1.0)),
     ("mode_probabilities", "one target", lambda tmp: mode_probabilities(FIELD, (0,), 1.0)),
     ("mode_probabilities", "string entry", lambda tmp: mode_probabilities(np.array(["a"] * M_OUT), (0, 1), 1.0)),
+    *(("mode_probabilities", case, lambda tmp, field=field: mode_probabilities(field, (0, 1), 1.0))
+      for case, field in BAD_FIELDS.items()),
     ("simulate_counts", "q_a=nan", lambda tmp: simulate_counts(math.nan, 0.1, SourceConfig(), 1)),
     ("simulate_counts", "q_a + q_b > 1", lambda tmp: simulate_counts(0.6, 0.6, SourceConfig(), 1)),
     ("simulate_counts", "q_a='a'", lambda tmp: simulate_counts("a", 0.1, SourceConfig(), 1)),

@@ -1,4 +1,3 @@
-import os
 
 import numpy as np
 import pytest
@@ -306,8 +305,8 @@ def test_noisy_estimate_independent_of_worker_count(monkeypatch):
     sm = generate_medium(MediumConfig(n_in=24, m_out=5 * ROW_BLOCK + 7, seed=35))
     assert 0 < above_floor(sm, cfg).sum() < sm.m_out  # both samplers run
     estimates = []
-    for cpus in ({0}, {0, 1, 2, 3}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+    for workers in (1, 4):
+        monkeypatch.setattr(medium, "_WORKERS", workers)
         estimates.append(measure_sm(sm, cfg).matrix.matrix.tobytes())
     assert estimates[0] == estimates[1]
 

@@ -315,6 +315,14 @@ def test_a_scan_run_never_fits(tmp_path):
         run_fringes(cfg)
 
 
+def test_run_fringes_takes_a_dephasing_width_whose_square_overflows(tmp_path):
+    small = load_config(os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "small.ini"),
+                        output_dir=str(tmp_path))
+    report = run_fringes(dataclasses.replace(small, noise=dataclasses.replace(small.noise, sigma_phi=1e200)))
+    assert 0.0 <= report.result["visibility"] < 0.1  # the fringe is washed out
+    assert len((tmp_path / "fringes.csv").read_text().splitlines()) == small.n_steps + 1
+
+
 def test_run_fringes_noiseless_limit(tmp_path):
     cfg = small_config(
         tmp_path, scenario="fringes",
@@ -482,7 +490,7 @@ def test_report_round_trip_reproduces_run(tmp_path):
 def test_run_memory_does_not_grow_with_the_medium(tmp_path, monkeypatch):
     # the matrix at m_out = 8192 is 32 MiB; the run holds only the target blocks and one set of block buffers per worker,
     # so the worker count is pinned
-    monkeypatch.setattr(medium, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(medium, "_WORKERS", 2)
     def traced_peak(m_out):
         cfg = small_config(tmp_path, medium=MediumConfig(n_in=256, m_out=m_out, seed=1281))
         tracemalloc.start()
@@ -500,7 +508,7 @@ def test_run_memory_does_not_grow_with_the_medium(tmp_path, monkeypatch):
 @pytest.mark.parametrize("targets", [(96, 8191), (8192 - 64, 8191)])
 def test_run_memory_does_not_depend_on_where_the_targets_are(tmp_path, monkeypatch, targets):
     # the block buffers are one set per worker, so the worker count is pinned
-    monkeypatch.setattr(medium, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(medium, "_WORKERS", 2)
     cfg = small_config(tmp_path, medium=MediumConfig(n_in=256, m_out=8192, seed=1281),
                        target_a=targets[0], target_b=targets[1])
     tracemalloc.start()
@@ -516,7 +524,7 @@ def test_run_bytes_independent_of_worker_count(tmp_path, monkeypatch):
     cfg = small_config(tmp_path)  # 8 row blocks: 1 and 4 hold the targets, the pass draws the other 6
     digests = []
     for workers in (1, 4):
-        monkeypatch.setattr(medium, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(medium, "_WORKERS", workers)
         run(cfg)
         digests.append(digest_dir(tmp_path))
     assert digests[0] == digests[1]

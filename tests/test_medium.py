@@ -1,6 +1,7 @@
 import hashlib
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 
@@ -73,16 +74,16 @@ def test_determinism_same_config_bit_identical(tmp_path):
 
 def test_row_blocks_keep_order_and_use_at_most_one_worker_per_core(monkeypatch):
     assert map_row_blocks(lambda block: block, 3 * ROW_BLOCK + 1) == [0, 1, 2, 3]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(medium, "_WORKERS", 1)
     assert set(map_row_blocks(lambda block: threading.get_ident(), 8 * ROW_BLOCK)) == {threading.get_ident()}
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(medium, "_WORKERS", 3)
     workers = set(map_row_blocks(lambda block: threading.get_ident(), 8 * ROW_BLOCK))
     assert threading.get_ident() not in workers and len(workers) <= 3
 
 
-def test_row_blocks_give_each_worker_one_state_made_by_the_calling_thread(monkeypatch):
+def test_row_blocks_give_each_worker_one_state_made_by_the_calling_thread(own_pool):
     # more workers than cores and a short switch interval: two threads sharing a state would meet in it
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    own_pool(8)
     states, made_by = [], set()
 
     def per_worker():
@@ -112,15 +113,24 @@ def test_row_blocks_give_each_worker_one_state_made_by_the_calling_thread(monkey
 
 @pytest.fixture
 def own_pool(monkeypatch):
-    """The test makes the process's pool afresh, and shuts it down afterwards; the earlier pool is kept aside."""
-    monkeypatch.setattr(medium, "_pool", None)
-    monkeypatch.setattr(medium, "_pool_size", 0)
-    yield
-    medium._pool.shutdown()
+    """Call with a worker count: the test's passes run on a new pool of that many threads, shut down afterwards.
+
+    The process's worker count and pool are restored after the test.
+    """
+    pools = []
+
+    def make(workers):
+        monkeypatch.setattr(medium, "_WORKERS", workers)
+        pools.append(medium._new_pool())
+        monkeypatch.setattr(medium, "_pool", pools[-1])
+
+    yield make
+    for pool in pools:
+        pool.shutdown()
 
 
-def test_row_blocks_run_a_nested_pass_inline_in_block_order(monkeypatch, own_pool):
-    monkeypatch.setattr(medium, "_cpu_count", lambda: 4)
+def test_row_blocks_run_a_nested_pass_inline_in_block_order(own_pool):
+    own_pool(4)
 
     def outer(block):
         return block, map_row_blocks(lambda inner: (inner, threading.get_ident()), 3 * ROW_BLOCK), threading.get_ident()
@@ -132,9 +142,9 @@ def test_row_blocks_run_a_nested_pass_inline_in_block_order(monkeypatch, own_poo
 
 
 def test_row_blocks_make_one_state_per_worker_of_the_pass_not_of_the_pool(monkeypatch, own_pool):
-    monkeypatch.setattr(medium, "_cpu_count", lambda: 8)
-    map_row_blocks(lambda block: sum(range(2000)), 64 * ROW_BLOCK)  # the pool now holds at least 8 threads
-    monkeypatch.setattr(medium, "_cpu_count", lambda: 2)
+    own_pool(8)
+    map_row_blocks(lambda block: sum(range(2000)), 64 * ROW_BLOCK)  # the pool now holds up to 8 threads
+    monkeypatch.setattr(medium, "_WORKERS", 2)
     states, made_by = [], set()
 
     def per_worker():
@@ -162,8 +172,8 @@ def test_row_blocks_make_one_state_per_worker_of_the_pass_not_of_the_pool(monkey
     assert all(len(state["threads"]) <= 1 for state in states)
 
 
-def test_row_blocks_reuse_the_pool_threads_pass_after_pass(monkeypatch, own_pool):
-    monkeypatch.setattr(medium, "_cpu_count", lambda: 2)
+def test_row_blocks_reuse_the_pool_threads_pass_after_pass(own_pool):
+    own_pool(2)
 
     def two_worker_pass():
         barrier = threading.Barrier(2, timeout=60)
@@ -182,8 +192,8 @@ def test_row_blocks_reuse_the_pool_threads_pass_after_pass(monkeypatch, own_pool
     assert threading.active_count() <= threads
 
 
-def test_row_blocks_raise_the_lowest_failing_block_after_the_pass(monkeypatch, own_pool):
-    monkeypatch.setattr(medium, "_cpu_count", lambda: 4)
+def test_row_blocks_raise_the_lowest_failing_block_after_the_pass(own_pool):
+    own_pool(4)
     finished = []
 
     def fn(block):
@@ -200,8 +210,8 @@ def test_row_blocks_raise_the_lowest_failing_block_after_the_pass(monkeypatch, o
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_a_forked_child_draws_the_medium_on_its_own_pool(monkeypatch, tmp_path, own_pool):
-    monkeypatch.setattr(medium, "_cpu_count", lambda: 2)  # two workers in the parent and, by the copy, in the child
+def test_a_forked_child_draws_the_medium_on_its_own_pool(tmp_path, own_pool):
+    own_pool(2)  # two workers in the parent and, by the copy, in the child
     cfg = MediumConfig(n_in=16, m_out=4 * ROW_BLOCK, seed=103)
     parent = generate_medium(cfg).matrix.tobytes()  # the parent's pool now exists, its threads idle
     path = tmp_path / "child.sha256"
@@ -220,11 +230,37 @@ def test_a_forked_child_draws_the_medium_on_its_own_pool(monkeypatch, tmp_path, 
     assert path.read_text() == hashlib.sha256(parent).hexdigest()
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_a_process_pinned_to_one_core_before_import_runs_its_passes_inline(tmp_path):
+    # the worker count is read once, at import: a child pinned to one core before it imports draws on its own thread
+    cfg = MediumConfig(n_in=16, m_out=4 * ROW_BLOCK + 5, seed=104)
+    code = f"""
+import hashlib, os, threading
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+from specklewalk import MediumConfig, generate_medium, medium
+assert medium._WORKERS == 1, medium._WORKERS
+draws, draw_block = [], medium.draw_block
+def record(config, block, rows):
+    draws.append((block, threading.get_ident()))
+    return draw_block(config, block, rows)
+medium.draw_block = record
+sm = generate_medium(MediumConfig(n_in={cfg.n_in}, m_out={cfg.m_out}, seed={cfg.seed}))
+assert draws == [(block, threading.get_ident()) for block in range(5)], draws
+print(hashlib.sha256(sm.matrix.tobytes()).hexdigest())
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(medium.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == hashlib.sha256(generate_medium(cfg).matrix.tobytes()).hexdigest()
+
+
 def test_medium_independent_of_worker_count(monkeypatch):
     cfg = MediumConfig(n_in=24, m_out=5 * ROW_BLOCK + 7, seed=101)
     draws = []
-    for cpus in ({0}, {0, 1, 2, 3}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+    for workers in (1, 4):
+        monkeypatch.setattr(medium, "_WORKERS", workers)
         draws.append(generate_medium(cfg).matrix.tobytes())
     assert draws[0] == draws[1]
 

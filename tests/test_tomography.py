@@ -305,6 +305,16 @@ def test_scan_fringes_dephasing_reduces_visibility_monotonically():
     assert values[2] / values[0] == pytest.approx(math.exp(-0.5 * 0.7 ** 2), rel=0.02)
 
 
+def test_scan_fringes_takes_a_dephasing_width_whose_square_overflows():
+    sm = generate_medium(MediumConfig(n_in=64, m_out=16, seed=1010))
+    # the damping exp(-sigma^2/2) is exactly 0.0 from sigma ~38.6 on, so every wider scan counts as one at 40
+    assert math.exp(-0.5 * 38.6 ** 2) > 0.0 and math.exp(-0.5 * 39.0 ** 2) == 0.0
+    for sampling in SAMPLINGS:
+        flat = scan_bytes(scan_fringes(sm, sm, 2, 9, seed=5, sigma_phi=40.0, sampling=sampling))
+        for sigma_phi in (1e200, np.float32(1e30), 10 ** 200):
+            assert scan_bytes(scan_fringes(sm, sm, 2, 9, seed=5, sigma_phi=sigma_phi, sampling=sampling)) == flat
+
+
 def test_scan_fringes_background_reduces_visibility():
     sm = generate_medium(MediumConfig(n_in=512, m_out=64, seed=1003))
     clean = fit_visibility(scan_fringes(sm, sm, 4, 40, counts_per_step=1e8, seed=0, sampling="expected"))
