@@ -49,7 +49,6 @@ from .quantum import (
 from .tomography import (
     FringeScan,
     VisibilityFit,
-    build_density_matrix,
     coherence_from_visibility,
     concurrence,
     concurrence_error,

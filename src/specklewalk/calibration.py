@@ -113,6 +113,9 @@ def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig, *, first_block:
     Row block i of ``s_true`` is block ``first_block + i`` of its medium and
     draws that block's noise stream, so a caller that holds only some
     blocks of a medium calibrates them to the bytes of the whole.
+    ConfigError when a block's reference speckle carries a power beyond
+    float64 range (noiseless) or its Poisson means are beyond the sampler
+    (noisy); see ``estimate_block``.
     """
     require_integer(0, first_block=first_block)
     field = reference_field(s_true.n_in, cfg)
@@ -130,9 +133,11 @@ def estimate_block(rows: np.ndarray, field: np.ndarray, cfg: CalibrationConfig, 
 
     ``field`` is ``reference_field(n_in, cfg)``. The reference r_m of each
     row is its output under that field. Without noise the estimate is
-    conj(r_m) S_mn; with noise the block draws from its own stream, after
-    checking that the largest Poisson mean the block can ask for,
-    ppm (max|r_m| + max|S_mn|)^2 over the block, is within the sampler.
+    conj(r_m) S_mn, after ``medium.output_intensities`` has checked that
+    the power of the reference speckle r is within float64 range; with
+    noise the block draws from its own stream, after checking that the
+    largest Poisson mean the block can ask for, ppm (max|r_m| +
+    max|S_mn|)^2 over the block, is finite and within the sampler.
     Rows with r_m = 0 carry no information and come out zero.
 
     A noisy block works in ``scratch``, a float64 array of shape
@@ -141,6 +146,7 @@ def estimate_block(rows: np.ndarray, field: np.ndarray, cfg: CalibrationConfig, 
     """
     reference = medium.propagate_rows(rows, field)
     if cfg.noiseless:
+        medium.output_intensities(reference)  # the reference speckle's power must lie within float64 range
         np.multiply(np.conj(reference)[:, None], rows, out=out)
     else:
         _measure_noisy(rows, reference, cfg, block, out, np.empty((3,) + rows.shape) if scratch is None else scratch)
@@ -176,9 +182,10 @@ def _measure_noisy(rows: np.ndarray, reference: np.ndarray, cfg: CalibrationConf
     power, work, normals = scratch
     s_re, s_im = rows.real, rows.imag
     # (max|r| + max|S|)^2 bounds every intensity sample of the block, so an oversized budget fails before its draws
-    s2 = np.multiply(s_re, s_re, out=power)
-    s2 += np.multiply(s_im, s_im, out=work)
-    bound = ppm * (float(np.max(np.abs(reference))) + np.sqrt(float(np.max(s2)))) ** 2
+    with np.errstate(over="ignore"):  # a bound beyond float64 range is inf, which the check refuses
+        s2 = np.multiply(s_re, s_re, out=power)
+        s2 += np.multiply(s_im, s_im, out=work)
+        bound = ppm * (float(np.max(np.abs(reference))) + np.sqrt(float(np.max(s2)))) ** 2
     rng.check_poisson_mean(bound, f"photons_per_measurement={ppm!r}")
     factors = _phase_factors(cfg.phase_steps)
     r = reference[:, None]
@@ -246,7 +253,8 @@ def sm_fidelity(s_true: ScatteringMatrix, estimate: SmEstimate) -> np.ndarray:
     """Per-row |<est, true>| / (||est|| ||true||) in [0, 1]; zero-norm rows give 0.
 
     Invariant to the per-row reference factor, so 1.0 means the row was
-    recovered perfectly for every purpose the estimate serves.
+    recovered perfectly for every purpose the estimate serves. ConfigError
+    when a row's squared norm is beyond float64 range.
     """
     est = estimate.matrix.matrix
     if est.shape != s_true.matrix.shape:
@@ -256,8 +264,12 @@ def sm_fidelity(s_true: ScatteringMatrix, estimate: SmEstimate) -> np.ndarray:
 
 def row_fidelity(rows: np.ndarray, est: np.ndarray) -> np.ndarray:
     """``sm_fidelity`` of true ``rows`` and their estimate ``est``, one row-wise dot product each, no temporary matrix."""
-    inner = np.abs(np.vecdot(rows, est))
-    norms = np.sqrt(np.vecdot(est, est).real) * np.sqrt(np.vecdot(rows, rows).real)
+    with np.errstate(over="ignore", invalid="ignore"):  # a squared norm beyond float64 range is refused below
+        est_power, rows_power = np.vecdot(est, est).real, np.vecdot(rows, rows).real
+    if not (np.all(np.isfinite(est_power)) and np.all(np.isfinite(rows_power))):
+        raise ConfigError("a row's squared norm is beyond float64 range")
+    inner = np.abs(np.vecdot(rows, est))  # at most the product of the norms, so finite
+    norms = np.sqrt(est_power) * np.sqrt(rows_power)
     fidelity = np.zeros(len(rows))
     good = norms > 0.0
     fidelity[good] = inner[good] / norms[good]

@@ -9,8 +9,8 @@ stages (``PIPELINES``) on one medium and one calibration estimate:
            the focused coincidence fraction.
   scan     emit the raw dual-target fringe scan table.
   fringes  fringe scan plus visibility fit.
-  tomo     full pipeline to the two-mode state, density matrix,
-           concurrence, triple-count threshold and confidence.
+  tomo     full pipeline to the two-mode state (its diagonal and
+           coherence), concurrence, triple-count threshold and confidence.
   full     focus + fringes + tomo sharing one medium and one estimate.
 
 Every run is a pure function of (config, seed, software version): all
@@ -71,11 +71,12 @@ from . import __version__
 # names imported here, and its span stack must not be touched from worker threads
 from . import calibration, medium, rng
 from .errors import ConfigError, require_choice, require_integer, require_nonnegative
-from .medium import ROW_BLOCK, MediumConfig, ScatteringMatrix
+from .medium import ROW_BLOCK, MediumConfig, ScatteringMatrix, output_intensities
 from .slm import (apply_mask, conjugate_fields, conjugate_phases, dual_target_weights, enhancement, random_mask,
                   save_mask_csv)
 from .calibration import CalibrationConfig, measure_sm
-from .quantum import SourceConfig, check_count_means, estimate_state, mode_probabilities, simulate_counts, twofold_probability
+from .quantum import (SourceConfig, draw_triggers, estimate_state, mode_probabilities, require_triggers,
+                      simulate_counts, twofold_probability)
 from .tomography import (SAMPLINGS, VisibilityFit, coherence_from_visibility, concurrence, concurrence_error,
                          concurrence_threshold, fit_visibility, positivity_confidence, scan_fringes)
 
@@ -360,8 +361,8 @@ def _focus_stage(cfg: ExperimentConfig, out: str, masks: dict, outputs: dict, fi
     fractions = {}
     for name in ("focused", "random"):
         save_mask_csv(os.path.join(out, f"mask_{name}.csv"), masks[name])
-        intensities = np.abs(outputs[name]) ** 2
-        q = src.collection_efficiency * (intensities / intensities.sum())  # each mode's collected probability
+        intensities, total = output_intensities(outputs[name])
+        q = src.collection_efficiency * (intensities / total)  # each mode's collected probability
         counts = gen.poisson(src.trigger_rate * src.acquisition_time * twofold_probability(q[window], src))
         _write_csv(os.path.join(out, f"scan_{name}.csv"), ("mode_index", "counts"),
                    zip(window.tolist(), counts.tolist()))
@@ -426,8 +427,8 @@ def run(cfg: ExperimentConfig) -> RunReport:
         # the stages that draw counts check their Poisson means first, so a bad source knob fails before phase 1
         if "focus" in stages:
             rng.check_poisson_mean(cfg.source.trigger_rate * cfg.source.acquisition_time, "trigger_rate * acquisition_time")
-        if "tomo" in stages:
-            check_count_means(cfg.source)
+        if "tomo" in stages:  # and tomo's trigger count, which reads no field: a run without triggers fails here
+            require_triggers(draw_triggers(cfg.source, cfg.seed)[0])
         blocks, (pair_true, pair_estimate) = _target_blocks(cfg)  # phase 1: the one or two blocks that hold the targets
         masks, named_fields = _masks_and_fields(cfg, pair_estimate)
         fields = list(named_fields.values())

@@ -41,7 +41,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -183,10 +183,13 @@ class ScatteringMatrix:
         _check_index(index, self.m_out)
 
 
-def as_output_field(e_out, *targets: int) -> np.ndarray:
-    """``e_out`` as a complex128 array (``as_array``) of finite entries (ConfigError otherwise).
+def output_intensities(e_out, *targets: int) -> Tuple[np.ndarray, float]:
+    """The intensities |E|^2 of the output field ``e_out``, and their total as a float.
 
-    DimensionError unless it is 1-D and each target names one of its modes.
+    ``e_out`` is taken as a complex128 array (``as_array``) of finite
+    entries (ConfigError otherwise). DimensionError unless it is 1-D and
+    each target names one of its modes. ConfigError when the total power
+    is beyond float64 range.
     """
     field = as_array(e_out, np.complex128, "output field amplitudes")
     if field.ndim != 1:
@@ -194,7 +197,12 @@ def as_output_field(e_out, *targets: int) -> np.ndarray:
     require_all_finite(field, "output field amplitudes")
     for target in targets:
         _check_index(target, field.shape[0])
-    return field
+    with np.errstate(over="ignore"):  # a power beyond float64 range is refused below, not warned about
+        intensities = np.abs(field) ** 2
+        total = float(intensities.sum())
+    if not np.isfinite(total):
+        raise ConfigError("output field power is beyond float64 range")
+    return intensities, total
 
 
 def _check_index(index: int, m_out: int) -> None:

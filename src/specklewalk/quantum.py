@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateFieldError, StatisticsError, require_finite, require_integer,
                      require_nonnegative, require_probability)
-from .medium import as_output_field
+from .medium import output_intensities
 from . import rng
 
 
@@ -131,13 +131,8 @@ def mode_probabilities(e_out: np.ndarray, targets: Tuple[int, int],
         target_a, target_b = targets
     except (TypeError, ValueError):
         raise ConfigError(f"targets must hold exactly two indices, got {targets!r}") from None
-    field = as_output_field(e_out, target_a, target_b)
+    intensities, total = output_intensities(e_out, target_a, target_b)
     require_probability(collection_efficiency=collection_efficiency)
-    with np.errstate(over="ignore"):  # a power beyond float64 range is refused below, not warned about
-        intensities = np.abs(field) ** 2
-        total = float(intensities.sum())
-    if not np.isfinite(total):
-        raise ConfigError("output field power is beyond float64 range")
     if total <= 0.0:
         raise DegenerateFieldError("output field carries zero total power")
     q_a = collection_efficiency * float(intensities[target_a]) / total
@@ -155,9 +150,22 @@ def twofold_probability(q, cfg: SourceConfig):
     return np.minimum(cfg.heralding_efficiency * q + cfg.dark_rate * cfg.coincidence_window, 1.0)
 
 
-def check_count_means(cfg: SourceConfig) -> None:
-    """Raise ConfigError when a Poisson mean that ``simulate_counts`` draws at is beyond the sampler."""
+def draw_triggers(cfg: SourceConfig, seed: int) -> Tuple[int, np.random.Generator]:
+    """(n_T, gen): the trigger count, the first draw of ``simulate_counts`` for ``seed``, and its stream after it.
+
+    ConfigError first when a Poisson mean that ``simulate_counts`` draws
+    at is beyond the sampler. n_T reads no field, so a run draws it, with
+    the bits ``simulate_counts`` will draw, before it has one.
+    """
     rng.check_poisson_mean(max(cfg.trigger_rate, cfg.dark_rate) * cfg.acquisition_time, "trigger_rate or dark_rate")
+    gen = rng.generator(seed, rng.COUNTS)
+    return int(gen.poisson(cfg.trigger_rate * cfg.acquisition_time)), gen
+
+
+def require_triggers(n_t: int) -> None:
+    """Raise StatisticsError unless there are trigger counts to estimate probabilities from."""
+    if n_t <= 0:
+        raise StatisticsError("cannot estimate probabilities without trigger counts")
 
 
 def simulate_counts(q_a: float, q_b: float, cfg: SourceConfig, seed: int) -> CountRecord:
@@ -171,10 +179,7 @@ def simulate_counts(q_a: float, q_b: float, cfg: SourceConfig, seed: int) -> Cou
     """
     require_probability(q_a=q_a, q_b=q_b)
     require_probability(**{"q_a + q_b": q_a + q_b})  # the photon lands in A or in B, never both
-    check_count_means(cfg)
-    gen = rng.generator(seed, rng.COUNTS)
-
-    n_t = int(gen.poisson(cfg.trigger_rate * cfg.acquisition_time))
+    n_t, gen = draw_triggers(cfg, seed)
 
     genuine_a = cfg.heralding_efficiency * q_a
     genuine_b = cfg.heralding_efficiency * q_b
@@ -205,8 +210,7 @@ def estimate_state(counts: CountRecord, d_mag: float) -> TwoModeState:
     Raises ``StatisticsError`` without trigger counts, or when the
     coincidences n_AT + n_BT + n_ABT exceed n_T, which would leave p00 < 0.
     """
-    if counts.n_T <= 0:
-        raise StatisticsError("cannot estimate probabilities without trigger counts")
+    require_triggers(counts.n_T)
     coincidences = counts.n_AT + counts.n_BT + counts.n_ABT
     if coincidences > counts.n_T:
         raise StatisticsError(f"coincidences n_AT + n_BT + n_ABT = {coincidences} exceed the {counts.n_T} trigger counts")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateTargetError, DimensionError, FormatError, as_array, require_all_finite,
                      require_integer)
-from .medium import ScatteringMatrix, as_output_field, write_text
+from .medium import ScatteringMatrix, output_intensities, write_text
 from . import rng
 
 TWO_PI = 2.0 * np.pi
@@ -177,15 +177,10 @@ def enhancement(e_out: np.ndarray, target: int) -> float:
     Random masks give ~1; a conjugate mask on N controlled modes gives
     (pi/4)(N-1)+1 on average.
     """
-    field = as_output_field(e_out, target)
-    m_out = field.shape[0]
+    intensities, total = output_intensities(e_out, target)
+    m_out = intensities.shape[0]
     if m_out < 2:
         raise DimensionError("enhancement needs at least two output modes for a background")
-    with np.errstate(over="ignore"):  # a power beyond float64 range is refused below, not warned about
-        intensities = np.abs(field) ** 2
-        total = float(intensities.sum())
-    if not np.isfinite(total):
-        raise ConfigError("output field power is beyond float64 range")
     background = (total - float(intensities[target])) / (m_out - 1)
     if background == 0.0:
         raise DegenerateTargetError("background intensity is exactly zero")

@@ -1,4 +1,4 @@
-"""Fringe-scan visibility, two-mode density matrix and concurrence bounds.
+"""Fringe-scan visibility, two-mode coherence and concurrence bounds.
 
 The coherence d between the |01> and |10> components is not directly
 countable; it is bounded through the visibility V of single-photon
@@ -40,7 +40,6 @@ from .errors import (ConfigError, DegenerateFieldError, DimensionError, Statisti
                      require_count, require_finite, require_integer, require_nonnegative, require_probability)
 from .medium import ScatteringMatrix, propagate_rows
 from .slm import TWO_PI, conjugate_fields, dual_target_weights
-from .quantum import TwoModeState
 from . import rng
 
 SAMPLINGS = ("poisson", "expected")
@@ -313,27 +312,6 @@ def coherence_from_visibility(visibility: float, p01: float, p10: float) -> floa
     """|d| ~= V * (p01 + p10) / 2."""
     require_probability(visibility=visibility, p01=p01, p10=p10)
     return visibility * (p01 + p10) / 2.0
-
-
-def build_density_matrix(state: TwoModeState) -> np.ndarray:
-    """4x4 density matrix in the (|00>, |01>, |10>, |11>) basis.
-
-    Diagonal carries the occupation probabilities; the only off-diagonal
-    entries are the coherence d_mag between |01> and |10>, taken real
-    (its phase changes neither the eigenvalues nor the concurrence). The
-    result is Hermitian with unit trace, and positive semidefinite
-    whenever d_mag <= sqrt(p01 * p10) (guaranteed by TwoModeState).
-    """
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho[0, 0] = state.p00
-    rho[1, 1] = state.p01
-    rho[2, 2] = state.p10
-    rho[3, 3] = state.p11
-    rho[1, 2] = rho[2, 1] = state.d_mag
-    eigenvalues = np.linalg.eigvalsh(rho)
-    if eigenvalues.min() < -1e-9:
-        raise StatisticsError(f"density matrix not positive semidefinite: min eigenvalue {eigenvalues.min()}")
-    return rho
 
 
 def concurrence(p00: float, p11: float, d_mag: float) -> float:

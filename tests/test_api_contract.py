@@ -36,6 +36,7 @@ from specklewalk import (
     MediumConfig,
     NoiseConfig,
     ScatteringMatrix,
+    SmEstimate,
     SourceConfig,
     StatisticsError,
     TwoModeState,
@@ -86,6 +87,8 @@ STATE = TwoModeState(p00=0.5, p01=0.25, p10=0.25, p11=0.0, d_mag=0.1)
 COUNTS = CountRecord(n_T=100, n_A=10, n_B=10, n_AT=10, n_BT=10, n_ABT=1)
 SCAN_PHI = np.linspace(0.0, 2.0 * np.pi, 9)
 HUGE_ROW = ScatteringMatrix(SM.matrix[:2] * [[1.0], [1e160]])  # row 1's squared norm overflows float64
+HUGE = ScatteringMatrix(SM.matrix * 1e160)  # every entry's square overflows float64
+BIG = ScatteringMatrix(SM.matrix * 1e154)  # every entry's square is finite, a noisy block's bound on its means is not
 # an output field entry that is not finite, or whose square overflows float64, at a mode that is no target
 BAD_FIELDS = {f"{entry!r} entry": np.where(np.arange(M_OUT) == 2, entry, FIELD) for entry in (math.nan, math.inf, 1e200)}
 INI = "[medium]\nn_in = 16\nm_out = 64\n\n[targets]\nindex_a = 3\nindex_b = 40\n"
@@ -191,8 +194,13 @@ ROWS = [
     ("measure_sm", "first_block=1.5", lambda tmp: measure_sm(SM, NOISY, first_block=1.5)),
     ("measure_sm", "photons beyond the sampler",
      lambda tmp: measure_sm(SM, CalibrationConfig(photons_per_measurement=1e30))),
+    ("measure_sm", "power beyond float64 noiseless", lambda tmp: measure_sm(HUGE, CalibrationConfig())),
+    ("measure_sm", "power beyond float64 noisy", lambda tmp: measure_sm(HUGE, NOISY)),
+    ("measure_sm", "bound beyond float64 noisy", lambda tmp: measure_sm(BIG, NOISY)),
     ("sm_fidelity", "shape mismatch",
      lambda tmp: sm_fidelity(SM, measure_sm(ScatteringMatrix(SM.matrix[:2]), CalibrationConfig()))),
+    ("sm_fidelity", "true power beyond float64", lambda tmp: sm_fidelity(HUGE, measure_sm(SM, CalibrationConfig()))),
+    ("sm_fidelity", "estimate power beyond float64", lambda tmp: sm_fidelity(SM, SmEstimate(HUGE))),
     ("CountRecord", "n_T=-1", lambda tmp: CountRecord(n_T=-1, n_A=0, n_B=0, n_AT=0, n_BT=0, n_ABT=0)),
     ("CountRecord", "n_T=1.5", lambda tmp: CountRecord(n_T=1.5, n_A=0, n_B=0, n_AT=0, n_BT=0, n_ABT=0)),
     ("CountRecord", "twofold above singles", lambda tmp: CountRecord(n_T=10, n_A=1, n_B=0, n_AT=2, n_BT=0, n_ABT=0)),
@@ -304,7 +312,6 @@ CHECKED_ARGUMENTS_ONLY = {
     "SmEstimate": "a result record that measure_sm builds",
     "VisibilityFit": "a result record that fit_visibility builds",
     "RunReport": "a result record that run builds",
-    "build_density_matrix": "takes a TwoModeState, whose checks make its matrix positive semidefinite",
     "config_to_dict": "takes an ExperimentConfig, checked when built",
     "config_to_ini": "takes an ExperimentConfig, checked when built",
 }

@@ -603,18 +603,29 @@ def test_run_failing_on_a_scan_knob_fails_before_the_row_pass(tmp_path):
     assert not (tmp_path / "sm_fidelity.csv").exists()
 
 
+# knob -> (trigger_rate, the error, its message); 1e-6 triggers/s over the 3 h acquisition draw n_T = 0 at seed 42
+SOURCE_FAILURES = {
+    "trigger_rate * acquisition_time": (1e300, ConfigError, "trigger_rate * acquisition_time gives a Poisson mean"),
+    "trigger_rate or dark_rate": (1e300, ConfigError, "trigger_rate or dark_rate gives a Poisson mean"),
+    "zero triggers": (1e-6, StatisticsError, "cannot estimate probabilities without trigger counts"),
+}
+
+
 @pytest.mark.parametrize("scenario,knob", [("focus", "trigger_rate * acquisition_time"),
                                            ("tomo", "trigger_rate or dark_rate"),
-                                           ("full", "trigger_rate * acquisition_time")])  # focus runs first
+                                           ("full", "trigger_rate * acquisition_time"),  # focus runs first
+                                           ("tomo", "zero triggers"),
+                                           ("full", "zero triggers")])
 def test_run_failing_on_a_source_knob_fails_before_the_row_pass(tmp_path, scenario, knob):
+    trigger_rate, error, message = SOURCE_FAILURES[knob]
     cfg = small_config(tmp_path, scenario=scenario, medium=MediumConfig(n_in=64, m_out=256, seed=1281),
-                       target_a=3, target_b=90, source=SourceConfig(trigger_rate=1e300))
-    with pytest.raises(ConfigError, match=re.escape(f"{knob} gives a Poisson mean")):
+                       target_a=3, target_b=90, source=SourceConfig(trigger_rate=trigger_rate))
+    with pytest.raises(error, match=re.escape(message)):
         run(cfg)
     for name in ("medium.smx", "sm_estimate.smx"):
         assert (tmp_path / name).stat().st_size == 0
-    assert not (tmp_path / "sm_fidelity.csv").exists()
-    assert not (tmp_path / "fringes.csv").exists()
+    for name in ("sm_fidelity.csv", "fringes.csv", "counts.json"):
+        assert not (tmp_path / name).exists()
 
 
 @pytest.mark.parametrize("photons", [None, 1e4], ids=["noiseless", "noisy"])

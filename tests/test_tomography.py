@@ -22,7 +22,6 @@ from specklewalk import (
     ScatteringMatrix,
     StatisticsError,
     TwoModeState,
-    build_density_matrix,
     coherence_from_visibility,
     concurrence,
     concurrence_error,
@@ -689,32 +688,6 @@ def test_coherence_from_visibility_reference_values():
     assert coherence_from_visibility(0.0, 0.3, 0.2) == 0.0
     with pytest.raises(ConfigError):
         coherence_from_visibility(1.5, 0.1, 0.1)
-
-
-def _state(p00, p01, p10, p11, d):
-    return TwoModeState(p00=p00, p01=p01, p10=p10, p11=p11, d_mag=d)
-
-
-def test_density_matrix_diagonal_when_d_zero():
-    rho = build_density_matrix(_state(0.4, 0.3, 0.2, 0.1, 0.0))
-    assert np.allclose(rho, np.diag([0.4, 0.3, 0.2, 0.1]))
-    np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(rho)), [0.1, 0.2, 0.3, 0.4])
-
-
-def test_density_matrix_reference_values():
-    p01, p10 = 4.1e-5, 4.3e-5
-    p11 = 1 / 1.1e10
-    p00 = 1 - p01 - p10 - p11
-    rho = build_density_matrix(_state(p00, p01, p10, p11, 3.3e-5))
-    assert abs(np.trace(rho) - 1.0) < 1e-12
-    assert np.allclose(rho, rho.conj().T)
-    assert np.linalg.eigvalsh(rho).min() >= -1e-12
-    assert rho[1, 2] == rho[2, 1] == 3.3e-5
-
-
-def test_density_matrix_pure_bell_like_state():
-    rho = build_density_matrix(_state(0.0, 0.5, 0.5, 0.0, 0.5))
-    np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(rho)), [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_concurrence_reference_values():
