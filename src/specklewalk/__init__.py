@@ -7,7 +7,7 @@ simulate coincidence counting, and certify the entanglement of the
 resulting two-mode single-photon state through its concurrence.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .errors import (
     ConfigError,

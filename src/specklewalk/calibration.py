@@ -115,7 +115,7 @@ def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig, *, first_block:
     blocks of a medium calibrates them to the bytes of the whole.
     ConfigError when a block's reference speckle carries a power beyond
     float64 range (noiseless) or its Poisson means are beyond the sampler
-    (noisy); see ``estimate_block``.
+    or its shot-noise variance beyond float64 range (noisy); see ``estimate_block``.
     """
     require_integer(0, first_block=first_block)
     field = reference_field(s_true.n_in, cfg)
@@ -137,7 +137,9 @@ def estimate_block(rows: np.ndarray, field: np.ndarray, cfg: CalibrationConfig, 
     the power of the reference speckle r is within float64 range; with
     noise the block draws from its own stream, after checking that the
     largest Poisson mean the block can ask for, ppm (max|r_m| +
-    max|S_mn|)^2 over the block, is finite and within the sampler.
+    max|S_mn|)^2 over the block, is finite and within the sampler, and
+    that this mean over ppm^2, which bounds the estimate's shot-noise
+    variance, is finite (ConfigError otherwise).
     Rows with r_m = 0 carry no information and come out zero.
 
     A noisy block works in ``scratch``, a float64 array of shape
@@ -181,12 +183,15 @@ def _measure_noisy(rows: np.ndarray, reference: np.ndarray, cfg: CalibrationConf
     ppm = cfg.photons_per_measurement
     power, work, normals = scratch
     s_re, s_im = rows.real, rows.imag
-    # (max|r| + max|S|)^2 bounds every intensity sample of the block, so an oversized budget fails before its draws
-    with np.errstate(over="ignore"):  # a bound beyond float64 range is inf, which the check refuses
+    # (max|r| + max|S|)^2 bounds every intensity sample of the block, so an oversized budget fails before its draws;
+    # over ppm^2 it bounds the estimate's shot-noise variance (power / (8 ppm) for the normals), refused if infinite
+    with np.errstate(over="ignore"):  # a bound beyond float64 range is inf, which the checks refuse
         s2 = np.multiply(s_re, s_re, out=power)
         s2 += np.multiply(s_im, s_im, out=work)
         bound = ppm * (float(np.max(np.abs(reference))) + np.sqrt(float(np.max(s2)))) ** 2
     rng.check_poisson_mean(bound, f"photons_per_measurement={ppm!r}")
+    if float(bound) / ppm / ppm == np.inf:
+        raise ConfigError(f"photons_per_measurement={ppm!r} puts the estimate's noise variance beyond float64 range")
     factors = _phase_factors(cfg.phase_steps)
     r = reference[:, None]
     r_re, r_im = r.real, r.imag

@@ -416,10 +416,13 @@ def run(cfg: ExperimentConfig) -> RunReport:
     """Run ``cfg.scenario``: one medium and estimate in two phases (module docstring), its stages, then report.json.
 
     A scenario of one stage reports that stage's result; ``full`` reports
-    one result per stage, keyed by stage name.
+    one result per stage, keyed by stage name. ``report.json`` is emptied
+    first and written last, so it holds a report only once every other
+    file of the run is written.
     """
     started = time.perf_counter()
     out = _require_output_dir(cfg)
+    medium.write_text(os.path.join(out, "report.json"), [])  # an earlier run's report does not vouch for this run
     m_out, n_in = cfg.medium.m_out, cfg.medium.n_in
     stages = PIPELINES[cfg.scenario]
     with medium.create_smx(os.path.join(out, "medium.smx"), m_out, n_in) as smx_true, \

@@ -7,11 +7,14 @@ this is -arg(S[t, n]) per mode, which rotates every contribution
 S[t, n] * exp(i phase[n]) onto the positive real axis so the target
 amplitudes add coherently. Discarding the amplitude of S^H w costs the
 usual pi/4 factor in enhancement; that penalty is part of the modeled
-device, not something to correct. ``conjugate_fields`` gives the fields of
-those masks, the unit phasors of S^H w, without computing the phases.
+device, not something to correct. ``conjugate_fields`` builds the fields
+of those masks, the unit phasors of S^H w, and ``conjugate_phases`` takes
+each mask's phases from those phasors, one ``math.atan2`` per entry.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -68,7 +71,9 @@ def conjugate_phases(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
     """Phase-only conjugation masks on the ``targets`` rows of ``sm``, one per row of the (masks, k) ``weights``.
 
     phases[j, n] = arg(sum_k conj(weights[j, k]) conj(S[targets[k], n])),
-    folded into [0, 2*pi). For two targets, arg(weights[j, 1] /
+    folded into [0, 2*pi). Each phase is ``math.atan2`` of the
+    ``conjugate_fields`` phasor, so the mask holds the phases of the very
+    field a run propagates. For two targets, arg(weights[j, 1] /
     weights[j, 0]) sets the relative phase between the focused output
     fields. An index outside the output range raises DimensionError.
     Repeated or no targets, weights whose shape does not match the
@@ -77,11 +82,13 @@ def conjugate_phases(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
     without coupling or a superposition that cancels on every input mode
     raises DegenerateTargetError.
     """
-    return canonicalize_phases(np.angle(_superposition(sm, targets, weights)))
+    fields = conjugate_fields(sm, targets, weights)
+    phases = [math.atan2(v.imag, v.real) for v in fields.ravel().tolist()]
+    return canonicalize_phases(np.array(phases, dtype=np.float64).reshape(fields.shape))
 
 
 def conjugate_fields(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
-    """The fields of the ``conjugate_phases`` masks, built without their phases; one (masks, n) row per weight row.
+    """The fields of the ``conjugate_phases`` masks, one (masks, n) row per weight row; the masks are their phases.
 
     Each entry is the unit phasor z/|z| (``_unit_phasors``) of the
     conjugate superposition z whose argument the mask holds. It lies
@@ -89,11 +96,6 @@ def conjugate_fields(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
     z is exactly 0 gets field 1, the mask's phase 0. The arguments and
     errors are those of ``conjugate_phases``.
     """
-    return _unit_phasors(_superposition(sm, targets, weights))
-
-
-def _superposition(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
-    """The (masks, n) conjugate superpositions whose arguments ``conjugate_phases`` returns, with its checks."""
     targets = list(targets)
     if not targets:
         raise ConfigError("conjugation needs at least one target")
@@ -119,7 +121,7 @@ def _superposition(sm: ScatteringMatrix, targets, weights) -> np.ndarray:
     superposition = (np.conj(weights)[:, None, :] @ np.conj(rows))[:, 0]
     if not np.all(np.any(superposition != 0.0, axis=1)):
         raise DegenerateTargetError("target superposition cancels on every input mode")
-    return superposition
+    return _unit_phasors(superposition)
 
 
 def _unit_phasors(z: np.ndarray) -> np.ndarray:

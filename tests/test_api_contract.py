@@ -89,6 +89,8 @@ SCAN_PHI = np.linspace(0.0, 2.0 * np.pi, 9)
 HUGE_ROW = ScatteringMatrix(SM.matrix[:2] * [[1.0], [1e160]])  # row 1's squared norm overflows float64
 HUGE = ScatteringMatrix(SM.matrix * 1e160)  # every entry's square overflows float64
 BIG = ScatteringMatrix(SM.matrix * 1e154)  # every entry's square is finite, a noisy block's bound on its means is not
+# with one photon per 1e300 intensity units, the means are within the sampler but the estimate's noise variance is not
+TINY_BUDGET = CalibrationConfig(photons_per_measurement=1e-300)
 # an output field entry that is not finite, or whose square overflows float64, at a mode that is no target
 BAD_FIELDS = {f"{entry!r} entry": np.where(np.arange(M_OUT) == 2, entry, FIELD) for entry in (math.nan, math.inf, 1e200)}
 INI = "[medium]\nn_in = 16\nm_out = 64\n\n[targets]\nindex_a = 3\nindex_b = 40\n"
@@ -197,6 +199,9 @@ ROWS = [
     ("measure_sm", "power beyond float64 noiseless", lambda tmp: measure_sm(HUGE, CalibrationConfig())),
     ("measure_sm", "power beyond float64 noisy", lambda tmp: measure_sm(HUGE, NOISY)),
     ("measure_sm", "bound beyond float64 noisy", lambda tmp: measure_sm(BIG, NOISY)),
+    *(("measure_sm", f"noise variance beyond float64 at scale {scale:g}",
+       lambda tmp, scale=scale: measure_sm(ScatteringMatrix(SM.matrix * scale), TINY_BUDGET))
+      for scale in (1e152, 1e153)),
     ("sm_fidelity", "shape mismatch",
      lambda tmp: sm_fidelity(SM, measure_sm(ScatteringMatrix(SM.matrix[:2]), CalibrationConfig()))),
     ("sm_fidelity", "true power beyond float64", lambda tmp: sm_fidelity(HUGE, measure_sm(SM, CalibrationConfig()))),

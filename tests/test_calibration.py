@@ -343,6 +343,17 @@ def test_oversized_photon_budget_rejected_before_sampling(monkeypatch):
         measure_sm(sm, CalibrationConfig(photons_per_measurement=1e30, reference_seed=39))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("steps", [4, 3])
+def test_a_budget_whose_shot_noise_variance_overflows_is_refused_by_each_block(steps):
+    # entries ~1e152 at 1e-300 photons per unit intensity: the block's Poisson means are within the sampler, but the
+    # estimate's noise variance is not; for K = 4 the normals' power / (8 ppm) warned "overflow encountered in divide"
+    cfg = CalibrationConfig(phase_steps=steps, photons_per_measurement=1e-300)
+    rows = generate_medium(MediumConfig(n_in=8, m_out=4, seed=1)).matrix * 1e152
+    with pytest.raises(ConfigError, match="noise variance beyond float64 range"):
+        calibration.estimate_block(rows, reference_field(8, cfg), cfg, 0, np.empty_like(rows))
+
+
 def test_dark_fringe_rounding_never_reaches_the_sampler():
     # column 0 interferes to exactly zero at theta = 0, where rounding can leave a tiny negative mean
     cfg = CalibrationConfig(photons_per_measurement=1e4, reference_seed=41, noise_seed=42)

@@ -626,6 +626,18 @@ def test_run_failing_on_a_source_knob_fails_before_the_row_pass(tmp_path, scenar
         assert (tmp_path / name).stat().st_size == 0
     for name in ("sm_fidelity.csv", "fringes.csv", "counts.json"):
         assert not (tmp_path / name).exists()
+    assert (tmp_path / "report.json").stat().st_size == 0
+
+
+def test_a_failed_run_leaves_no_earlier_report(tmp_path):
+    small = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "small.ini")
+    full = load_config(small, scenario="full", seed=11, output_dir=str(tmp_path))
+    run(full)
+    assert (tmp_path / "report.json").stat().st_size > 0
+    with pytest.raises(StatisticsError, match="without trigger counts"):
+        run_tomo(dataclasses.replace(full, source=dataclasses.replace(full.source, trigger_rate=0.0)))
+    # the files the tomo run did not reach still hold seed 11's bytes, but report.json no longer says they are a run
+    assert (tmp_path / "report.json").stat().st_size == 0
 
 
 @pytest.mark.parametrize("photons", [None, 1e4], ids=["noiseless", "noisy"])

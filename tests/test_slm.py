@@ -118,7 +118,7 @@ def test_conjugate_phases_degenerate_rows_and_cancelled_masks():
 
 def test_a_target_row_whose_squared_norm_overflows_is_named():
     sm = generate_medium(MediumConfig(n_in=16, m_out=3, seed=13))
-    rows = ScatteringMatrix(sm.matrix * [[1.0], [1e160], [1e150]])  # squares of ~1e319 and ~1e299
+    rows = ScatteringMatrix(sm.matrix * [[1.0], [1e160], [2.0**500]])  # squares of ~1e319 and ~1e301
     with pytest.raises(ConfigError, match=r"target rows \[1\] have a squared norm beyond float64 range"):
         dual_target_weights(rows, 0, 1, [0.0])
     with pytest.raises(ConfigError, match=r"target rows \[1\] have a squared norm beyond float64 range"):
