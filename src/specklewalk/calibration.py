@@ -144,7 +144,9 @@ def estimate_block(rows: np.ndarray, field: np.ndarray, cfg: CalibrationConfig, 
 
     A noisy block works in ``scratch``, a float64 array of shape
     (3,) + rows.shape whose three parts are C-ordered; when it is None the
-    block allocates one. Its contents going in do not matter.
+    block allocates one. Its contents going in do not matter. The parts
+    hold |r|^2 + |S|^2 and then the noise scale, the spread and then the
+    placed noise, and the normals (see ``_measure_noisy``).
     """
     reference = medium.propagate_rows(rows, field)
     if cfg.noiseless:
@@ -175,10 +177,14 @@ def _measure_noisy(rows: np.ndarray, reference: np.ndarray, cfg: CalibrationConf
     then every imaginary part), then the Poisson counts of the other rows,
     one phase step at a time.
 
-    ``scratch`` holds three (rows, n_in) arrays: |r|^2 + |S|^2, a work
-    array and the normals. Every value is computed from the same operands
-    in the same order as with new temporaries, so the bytes do not depend
-    on where it works.
+    ``scratch`` holds three (rows, n_in) planes: |r|^2 + |S|^2, which
+    becomes the noise scale sqrt(power / (8 ppm)) once the Poisson means
+    are read from it; a work plane, which holds the spread and then the
+    noise, the normals placed in their rows and scaled; and the normals.
+    The noise is added to the whole block: rows below the floor take +0
+    before their Poisson sums replace them. Every value is computed from
+    the same operands in the same order as with new temporaries, so the
+    bytes do not depend on where it works.
     """
     ppm = cfg.photons_per_measurement
     power, work, normals = scratch
@@ -203,32 +209,28 @@ def _measure_noisy(rows: np.ndarray, reference: np.ndarray, cfg: CalibrationConf
     x_im = np.multiply(r_re, s_im, out=out.imag)
     x_im -= np.multiply(r_im, s_re, out=work)
     gen = rng.generator(cfg.noise_seed, rng.CALIBRATION_NOISE, block)
-    exact = slice(None)
+    gaussian = np.zeros(len(rows), dtype=bool)  # only K = 4 draws normals
     if len(factors) == 4:
         # the four sample means are ppm * (power + 2 x_re, power - 2 x_im, power - 2 x_re, power + 2 x_im)
         spread = np.maximum(np.abs(x_re, out=work), np.abs(x_im, out=normals), out=work)
         spread *= 2.0
         lowest = ppm * np.min(np.subtract(power, spread, out=spread), axis=1)
         gaussian = lowest >= _GAUSSIAN_FLOOR
-        if gaussian.any():
-            # c0 - c2 ~ N(2 ppm x_re, 2 ppm power) and c3 - c1 ~ N(2 ppm x_im, 2 ppm power); divided by 4 ppm,
-            # each component is x + sqrt(power / (8 ppm)) * z, all real parts drawn before all imaginary parts
-            g = np.flatnonzero(gaussian)
-            z, gathered = normals[:g.size], work[:g.size]
-            for x in (x_re, x_im):
-                gen.standard_normal(out=z)
-                z *= np.sqrt(np.divide(_take_rows(power, g, gathered), 8.0 * ppm, out=gathered), out=gathered)
-                x[g] = np.add(_take_rows(x, g, gathered), z, out=z)
-            exact = np.flatnonzero(~gaussian)
-    acc_re, acc_im = _poisson_sums(gen, ppm * power[exact], (2.0 * ppm) * x_re[exact], (2.0 * ppm) * x_im[exact],
-                                   factors)
+    exact = np.flatnonzero(~gaussian)
+    means = ppm * power[exact], (2.0 * ppm) * x_re[exact], (2.0 * ppm) * x_im[exact]
+    if gaussian.any():
+        # c0 - c2 ~ N(2 ppm x_re, 2 ppm power) and c3 - c1 ~ N(2 ppm x_im, 2 ppm power); divided by 4 ppm,
+        # each component is x + sqrt(power / (8 ppm)) * z, all real parts drawn before all imaginary parts;
+        # the other rows add 0 * scale = +0 (the bound keeps the scale finite) before their Poisson sums replace them
+        scale = np.sqrt(np.divide(power, 8.0 * ppm, out=power), out=power)
+        work.fill(0.0)
+        for x in (x_re, x_im):
+            work[gaussian] = gen.standard_normal(out=normals[:np.count_nonzero(gaussian)])
+            work *= scale
+            x += work
+    acc_re, acc_im = _poisson_sums(gen, *means, factors)
     out.real[exact] = np.divide(acc_re, len(factors) * ppm, out=acc_re)
     out.imag[exact] = np.divide(acc_im, len(factors) * ppm, out=acc_im)
-
-
-def _take_rows(values: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """values[rows] into ``out``; mode "clip" writes ``out`` directly, where "raise" would buffer it."""
-    return np.take(values, rows, axis=0, out=out, mode="clip")
 
 
 def _poisson_sums(gen: np.random.Generator, dc: np.ndarray, cross_re: np.ndarray, cross_im: np.ndarray, factors):

@@ -255,13 +255,15 @@ def test_noisy_rows_above_the_floor_draw_normals_first_from_their_block_streams(
     np.testing.assert_allclose(got, expected, rtol=0, atol=1.01 / (4 * ppm))
 
 
-@pytest.mark.parametrize("steps, ppm, zero_row", [
-    (4, 1e4, None),  # rows above and below the Gaussian floor
-    (3, 1e4, None),  # every row Poisson
-    (4, None, None),  # noiseless
-    (4, 1e4, ROW_BLOCK + 6),  # a row whose reference is zero
+@pytest.mark.parametrize("steps, ppm, zero_row, share", [
+    (4, 1e4, None, "some"),  # rows above and below the Gaussian floor
+    (4, 1e8, None, "all"),  # every row draws normals
+    (4, 100.0, None, "none"),  # every row draws Poisson counts
+    (3, 1e4, None, None),  # every row Poisson
+    (4, None, None, None),  # noiseless
+    (4, 1e4, ROW_BLOCK + 6, "some"),  # a row whose reference is zero
 ])
-def test_reused_block_buffers_give_the_bytes_of_the_whole_matrix(steps, ppm, zero_row):
+def test_reused_block_buffers_give_the_bytes_of_the_whole_matrix(steps, ppm, zero_row, share):
     medium_cfg = MediumConfig(n_in=40, m_out=2 * ROW_BLOCK + 22, seed=32)  # the last block is partial
     cfg = CalibrationConfig(phase_steps=steps, photons_per_measurement=ppm, reference_seed=33, noise_seed=34)
     drawn = generate_medium(medium_cfg).matrix
@@ -270,8 +272,9 @@ def test_reused_block_buffers_give_the_bytes_of_the_whole_matrix(steps, ppm, zer
         truth[zero_row] = 0.0
     sm = ScatteringMatrix(truth)
     whole = measure_sm(sm, cfg)
-    if steps == 4 and ppm is not None:
-        assert 0 < above_floor(sm, cfg).sum() < sm.m_out
+    if share is not None:  # the share of rows at or above the Gaussian floor that a K = 4 noisy input reaches
+        above = above_floor(sm, cfg).sum()
+        assert {"some": 0 < above < sm.m_out, "all": above == sm.m_out, "none": above == 0}[share]
     if zero_row is not None:
         assert not whole.matrix.matrix[zero_row].any()
     field = reference_field(medium_cfg.n_in, cfg)
@@ -352,6 +355,19 @@ def test_a_budget_whose_shot_noise_variance_overflows_is_refused_by_each_block(s
     rows = generate_medium(MediumConfig(n_in=8, m_out=4, seed=1)).matrix * 1e152
     with pytest.raises(ConfigError, match="noise variance beyond float64 range"):
         calibration.estimate_block(rows, reference_field(8, cfg), cfg, 0, np.empty_like(rows))
+
+
+@pytest.mark.filterwarnings("error")
+def test_rows_below_the_floor_take_zero_noise_from_the_whole_block_add():
+    # at 1e-100 photons per unit intensity and entries ~1e55, row 0 is above the floor and row 1, whose reference
+    # cancels its first entry's fringe, below it; the noise is added over the whole block, so row 1 must add exact
+    # zeros: its spread (~1e110) times the noise scale (~1e105) twice would overflow
+    cfg = CalibrationConfig(photons_per_measurement=1e-100, reference_seed=41, noise_seed=42)
+    f0, f1 = reference_field(2, cfg)
+    a = 1e55 * np.exp(0.3j)
+    sm = ScatteringMatrix(np.array([[a, 10 * a * f0 / f1], [a, -a * (1 + f0) / f1]]))
+    assert above_floor(sm, cfg).tolist() == [True, False]
+    assert np.all(np.isfinite(measure_sm(sm, cfg).matrix.matrix))
 
 
 def test_dark_fringe_rounding_never_reaches_the_sampler():
