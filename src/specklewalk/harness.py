@@ -228,8 +228,10 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
 
 def _require_output_dir(cfg: ExperimentConfig) -> str:
     path = cfg.output_dir
-    if not os.path.isdir(path):
+    if not os.path.exists(path):
         raise ConfigError(f"output_dir {path!r} does not exist (create it before running)")
+    if not os.path.isdir(path):
+        raise ConfigError(f"output_dir {path!r} is not a directory")
     if not os.access(path, os.W_OK):
         raise ConfigError(f"output_dir {path!r} is not writable")
     return path

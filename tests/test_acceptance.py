@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from specklewalk import harness, medium
 from specklewalk import (
     CalibrationConfig,
     ExperimentConfig,
@@ -197,24 +196,6 @@ def test_criterion_09_fringe_pipeline(tmp_path):
                  f"(0.78 +-0.04); degradation monotonic in sigma_phi: {degradation}")
 
 
-def tomo_certificate(cfg):
-    """The concurrence and confidence of ``run_tomo(cfg)``, calibrating only the two target blocks.
-
-    The split field is the run's, from the target rows of the estimate, and
-    its output comes from every block's true rows, on the row pass's pool.
-    The scan and the tomo stage are the run's own, writing into the output dir.
-    """
-    pair, pair_estimate = target_rows(cfg)
-    field = harness._masks_and_fields(cfg, pair_estimate)[1]["split"]
-    m_out, n_in = cfg.medium.m_out, cfg.medium.n_in
-    split_output = np.concatenate(medium.map_row_blocks(
-        lambda block: medium.propagate_rows(medium.draw_block(cfg.medium, block, np.empty(
-            (min(medium.ROW_BLOCK, m_out - block * medium.ROW_BLOCK), n_in), dtype=np.complex128)), field), m_out))
-    fit = fit_visibility(harness._scan(cfg, cfg.output_dir, pair, pair_estimate))
-    result = harness._tomo_stage(cfg, cfg.output_dir, split_output, fit)
-    return result["concurrence"], result["confidence"]
-
-
 def test_criterion_10_tomography_monte_carlo(tmp_path):
     successes = 0
     for s in range(100):
@@ -228,11 +209,8 @@ def test_criterion_10_tomography_monte_carlo(tmp_path):
             target_a=96, target_b=288,
             output_dir=str(tmp_path), seed=5300 + s,
         )
-        c_value, confidence = tomo_certificate(cfg)
-        if s < 3:  # the certificate is run_tomo's, bit for bit
-            result = run_tomo(cfg).result
-            assert (c_value, confidence) == (result["concurrence"], result["confidence"])
-        if c_value > 0.0 and confidence > 0.99:
+        result = run_tomo(cfg).result
+        if result["concurrence"] > 0.0 and result["confidence"] > 0.99:
             successes += 1
     check(10, successes >= 90, f"{successes}/100 seeded runs certified C > 0 at > 99% confidence (need >= 90)")
 

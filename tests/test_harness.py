@@ -247,8 +247,16 @@ def test_an_override_seed_derives_the_sub_seeds_the_file_leaves_out():
 
 def test_missing_output_dir_fails_before_computation(tmp_path):
     cfg = small_config(tmp_path / "nope", scenario="focus")
-    with pytest.raises(ConfigError, match="output_dir"):
+    with pytest.raises(ConfigError, match="output_dir .* does not exist"):
         run_focus(cfg)
+
+
+def test_output_dir_that_is_a_file_is_named_as_such(tmp_path):
+    not_a_dir = tmp_path / "report.txt"
+    not_a_dir.write_text("")
+    with pytest.raises(ConfigError, match="output_dir .* is not a directory"):
+        run_tomo(small_config(not_a_dir, scenario="tomo"))
+    assert not_a_dir.read_text() == ""
 
 
 def test_run_focus_rejects_counts_beyond_the_poisson_sampler(tmp_path):
