@@ -26,7 +26,8 @@ The measurement runs in blocks of ``medium.ROW_BLOCK`` output rows, one
 ``estimate_block`` call each, which reads only its own block's rows.
 ``measure_sm`` maps it over a whole matrix; a caller that draws the
 medium block by block calls it on each block as it is drawn, and may
-hand it one scratch array to reuse for every block.
+hand it one scratch array to reuse for every block. ``estimate_block``
+alone reads the reference input, fixed by (n_in, reference_seed).
 
 Shot noise is modeled as Poisson photon counting on every intensity
 sample, with photons_per_measurement photons per unit intensity.
@@ -56,10 +57,10 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, require_finite, require_integer
 from .medium import ScatteringMatrix
-from .slm import TWO_PI, apply_mask, random_mask
-# block helpers are called through their module: perfbench/tracing.py wraps the names
-# imported here, and its span stack must not be touched from worker threads
-from . import medium, rng
+from .slm import TWO_PI
+# block helpers, the reference field's builders among them, are called through their module: perfbench/tracing.py
+# wraps the names imported here, and its span stack must not be touched from worker threads
+from . import medium, rng, slm
 
 # photons: for K = 4, a row whose smallest sample mean reaches this draws moment-matched normals;
 # each Poisson difference they replace then has skewness below 0.023 and excess kurtosis below 5e-4
@@ -100,9 +101,9 @@ def reference_field(n_in: int, cfg: CalibrationConfig) -> np.ndarray:
     return _reference_field(n_in, cfg.reference_seed)
 
 
-@functools.lru_cache(maxsize=16)  # a run's phase-1 calibrations and its row pass share one field
+@functools.lru_cache(maxsize=16)  # every block of a run, on any thread, reads one field
 def _reference_field(n_in: int, reference_seed: int) -> np.ndarray:
-    field = apply_mask(random_mask(n_in, reference_seed))
+    field = slm.apply_mask(slm.random_mask(n_in, reference_seed))
     field.setflags(write=False)
     return field
 
@@ -118,29 +119,27 @@ def measure_sm(s_true: ScatteringMatrix, cfg: CalibrationConfig, *, first_block:
     or its shot-noise variance beyond float64 range (noisy); see ``estimate_block``.
     """
     require_integer(0, first_block=first_block)
-    field = reference_field(s_true.n_in, cfg)
     estimate = np.empty_like(s_true.matrix)
-    medium.map_row_blocks(
-        lambda block: estimate_block(medium.row_block(s_true.matrix, block), field, cfg, first_block + block,
-                                     medium.row_block(estimate, block)),
-        s_true.m_out)
+    medium.map_row_blocks(lambda block: estimate_block(medium.row_block(s_true.matrix, block), cfg, first_block + block,
+                                                       medium.row_block(estimate, block)), s_true.m_out)
     return SmEstimate(matrix=ScatteringMatrix._adopt(estimate))
 
 
-def estimate_block(rows: np.ndarray, field: np.ndarray, cfg: CalibrationConfig, block: int,
-                   out: np.ndarray, scratch: Optional[np.ndarray] = None) -> None:
+def estimate_block(rows: np.ndarray, cfg: CalibrationConfig, block: int, out: np.ndarray,
+                   scratch: Optional[np.ndarray] = None) -> None:
     """Write the estimate of row block ``block``, true rows ``rows``, into ``out``.
 
-    ``field`` is ``reference_field(n_in, cfg)``. The reference r_m of each
-    row is its output under that field. Without noise the estimate is
-    conj(r_m) S_mn, after ``medium.output_intensities`` has checked that
-    the power of the reference speckle r is within float64 range; with
-    noise the block draws from its own stream, after checking that the
-    largest Poisson mean the block can ask for, ppm (max|r_m| +
-    max|S_mn|)^2 over the block, is finite and within the sampler, and
-    that this mean over ppm^2, which bounds the estimate's shot-noise
-    variance, is finite (ConfigError otherwise).
-    Rows with r_m = 0 carry no information and come out zero.
+    The reference r_m of each row is its output under the input that
+    (n_in, reference_seed) fixes, ``reference_field``, read here alone.
+    Without noise the estimate is conj(r_m) S_mn, after
+    ``medium.output_intensities`` has checked that the power of the
+    reference speckle r is within float64 range; with noise the block
+    draws from its own stream, after checking that the largest Poisson
+    mean the block can ask for, ppm (max|r_m| + max|S_mn|)^2 over the
+    block, is finite and within the sampler, and that this mean over
+    ppm^2, which bounds the estimate's shot-noise variance, is finite
+    (ConfigError otherwise). Rows with r_m = 0 carry no information and
+    come out zero.
 
     A noisy block works in ``scratch``, a float64 array of shape
     (3,) + rows.shape whose three parts are C-ordered; when it is None the
@@ -148,7 +147,7 @@ def estimate_block(rows: np.ndarray, field: np.ndarray, cfg: CalibrationConfig, 
     hold |r|^2 + |S|^2 and then the noise scale, the spread and then the
     placed noise, and the normals (see ``_measure_noisy``).
     """
-    reference = medium.propagate_rows(rows, field)
+    reference = medium.propagate_rows(rows, reference_field(rows.shape[1], cfg))
     if cfg.noiseless:
         medium.output_intensities(reference)  # the reference speckle's power must lie within float64 range
         np.multiply(np.conj(reference)[:, None], rows, out=out)

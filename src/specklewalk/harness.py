@@ -240,8 +240,8 @@ def _require_output_dir(cfg: ExperimentConfig) -> str:
 # Output files go through medium.write_text, called through its module like the block helpers, so a traced run
 # counts the writing in the harness's own time.
 def _write_json(path, document: dict) -> None:
-    encoder = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False)  # json.dump's encoder for these options
-    medium.write_text(path, itertools.chain(encoder.iterencode(document), ["\n"]))
+    # a generator, so the document is formatted once the file is open: a document that fails to format leaves it empty
+    medium.write_text(path, (json.dumps(d, sort_keys=True, indent=2, ensure_ascii=False) + "\n" for d in [document]))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -328,7 +328,6 @@ def _row_pass(cfg: ExperimentConfig, smx_files, fields: list, done: dict):
     and the output field for each of ``fields``, over every row.
     """
     m_out, n_in = cfg.medium.m_out, cfg.medium.n_in
-    reference_input = calibration.reference_field(n_in, cfg.calibration)
 
     def buffers():  # one worker's true rows, estimate and calibration scratch
         rows = np.empty((ROW_BLOCK, n_in), dtype=np.complex128)
@@ -340,7 +339,7 @@ def _row_pass(cfg: ExperimentConfig, smx_files, fields: list, done: dict):
         size = min(ROW_BLOCK, m_out - block * ROW_BLOCK)
         rows, est, scratch = (buffer[..., :size, :] for buffer in worker_buffers)
         medium.draw_block(cfg.medium, block, rows, scratch[0])
-        calibration.estimate_block(rows, reference_input, cfg.calibration, block, est, scratch)
+        calibration.estimate_block(rows, cfg.calibration, block, est, scratch)
         return _finish_block(smx_files, fields, block, rows, est)
 
     blocks = medium.map_row_blocks(block_pass, m_out, per_worker=buffers)

@@ -27,10 +27,9 @@ with ``os.pwrite``, so blocks may land in any order and from any thread.
 ``save_smx`` writes a whole matrix through them. ``create_smx`` overwrites
 an existing file in place rather than truncating it on open: freeing a
 large file's blocks can stall the run's next file opens behind the
-filesystem's journal. A failure inside ``create_smx`` leaves the file
-empty, never a full-size file with an earlier run's rows. ``write_text``
-writes every other output file the same way: in place, then cut to the
-text's length, or to nothing if the text fails.
+filesystem's journal. ``write_text`` writes every other output file the
+same way, and both open their file through ``_overwrite``: a failure
+leaves the file empty, never holding an earlier run's bytes.
 """
 
 from __future__ import annotations
@@ -295,21 +294,15 @@ def save_smx(path, sm: ScatteringMatrix) -> None:
 
 
 def write_text(path, chunks) -> None:
-    """Write the UTF-8 text joined from the strings ``chunks`` into the file ``path``, overwriting it in place.
+    """Write the UTF-8 text joined from the strings ``chunks`` over the file ``path`` (``_overwrite``).
 
-    Like ``create_smx``, the file is not truncated on open. The chunks are
-    joined after the open, and the file is then cut where the text ends, or
-    to 0 bytes if a chunk or the write raised, so no byte of an earlier
-    file survives.
+    The chunks are joined once the file is open, and the file is cut where
+    the text ends, or to 0 bytes if a chunk or the write raised.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as fh:
-        length = 0
-        try:
-            data = "".join(chunks).encode("utf-8")
-            _pwrite_all(fh, data, 0)
-            length = len(data)
-        finally:
-            os.ftruncate(fh.fileno(), length)
+    with _overwrite(path) as fh:
+        data = "".join(chunks).encode("utf-8")
+        _pwrite_all(fh, data, 0)
+        os.ftruncate(fh.fileno(), len(data))
 
 
 @contextmanager
@@ -319,16 +312,22 @@ def create_smx(path, m_out: int, n_in: int):
     Layout: magic b"SMX1", m_out and n_in as little-endian uint64, then
     row-major entries as (real, imag) little-endian float64 pairs.
 
-    An existing file is overwritten in place, never truncated on open: it
-    is sized to the container's length, so a file of that length keeps its
-    blocks. If anything after the open raises, the body included, the file
-    is truncated to 0 bytes, so no earlier run's rows survive in a file
-    ``load_smx`` would accept.
+    An existing file is overwritten in place (``_overwrite``), sized to the
+    container's length, so a file of that length keeps its blocks. If
+    anything after the open raises, the body included, the file is cut to
+    0 bytes: no earlier run's rows survive in a file ``load_smx`` accepts.
     """
+    with _overwrite(path) as fh:
+        os.ftruncate(fh.fileno(), len(SMX_MAGIC) + _SMX_HEADER.size + 16 * m_out * n_in)
+        _pwrite_all(fh, SMX_MAGIC + _SMX_HEADER.pack(m_out, n_in), 0)
+        yield fh
+
+
+@contextmanager
+def _overwrite(path):
+    """Yield ``path`` open for unbuffered writes, never truncated on open; cut it to 0 bytes if the body raises."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as fh:
         try:
-            os.ftruncate(fh.fileno(), len(SMX_MAGIC) + _SMX_HEADER.size + 16 * m_out * n_in)
-            _pwrite_all(fh, SMX_MAGIC + _SMX_HEADER.pack(m_out, n_in), 0)
             yield fh
         except BaseException:
             os.ftruncate(fh.fileno(), 0)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from specklewalk import (
+    CalibrationConfig,
     ConfigError,
     CountRecord,
     DegenerateFieldError,
+    ExperimentConfig,
     MediumConfig,
     ScatteringMatrix,
     SourceConfig,
@@ -19,6 +21,7 @@ from specklewalk import (
     mode_probabilities,
     propagate,
     random_mask,
+    run_tomo,
     simulate_counts,
 )
 from specklewalk.quantum import twofold_probability
@@ -97,6 +100,25 @@ def test_simulate_counts_rejects_bad_probabilities():
         simulate_counts(0.6, 0.6, PAPER_SOURCE, seed=1)
     with pytest.raises(ConfigError):
         simulate_counts(-0.1, 0.0, PAPER_SOURCE, seed=1)
+
+
+def test_simulate_counts_accepts_a_sum_that_rounds_above_one_and_refuses_a_real_excess():
+    q = float(np.nextafter(0.5, 1.0))
+    assert q + q == np.nextafter(1.0, 2.0)
+    assert simulate_counts(q, q, PAPER_SOURCE, seed=1) == simulate_counts(0.5, 0.5, PAPER_SOURCE, seed=1)
+    with pytest.raises(ConfigError, match=r"q_a \+ q_b must lie in \[0, 1\]"):
+        simulate_counts(0.5, 0.5 + 1e-12, PAPER_SOURCE, seed=1)
+
+
+@pytest.mark.parametrize("seed", [81, 96])
+def test_tomo_on_two_outputs_whose_ratios_round_above_one_finishes(seed, tmp_path):
+    # both outputs are targets, so every photon is collected in one of them: q_a + q_b is 1 up to rounding
+    cfg = ExperimentConfig(medium=MediumConfig(n_in=4, m_out=2, seed=seed), calibration=CalibrationConfig(),
+                           source=SourceConfig(collection_efficiency=1.0), target_a=0, target_b=1, seed=seed,
+                           output_dir=str(tmp_path))
+    result = run_tomo(cfg).result
+    assert result["q_a"] + result["q_b"] == np.nextafter(1.0, 2.0)
+    assert result["confidence"] >= 0.0
 
 
 def test_simulate_counts_determinism():
