@@ -7,7 +7,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .harness import SCENARIOS, load_config, run
+from .harness import SCENARIO_FILES, SCENARIOS, load_config, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -17,7 +17,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="scenario", required=True, metavar="{" + ",".join(SCENARIOS) + "}")
     for name in SCENARIOS:
-        runner = sub.add_parser(name, help=f"run the {name} scenario")
+        runner = sub.add_parser(name, help=f"run the {name} scenario, which writes {', '.join(SCENARIO_FILES[name])}")
         runner.add_argument("--config", required=True, help="INI configuration file")
         runner.add_argument("--seed", type=int, default=None, help="override the master seed")
         runner.add_argument("--out", default=None, help="output directory, which must exist (default: out)")

@@ -1,7 +1,8 @@
 """Named, reproducible experiment scenarios and their file outputs.
 
 A scenario (selected on the command line or in [run] scenario) runs its
-stages (``PIPELINES``) on one medium and one calibration estimate:
+stages in order (``PIPELINES``; ``STAGES`` says what each checks,
+propagates, reads and writes) on one medium and one calibration estimate:
 
   focus    calibrate, then count coincidences, dark-count accidentals
            included, on a 1-D window of output modes around the target
@@ -24,14 +25,13 @@ own block, with both SMX files open from the start:
 
   1. ``target_rows``: the one or two blocks that hold the targets are
      drawn together on the row-block pool (``medium.draw_block``, into
-     arrays this thread allocates), then calibrated one after
-     the other in this thread (``measure_sm`` from the block's own noise
-     stream). Their two target rows, true and
-     estimated, give the fringe scan and every field the stages
-     propagate, each conjugate one from ``slm.conjugate_fields``. The
-     blocks are then written, scored and propagated, and dropped. The
-     fringe scan and its fit run next, on the two target rows alone, so a
-     bad scan knob fails before the pass.
+     arrays this thread allocates), then calibrated one after the other
+     in this thread (``measure_sm`` from the block's own noise stream).
+     Their two target rows, true and estimated, give the fringe scan and
+     every field the stages propagate, each conjugate one from
+     ``slm.conjugate_fields``. The blocks are then written, scored and
+     propagated, and dropped. The fringe scan and its fit run next, on the
+     two target rows alone, so a bad scan knob fails before the pass.
   2. One ``medium.map_row_blocks`` pass draws and calibrates every other
      block, computes its row fidelities, writes both SMX blocks at their
      file offsets, and propagates each field through the block's rows.
@@ -39,9 +39,9 @@ own block, with both SMX files open from the start:
      calling thread before the pass: temporaries made new for every
      block are mapped and page-faulted in afresh each time.
 
-``run`` then calls the stages in order on the two target rows, the masks
-and their output fields. Memory depends on neither m_out nor where the
-targets are: two target blocks, then one set of block buffers per worker.
+``run`` then calls each stage's result function in order. Memory depends
+on neither m_out nor where the targets are: two target blocks, then one
+set of block buffers per worker.
 
 Every run table (``sm_fidelity.csv``, ``scan_*.csv``, ``fringes.csv``,
 ``probabilities.csv``) goes through ``_write_csv`` and every JSON file
@@ -77,18 +77,8 @@ from .slm import (apply_mask, conjugate_fields, conjugate_phases, dual_target_we
 from .calibration import CalibrationConfig, measure_sm
 from .quantum import (SourceConfig, draw_triggers, estimate_state, mode_probabilities, require_triggers,
                       simulate_counts, twofold_probability)
-from .tomography import (SAMPLINGS, VisibilityFit, coherence_from_visibility, concurrence, concurrence_error,
+from .tomography import (SAMPLINGS, coherence_from_visibility, concurrence, concurrence_error,
                          concurrence_threshold, fit_visibility, positivity_confidence, scan_fringes)
-
-# scenario -> the stages it runs, in order, on one medium and one estimate
-PIPELINES = {
-    "focus": ("focus",),
-    "scan": ("scan",),
-    "fringes": ("fringes",),
-    "tomo": ("tomo",),
-    "full": ("focus", "fringes", "tomo"),
-}
-SCENARIOS = tuple(PIPELINES)
 
 
 @dataclass(frozen=True)
@@ -267,20 +257,6 @@ def _scan(cfg: ExperimentConfig, out: str, pair_true: ScatteringMatrix, pair_est
     return scan
 
 
-def _masks_and_fields(cfg: ExperimentConfig, pair_estimate: ScatteringMatrix):
-    """The masks the run writes and the fields its stages propagate, by name; no field is built from a mask's phases."""
-    stages = PIPELINES[cfg.scenario]
-    masks, fields = {}, {}
-    if "focus" in stages:
-        masks["focused"] = conjugate_phases(pair_estimate, (0,), [[1.0]])[0]
-        masks["random"] = random_mask(cfg.medium.n_in, cfg.seed)
-        fields["focused"] = conjugate_fields(pair_estimate, (0,), [[1.0]])[0]
-        fields["random"] = apply_mask(masks["random"])
-    if "tomo" in stages:
-        fields["split"] = conjugate_fields(pair_estimate, (0, 1), dual_target_weights(pair_estimate, 0, 1, [0.0]))[0]
-    return masks, fields
-
-
 def _target_blocks(cfg: ExperimentConfig):
     """Phase 1: (block -> (its true rows, their estimate by ``measure_sm``) per target block, ``target_rows``' pair).
 
@@ -347,10 +323,11 @@ def _row_pass(cfg: ExperimentConfig, smx_files, fields: list, done: dict):
     return fidelities, [np.concatenate(parts) for parts in zip(*(block_outputs for _, block_outputs in blocks))]
 
 
-def _focus_stage(cfg: ExperimentConfig, out: str, masks: dict, outputs: dict, fidelities: np.ndarray) -> dict:
+def _focus_stage(cfg: ExperimentConfig, out: str, made: dict) -> dict:
     """Write both masks, and their coincidence scans at the per-trigger ``twofold_probability`` of ``simulate_counts``."""
-    m_out = cfg.medium.m_out
-    src = cfg.source
+    m_out, src, outputs = cfg.medium.m_out, cfg.source, made["outputs"]
+    # each mask holds the phases of the field its _FIELDS builder made
+    masks = {"focused": conjugate_phases(made["estimate"], (0,), [[1.0]])[0], "random": random_mask(cfg.medium.n_in, cfg.seed)}
 
     half = cfg.n_steps // 2
     lo = max(0, cfg.target_a - half)
@@ -373,15 +350,16 @@ def _focus_stage(cfg: ExperimentConfig, out: str, masks: dict, outputs: dict, fi
         "random_fraction": fractions["random"],
         "enhancement": enhancement(outputs["focused"], cfg.target_a),
         "scan_window": [int(lo), int(hi)],
-        "mean_row_fidelity": float(np.mean(fidelities)),
+        "mean_row_fidelity": float(np.mean(made["fidelities"])),
     }
 
 
 _PROBABILITIES = ("p00", "p01", "p10", "p11")
 
 
-def _tomo_stage(cfg: ExperimentConfig, out: str, split_output: np.ndarray, fit: VisibilityFit) -> dict:
-    q_a, q_b = mode_probabilities(split_output, (cfg.target_a, cfg.target_b), cfg.source.collection_efficiency)
+def _tomo_stage(cfg: ExperimentConfig, out: str, made: dict) -> dict:
+    fit = made["fit"]
+    q_a, q_b = mode_probabilities(made["outputs"]["split"], (cfg.target_a, cfg.target_b), cfg.source.collection_efficiency)
     counts = simulate_counts(q_a, q_b, cfg.source, cfg.seed)
     _write_json(os.path.join(out, "counts.json"),
                 {**dataclasses.asdict(counts), "config": config_to_dict(cfg)["source"]})
@@ -413,6 +391,38 @@ def _tomo_stage(cfg: ExperimentConfig, out: str, split_output: np.ndarray, fit: 
     }
 
 
+# The tables' functions reach the names harness imports through its globals when called: perfbench/tracing.py wraps them.
+# field -> its builder from the estimate's two target rows; no conjugate field is built from a mask's phases
+_FIELDS = {
+    "focused": lambda cfg, pair: conjugate_fields(pair, (0,), [[1.0]])[0],
+    "random": lambda cfg, pair: apply_mask(random_mask(cfg.medium.n_in, cfg.seed)),
+    "split": lambda cfg, pair: conjugate_fields(pair, (0, 1), dual_target_weights(pair, 0, 1, [0.0]))[0],
+}
+# stage -> "check": None or a check of cfg made before phase 1; "fields": the _FIELDS it propagates; "reads": what it
+# takes of the fringe scan: (), ("scan",) or ("scan", "fit"); "result": (cfg, out, made) -> its report entry, ``made``
+# holding the run's values as ``run`` names them; "files": the files it writes besides RUN_FILES.
+STAGES = {
+    "focus": dict(check=lambda cfg: rng.check_poisson_mean(cfg.source.trigger_rate * cfg.source.acquisition_time,
+                                                           "trigger_rate * acquisition_time"),
+                  fields=("focused", "random"), reads=(), result=_focus_stage,
+                  files=("mask_focused.csv", "mask_random.csv", "scan_focused.csv", "scan_random.csv")),
+    "scan": dict(check=None, fields=(), reads=("scan",), files=("fringes.csv",),
+                 result=lambda cfg, out, made: {"n_steps": cfg.n_steps, "total_counts": int(made["scan"].counts.sum())}),
+    "fringes": dict(check=None, fields=(), reads=("scan", "fit"), files=("fringes.csv",),
+                    result=lambda cfg, out, made: dataclasses.asdict(made["fit"])),
+    # the trigger count reads no field, so a run without triggers fails before phase 1
+    "tomo": dict(check=lambda cfg: require_triggers(draw_triggers(cfg.source, cfg.seed)[0]), fields=("split",),
+                 reads=("scan", "fit"), result=_tomo_stage, files=("fringes.csv", "counts.json", "probabilities.csv")),
+}
+# scenario -> the stages it runs, in order, on one medium and one estimate: each stage alone, and full
+PIPELINES = {**{name: (name,) for name in STAGES}, "full": ("focus", "fringes", "tomo")}
+SCENARIOS = tuple(PIPELINES)
+RUN_FILES = ("medium.smx", "sm_estimate.smx", "sm_fidelity.csv", "report.json")  # the files every run writes
+# scenario -> the names of the files its run writes: RUN_FILES, then its stages' files in stage order
+SCENARIO_FILES = {scenario: tuple(dict.fromkeys(itertools.chain(RUN_FILES, *(STAGES[name]["files"] for name in names))))
+                  for scenario, names in PIPELINES.items()}
+
+
 def run(cfg: ExperimentConfig) -> RunReport:
     """Run ``cfg.scenario``: one medium and estimate in two phases (module docstring), its stages, then report.json.
 
@@ -425,39 +435,28 @@ def run(cfg: ExperimentConfig) -> RunReport:
     out = _require_output_dir(cfg)
     medium.write_text(os.path.join(out, "report.json"), [])  # an earlier run's report does not vouch for this run
     m_out, n_in = cfg.medium.m_out, cfg.medium.n_in
-    stages = PIPELINES[cfg.scenario]
+    pipeline = [STAGES[name] for name in PIPELINES[cfg.scenario]]
+    reads = {read for stage in pipeline for read in stage["reads"]}
     with medium.create_smx(os.path.join(out, "medium.smx"), m_out, n_in) as smx_true, \
             medium.create_smx(os.path.join(out, "sm_estimate.smx"), m_out, n_in) as smx_estimate:
-        # the stages that draw counts check their Poisson means first, so a bad source knob fails before phase 1
-        if "focus" in stages:
-            rng.check_poisson_mean(cfg.source.trigger_rate * cfg.source.acquisition_time, "trigger_rate * acquisition_time")
-        if "tomo" in stages:  # and tomo's trigger count, which reads no field: a run without triggers fails here
-            require_triggers(draw_triggers(cfg.source, cfg.seed)[0])
+        for stage in pipeline:  # in stage order, so a bad source knob fails before phase 1
+            if stage["check"]:
+                stage["check"](cfg)
         blocks, (pair_true, pair_estimate) = _target_blocks(cfg)  # phase 1: the one or two blocks that hold the targets
-        masks, named_fields = _masks_and_fields(cfg, pair_estimate)
-        fields = list(named_fields.values())
+        names = list(dict.fromkeys(name for stage in pipeline for name in stage["fields"]))
+        fields = [_FIELDS[name](cfg, pair_estimate) for name in names]
         done = {block: _finish_block((smx_true, smx_estimate), fields, block, *pair) for block, pair in blocks.items()}
         del blocks
         # the fringe scan and its fit read only the target rows, so a bad scan knob fails before the pass
-        if set(stages) & {"scan", "fringes", "tomo"}:  # the stages that read the fringe scan
-            scan = _scan(cfg, out, pair_true, pair_estimate)
-        if set(stages) & {"fringes", "tomo"}:  # the stages that read its fit; a scan run never fits
-            fit = fit_visibility(scan)
+        scan = _scan(cfg, out, pair_true, pair_estimate) if "scan" in reads else None
+        fit = fit_visibility(scan) if "fit" in reads else None  # a scan run never fits
         # phase 2: every other block
         fidelities, block_outputs = _row_pass(cfg, (smx_true, smx_estimate), fields, done)
-    outputs = dict(zip(named_fields, block_outputs))
     _write_csv(os.path.join(out, "sm_fidelity.csv"), ("row", "fidelity"), enumerate(fidelities.tolist()))
 
-    results = {}
-    if "focus" in stages:
-        results["focus"] = _focus_stage(cfg, out, masks, outputs, fidelities)
-    if "scan" in stages:
-        results["scan"] = {"n_steps": cfg.n_steps, "total_counts": int(scan.counts.sum())}
-    if "fringes" in stages:
-        results["fringes"] = dataclasses.asdict(fit)
-    if "tomo" in stages:
-        results["tomo"] = _tomo_stage(cfg, out, outputs["split"], fit)
-    result = results[stages[0]] if len(stages) == 1 else results
+    made = dict(estimate=pair_estimate, outputs=dict(zip(names, block_outputs)), fidelities=fidelities, scan=scan, fit=fit)
+    results = {name: STAGES[name]["result"](cfg, out, made) for name in PIPELINES[cfg.scenario]}
+    result = next(iter(results.values())) if len(results) == 1 else results
     _write_json(os.path.join(out, "report.json"), {
         "scenario": cfg.scenario,
         "software_version": __version__,

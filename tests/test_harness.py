@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.metadata
+import importlib.util
 import json
 import math
 import os
@@ -41,8 +42,8 @@ from specklewalk import (
     target_rows,
 )
 from specklewalk.calibration import reference_field
-from specklewalk.cli import main
-from specklewalk.harness import SCENARIOS, _write_csv, _write_json
+from specklewalk.cli import build_parser, main
+from specklewalk.harness import PIPELINES, SCENARIO_FILES, SCENARIOS, STAGES, _write_csv, _write_json
 
 
 def small_config(out_dir, scenario="full", seed=42, **overrides):
@@ -455,6 +456,30 @@ def test_one_config_run_into_two_directories_gives_identical_files(tmp_path):
     assert digest_dir(outs[0]) == digest_dir(outs[1])
 
 
+EVERY_RUN = {"medium.smx", "sm_estimate.smx", "sm_fidelity.csv", "report.json"}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_a_run_into_a_fresh_directory_writes_exactly_its_stages_files(tmp_path, scenario):
+    run(small_config(tmp_path, scenario=scenario, medium=MediumConfig(n_in=32, m_out=128, seed=1281),
+                     target_a=5, target_b=90))
+    expected = EVERY_RUN | {name for stage in PIPELINES[scenario] for name in STAGES[stage]["files"]}
+    assert set(os.listdir(tmp_path)) == expected
+    assert sorted(SCENARIO_FILES[scenario]) == sorted(expected)  # each name once
+
+
+def test_the_benchmark_expects_the_files_of_the_stage_table():
+    # loaded from its file, as perfbench/ is not a package
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                            "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload, scenario in ((workloads.PaperFull, "full"), (workloads.McTomo, "tomo")):
+        assert workload.runner == f"run_{scenario}"
+        assert sorted(workload.files) == sorted(SCENARIO_FILES[scenario])
+
+
 def test_different_seed_changes_outputs(tmp_path):
     run(small_config(tmp_path, scenario="scan", seed=1))
     first = digest_dir(tmp_path)
@@ -706,6 +731,14 @@ def test_cli_success_and_failure(tmp_path, capsys):
 
     assert main(["tomo", "--config", str(tmp_path / "nofile.ini")]) == 1
     assert capsys.readouterr().err.startswith("ERROR FileNotFoundError:")
+
+
+def test_cli_help_names_the_files_each_scenario_writes(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per scenario
+    lines = dict(re.findall(r"^ {4}(\w+) +(run the .*)$", build_parser().format_help(), re.MULTILINE))
+    assert list(lines) == list(SCENARIOS)
+    for scenario, line in lines.items():
+        assert re.findall(r"[\w.]+\.(?:smx|csv|json)", line) == list(SCENARIO_FILES[scenario]), scenario
 
 
 def test_cli_exits_1_without_a_traceback_when_stdout_is_closed(tmp_path):
