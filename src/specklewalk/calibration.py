@@ -39,12 +39,13 @@ sequence the phase factors exp(i theta_j) are the exact (1, i, -1, -i).
 Shot-noise rule. For K = 4 the estimate reads only the differences
 c0 - c2 and c3 - c1 of independent Poisson counts, whose means are
 2 ppm Re(conj(r) S) and 2 ppm Im(conj(r) S) and whose variance is
-2 ppm (|r|^2 + |S|^2), with ppm = photons_per_measurement. A row whose
-smallest sample mean, ppm * min_n(|r|^2 + |S|^2 - 2 max(|Re conj(r) S|,
-|Im conj(r) S|)), is at least _GAUSSIAN_FLOOR photons draws each
-difference as one normal with exactly that mean and variance. Every
-other row, and every row when K != 4, draws each of its K samples as an
-exact Poisson count.
+2 ppm (|r|^2 + |S|^2), with ppm = photons_per_measurement. Such a Skellam
+difference of total mean mu has skewness <= mu^(-1/2) and excess kurtosis
+1 / mu, whatever its fringe. A row with ppm * min_n(|r|^2 + |S|^2) at least
+_GAUSSIAN_FLOOR = 100 photons (mu >= 200: skewness <= 0.071, excess
+kurtosis <= 0.005) draws each difference as one normal with exactly that
+mean and variance. Every other row, and every row when K != 4, draws each
+of its K samples as an exact Poisson count.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ from .slm import TWO_PI
 # wraps the names imported here, and its span stack must not be touched from worker threads
 from . import medium, rng, slm
 
-# photons: for K = 4, a row whose smallest sample mean reaches this draws moment-matched normals;
-# each Poisson difference they replace then has skewness below 0.023 and excess kurtosis below 5e-4
-_GAUSSIAN_FLOOR = 1000.0
+# photons: for K = 4, a row with ppm * min_n(|r|^2 + |S|^2) at or above this draws moment-matched normals; each Poisson
+# difference they replace has total mean >= 200, so skewness <= 1/sqrt(200) ~ 0.071 and excess kurtosis <= 0.005
+_GAUSSIAN_FLOOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def estimate_block(rows: np.ndarray, cfg: CalibrationConfig, block: int, out: np
     A noisy block works in ``scratch``, a float64 array of shape
     (3,) + rows.shape whose three parts are C-ordered; when it is None the
     block allocates one. Its contents going in do not matter. The parts
-    hold |r|^2 + |S|^2 and then the noise scale, the spread and then the
+    hold |r|^2 + |S|^2 and then the noise scale, products and then the
     placed noise, and the normals (see ``_measure_noisy``).
     """
     reference = medium.propagate_rows(rows, reference_field(rows.shape[1], cfg))
@@ -168,18 +169,19 @@ def _measure_noisy(rows: np.ndarray, reference: np.ndarray, cfg: CalibrationConf
                    out: np.ndarray, scratch: np.ndarray) -> None:
     """Write one block's shot-noise-limited Fourier estimate into ``out``, working in ``scratch``.
 
-    Rows follow the module's shot-noise rule: for K = 4, a row whose smallest
-    sample mean is at least _GAUSSIAN_FLOOR photons gets two moment-matched
-    normal draws per entry; every other row, and every row when K != 4, gets
-    K exact Poisson draws per entry. Draw order on the block's stream: the
-    normals of the rows at or above the floor (every real part, row by row,
-    then every imaginary part), then the Poisson counts of the other rows,
-    one phase step at a time.
+    Rows follow the module's shot-noise rule: for K = 4, a row with ppm *
+    min_n(|r|^2 + |S|^2) >= _GAUSSIAN_FLOOR gets two moment-matched normal
+    draws per entry (skewness <= 0.071, excess kurtosis <= 0.005 for each
+    Poisson difference replaced); every other row, and every row when K != 4,
+    gets K exact Poisson draws per entry. Draw order on the block's stream:
+    the normals of the rows at or above the floor (every real part, row by
+    row, then every imaginary part), then the Poisson counts of the other
+    rows, one phase step at a time.
 
     ``scratch`` holds three (rows, n_in) planes: |r|^2 + |S|^2, which
     becomes the noise scale sqrt(power / (8 ppm)) once the Poisson means
-    are read from it; a work plane, which holds the spread and then the
-    noise, the normals placed in their rows and scaled; and the normals.
+    are read from it; a work plane, which holds products of r and S and then
+    the noise, the normals placed in their rows and scaled; and the normals.
     The noise is added to the whole block: rows below the floor take +0
     before their Poisson sums replace them. Every value is computed from
     the same operands in the same order as with new temporaries, so the
@@ -210,11 +212,8 @@ def _measure_noisy(rows: np.ndarray, reference: np.ndarray, cfg: CalibrationConf
     gen = rng.generator(cfg.noise_seed, rng.CALIBRATION_NOISE, block)
     gaussian = np.zeros(len(rows), dtype=bool)  # only K = 4 draws normals
     if len(factors) == 4:
-        # the four sample means are ppm * (power + 2 x_re, power - 2 x_im, power - 2 x_re, power + 2 x_im)
-        spread = np.maximum(np.abs(x_re, out=work), np.abs(x_im, out=normals), out=work)
-        spread *= 2.0
-        lowest = ppm * np.min(np.subtract(power, spread, out=spread), axis=1)
-        gaussian = lowest >= _GAUSSIAN_FLOOR
+        # each difference c0 - c2, c3 - c1 has total mean 2 ppm power, which alone bounds its skewness and kurtosis
+        gaussian = ppm * np.min(power, axis=1) >= _GAUSSIAN_FLOOR
     exact = np.flatnonzero(~gaussian)
     means = ppm * power[exact], (2.0 * ppm) * x_re[exact], (2.0 * ppm) * x_im[exact]
     if gaussian.any():

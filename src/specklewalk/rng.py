@@ -16,10 +16,11 @@ path        consumer
 1           calibration reference input (when not set)
 (2, block)  calibration shot noise, one stream per block of
             ``medium.ROW_BLOCK`` output rows; in order, the
-            normals of the rows at or above the Gaussian
-            floor (every real part, row by row, then every
-            imaginary part), then the Poisson counts of the
-            other rows, one phase step at a time
+            normals of the rows whose ppm * min(|r|^2 +
+            |S|^2) reaches the Gaussian floor (every real
+            part, row by row, then every imaginary part),
+            then the Poisson counts of the other rows, one
+            phase step at a time
 3           random baseline mask
 4           heralded-count simulation
 5           fringe scan sampling

@@ -468,6 +468,42 @@ def test_a_run_into_a_fresh_directory_writes_exactly_its_stages_files(tmp_path, 
     assert sorted(SCENARIO_FILES[scenario]) == sorted(expected)  # each name once
 
 
+def test_a_report_names_the_files_of_its_own_run_with_their_sizes(tmp_path):
+    # a tomo run over a full run's directory leaves full's masks and focus scans in place, but not in its report
+    small = dict(medium=MediumConfig(n_in=32, m_out=128, seed=1281), target_a=5, target_b=90)
+    run(small_config(tmp_path, scenario="full", **small))
+    run(small_config(tmp_path, scenario="tomo", **small))
+    files = json.loads((tmp_path / "report.json").read_text())["files"]
+    assert list(files) == sorted(set(SCENARIO_FILES["tomo"]) - {"report.json"}) and len(files) == 6
+    assert files == {name: (tmp_path / name).stat().st_size for name in files}
+    assert set(os.listdir(tmp_path)) - set(files) == set(SCENARIO_FILES["full"]) - set(files)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_report_states_a_noiseless_calibrations_perfect_row_fidelities(tmp_path, scenario):
+    run(small_config(tmp_path, scenario=scenario, medium=MediumConfig(n_in=32, m_out=128, seed=1281),
+                     calibration=CalibrationConfig(reference_seed=1282), target_a=5, target_b=90))
+    health = json.loads((tmp_path / "report.json").read_text())["calibration"]
+    assert health.pop("rows_below_0.9") == 0
+    assert health == pytest.approx({"row_fidelity_min": 1.0, "row_fidelity_p5": 1.0, "row_fidelity_median": 1.0},
+                                   rel=0, abs=1e-15)
+
+
+def test_the_reported_calibration_health_reads_the_written_row_fidelities(tmp_path):
+    cfg = small_config(tmp_path, scenario="scan", medium=MediumConfig(n_in=32, m_out=128, seed=1281),
+                       calibration=CalibrationConfig(photons_per_measurement=50.0, reference_seed=1282, noise_seed=1283),
+                       target_a=5, target_b=90)
+    run(cfg)
+    fidelity = np.loadtxt(tmp_path / "sm_fidelity.csv", delimiter=",", skiprows=1)[:, 1]
+    below = int(np.count_nonzero(fidelity < 0.9))
+    assert 0 < below < len(fidelity)
+    # the 5th percentile by nearest rank: the smallest fidelity that at least 5% of the rows do not exceed
+    low = min(f for f in fidelity if np.mean(fidelity <= f) >= 0.05)
+    assert json.loads((tmp_path / "report.json").read_text())["calibration"] == {
+        "row_fidelity_min": fidelity.min(), "row_fidelity_p5": low, "row_fidelity_median": np.median(fidelity),
+        "rows_below_0.9": below}
+
+
 def test_the_benchmark_expects_the_files_of_the_stage_table():
     # loaded from its file, as perfbench/ is not a package
     spec = importlib.util.spec_from_file_location(
